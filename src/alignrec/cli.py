@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
-from .config import RunConfig, resolve_config
+from .config import RunConfig, parse_value, resolve_config
 from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
 from .errors import ConfigError, DataFormatError, NumericalError
@@ -59,10 +59,10 @@ def _flag_values(args: argparse.Namespace) -> dict:
             "reduction", "graph_layers", "branch_channels", "lambda_cl",
             "lambda_mmd", "lambda_reg", "temperature")
     values = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "bandwidths", None) is not None:
-        values["bandwidths"] = tuple(float(v) for v in args.bandwidths.split(","))
-    if getattr(args, "eval_ks", None) is not None:
-        values["eval_ks"] = tuple(int(v) for v in args.eval_ks.split(","))
+    # Lists take the config-file syntax; resolve_config checks their types.
+    for key in ("bandwidths", "eval_ks"):
+        if getattr(args, key, None) is not None:
+            values[key] = parse_value(f"[{getattr(args, key)}]")
     if getattr(args, "checkpoint", None) is not None:
         values["checkpoint"] = args.checkpoint
     if getattr(args, "variant", None) is not None:

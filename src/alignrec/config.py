@@ -78,6 +78,8 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "none"
+    if isinstance(value, str) and _parse_scalar(value) != value:
+        return f'"{value}"'  # a path such as "123" must read back as text
     return str(value)
 
 
@@ -143,9 +145,44 @@ def resolve_config(config_path: str | None, flag_values: dict) -> RunConfig:
     return cfg
 
 
+# Smallest value each count accepts.
+_MINIMUM = {"batch_size": 1, "max_epochs": 0, "patience": 0, "id_dim": 1,
+            "reduction": 1, "attention_reduction": 1}
+
+
+def _coerce(annotation: str, value):
+    """`value` as the field type spelled `annotation`; raises ValueError when
+    it is not of that type. An int passes as a float, and a list of scalars
+    as a tuple."""
+    if annotation.endswith(" | None"):
+        return None if value is None else _coerce(annotation[:-len(" | None")], value)
+    if annotation.startswith("tuple[") and annotation.endswith(", ...]"):
+        if not isinstance(value, (tuple, list)):
+            raise ValueError
+        element = annotation[len("tuple["):-len(", ...]")]
+        return tuple(_coerce(element, v) for v in value)
+    if annotation == "bool" and isinstance(value, str) \
+            and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    if annotation == "float" and type(value) is int:
+        return float(value)
+    if type(value) is not {"int": int, "float": float, "bool": bool,
+                           "str": str}[annotation]:
+        raise ValueError
+    return value
+
+
 def _coerce_types(cfg: RunConfig) -> None:
-    cfg.dilations = tuple(int(v) for v in cfg.dilations)
-    cfg.bandwidths = tuple(float(v) for v in cfg.bandwidths)
-    cfg.eval_ks = tuple(int(v) for v in cfg.eval_ks)
-    if isinstance(cfg.symmetric_infonce, str):
-        cfg.symmetric_infonce = cfg.symmetric_infonce.lower() == "true"
+    """Check every field against its declared type and every count against
+    its minimum, converting where `_coerce` allows."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        try:
+            setattr(cfg, f.name, _coerce(f.type, value))
+        except ValueError:
+            raise ConfigError(f"{f.name} = {format_value(value)}: "
+                              f"expected {f.type}") from None
+    for name, minimum in _MINIMUM.items():
+        if getattr(cfg, name) < minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, "
+                              f"got {getattr(cfg, name)}")

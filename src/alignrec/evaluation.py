@@ -120,32 +120,73 @@ def recall_ndcg_at_k(ranked: list[int], relevant: set[int],
     return recall, dcg / idcg
 
 
+# Score matrix entries per ranking block: 512 Ki float64 scores, 4 MiB.
+_SCORE_BLOCK_ENTRIES = 1 << 19
+
+
 def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
              which: str = "test", ks: tuple[int, ...] = (10, 20)) -> dict[str, float]:
     """Mean recall/NDCG over users with held-out items in the chosen split.
 
-    Rankings always mask the user's training positives.
+    The ranking contract is the one `rank_topk` states for a single user:
+    each user's scores are the mat-vec `item_repr @ user_repr[user]`, the
+    user's training positives (from `split.train`) are masked, items with a
+    non-finite score are never ranked, and ties go to the lower item index.
+    Users are ranked in blocks whose score matrix holds at most
+    `_SCORE_BLOCK_ENTRIES` entries, and the per-user metrics are summed in
+    ascending user order.
     """
     held = {"validation": split.validation_positives,
             "test": split.test_positives}[which]
     k_max = max(ks)
+    users = [user for user in range(split.n_users) if held[user]]
+    if not users:
+        raise UsageError(f"evaluate: no users with {which} interactions")
+    if k_max < 1:
+        raise ParameterError(f"k must be >= 1, got {k_max}")
+    n_items = item_repr.shape[0]
+    cut = min(k_max, n_items)
+    block = max(1, _SCORE_BLOCK_ENTRIES // n_items)
+
+    train_order = np.argsort(split.train[:, 0], kind="stable")
+    train_users = split.train[train_order, 0]
+    train_items = split.train[train_order, 1]
+    row_of = np.full(split.n_users, -1, dtype=np.int64)
+
     sums = {f"recall@{k}": 0.0 for k in ks}
     sums.update({f"ndcg@{k}": 0.0 for k in ks})
-    counted = 0
-    for user in range(split.n_users):
-        relevant = held[user]
-        if not relevant:
-            continue
-        counted += 1
-        ranked = rank_topk(user_repr, item_repr, user,
-                           split.train_positives[user], k_max)
-        for k in ks:
-            recall, ndcg = recall_ndcg_at_k(ranked, relevant, k)
-            sums[f"recall@{k}"] += recall
-            sums[f"ndcg@{k}"] += ndcg
-    if counted == 0:
-        raise UsageError(f"evaluate: no users with {which} interactions")
-    return {name: value / counted for name, value in sums.items()}
+    scores = np.empty((min(block, len(users)), n_items),
+                      dtype=np.result_type(user_repr, item_repr))
+    for start in range(0, len(users), block):
+        chunk = users[start:start + block]
+        rows = scores[:len(chunk)]
+        for row, user in enumerate(chunk):
+            np.matmul(item_repr, user_repr[user], out=rows[row])
+        rows[~np.isfinite(rows)] = -np.inf
+
+        # Blocks cover ascending user ranges, so the pairs between lo and hi
+        # belong to this block's users or to users without held-out items.
+        row_of[chunk] = np.arange(len(chunk))
+        lo, hi = np.searchsorted(train_users, [chunk[0], chunk[-1] + 1])
+        train_rows = row_of[train_users[lo:hi]]
+        listed = train_rows >= 0
+        rows[train_rows[listed], train_items[lo:hi][listed]] = -np.inf
+
+        # Every item scoring at least the row's cut-th best score, so the
+        # stable sort below sees all items tied at the cut.
+        kth = np.argpartition(-rows, cut - 1, axis=1)[:, cut - 1]
+        threshold = rows[np.arange(len(chunk)), kth]
+        for row, user in enumerate(chunk):
+            line = rows[row]
+            candidates = np.flatnonzero((line >= threshold[row])
+                                        & (line > -np.inf))
+            order = np.argsort(-line[candidates], kind="stable")
+            ranked = candidates[order[:k_max]].tolist()
+            for k in ks:
+                recall, ndcg = recall_ndcg_at_k(ranked, held[user], k)
+                sums[f"recall@{k}"] += recall
+                sums[f"ndcg@{k}"] += ndcg
+    return {name: value / len(users) for name, value in sums.items()}
 
 
 def lr_schedule(epoch: int, base_lr: float = 0.001) -> float:

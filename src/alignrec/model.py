@@ -423,7 +423,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack_from("<H", blob, offset)
         offset += 2
         need(name_len + 1)
-        name = blob[offset:offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise DataFormatError(
+                f"{path}: parameter name at byte {offset} is not UTF-8") from err
         offset += name_len
         (rank,) = struct.unpack_from("<B", blob, offset)
         offset += 1

@@ -70,13 +70,15 @@ def test_precedence_flag_over_file_over_default(tmp_path):
 
 
 def test_resolved_config_lines_round_trip(tmp_path):
-    cfg = RunConfig(seed=3, bandwidths=(0.5, 1.0), symmetric_infonce=True)
+    cfg = RunConfig(seed=3, bandwidths=(0.5, 1.0), symmetric_infonce=True,
+                    out="123")
     path = tmp_path / "resolved.cfg"
     path.write_text("\n".join(cfg.lines()) + "\n")
     again = resolve_config(str(path), {})
     assert again.seed == 3
     assert again.bandwidths == (0.5, 1.0)
     assert again.symmetric_infonce is True
+    assert again.out == "123"
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +141,23 @@ def test_train_streams_identical_under_seed(demo, tmp_path, capsys):
             == (tmp_path / "b" / "checkpoint.mrec").read_bytes())
 
 
+# Recorded before ranking was vectorized (x86-64, numpy 2.4, OpenBLAS); a
+# speed-up must leave every metric and loss where it was.
+GOLDEN_SEED3_LINES = [
+    '{"epoch": 1, "split": "validation", "ndcg@10": 0.3176265513315325, "ndcg@20": 0.4150627982408109, "recall@10": 0.6333333333333333, "recall@20": 1.0, "losses": {"bpr": 0.6279848023315924, "mmd": 0.01693179993303123, "infonce": 8.498002188290346, "reg": 166.63435083079747}}',
+    '{"epoch": 2, "split": "validation", "ndcg@10": 0.35825855423256986, "ndcg@20": 0.42844793535820364, "recall@10": 0.7333333333333333, "recall@20": 1.0, "losses": {"bpr": 0.6288917507820551, "mmd": 0.018695546741122906, "infonce": 8.144682988861575, "reg": 165.7269865334166}}',
+    '{"epoch": 3, "split": "validation", "ndcg@10": 0.3800841365991149, "ndcg@20": 0.43185563661073245, "recall@10": 0.8, "recall@20": 1.0, "losses": {"bpr": 0.6228372863743158, "mmd": 0.012001972372004333, "infonce": 8.700217081744979, "reg": 164.8421228885599}}',
+    '{"epoch": 1, "split": "test", "ndcg@10": 0.3089863103622919, "ndcg@20": 0.3958944083998862, "recall@10": 0.6666666666666666, "recall@20": 1.0, "losses": {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}}',
+]
+
+
+def test_train_stream_matches_golden_record(demo, capsys):
+    lines, _ = train_lines(capsys, demo, ["--max-epochs", "3", "--seed", "3"])
+    for record in lines:
+        record.pop("wall_ms")
+    assert [json.dumps(record) for record in lines] == GOLDEN_SEED3_LINES
+
+
 def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
     lines, _ = train_lines(capsys, demo, ["--max-epochs", "2",
                                           "--out", str(tmp_path / "run")])
@@ -159,6 +178,36 @@ def test_evaluate_corrupted_checkpoint_exits_3(demo, tmp_path, capsys):
                "--config", str(tmp_path / "run" / "resolved_config.txt")])
     capsys.readouterr()
     assert rc == 3
+
+
+def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
+    train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(tmp_path / "run")])
+    ckpt = tmp_path / "run" / "checkpoint.mrec"
+    blob = bytearray(ckpt.read_bytes())
+    blob[10] = 0xFF  # first byte of the first name: magic, version, u16 length
+    ckpt.write_bytes(bytes(blob))
+    rc = main(["evaluate", "--checkpoint", str(ckpt),
+               "--config", str(tmp_path / "run" / "resolved_config.txt")])
+    assert "not UTF-8" in capsys.readouterr().err
+    assert rc == 3
+
+
+@pytest.mark.parametrize("flags, config_text", [
+    (["--bandwidths", "1,x"], None),
+    (["--batch-size", "0"], None),
+    (["--batch-size", "-3"], None),
+    ([], "batch_size = foo\n"),
+    ([], "attention_reduction = 0\n"),
+], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
+        "batch-size-text-in-file", "attention-reduction-zero-in-file"])
+def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
+    if config_text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text)
+        flags = [*flags, "--config", str(path)]
+    rc = main(["train", *data_flags(demo), "--max-epochs", "1", *flags])
+    assert "error:" in capsys.readouterr().err
+    assert rc == 2
 
 
 def test_missing_interactions_exits_usage(demo, capsys):

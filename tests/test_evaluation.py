@@ -1,12 +1,14 @@
 """Protocol kit: splits, sampling, ranking, metrics, schedule, early stop."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignrec import evaluation
 from alignrec.errors import NumericalError
 from alignrec.evaluation import (
     EarlyStopState,
@@ -292,6 +294,60 @@ def test_evaluate_skips_users_without_heldout():
         rank_topk(users, items, 0, split.train_positives[0], 5),
         split.test_positives[0], 5)
     assert metrics["recall@5"] == only_user0[0]
+
+
+def evaluate_reference(users, items, split, which, ks):
+    """`evaluate` as one `rank_topk` call per user, summed in user order."""
+    held = {"validation": split.validation_positives,
+            "test": split.test_positives}[which]
+    sums = {f"recall@{k}": 0.0 for k in ks}
+    sums.update({f"ndcg@{k}": 0.0 for k in ks})
+    counted = 0
+    for user in range(split.n_users):
+        if not held[user]:
+            continue
+        counted += 1
+        ranked = rank_topk(users, items, user, split.train_positives[user],
+                           max(ks))
+        for k in ks:
+            recall, ndcg = recall_ndcg_at_k(ranked, held[user], k)
+            sums[f"recall@{k}"] += recall
+            sums[f"ndcg@{k}"] += ndcg
+    return {name: value / counted for name, value in sums.items()}
+
+
+@st.composite
+def ranking_cases(draw):
+    n_items = draw(st.integers(3, 25))
+    counts = draw(st.lists(st.integers(0, n_items), min_size=1, max_size=12))
+    counts[0] = max(counts[0], 3)  # at least one user has held-out items
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pairs = np.array([(u, int(i)) for u, c in enumerate(counts)
+                      for i in rng.choice(n_items, size=c, replace=False)],
+                     dtype=np.int64)
+    split = split_811(pairs, len(counts), n_items, seed=draw(st.integers(0, 99)))
+    dim = draw(st.integers(1, 4))
+    # small integers make exact score ties common
+    users = rng.integers(-2, 3, size=(len(counts), dim)).astype(np.float64)
+    items = rng.integers(-2, 3, size=(n_items, dim)).astype(np.float64)
+    for value in (np.nan, np.inf, -np.inf):
+        rows = draw(st.lists(st.integers(0, n_items - 1), max_size=2))
+        items[rows] = value
+    ks = tuple(draw(st.lists(st.integers(1, 30), min_size=1, max_size=3)))
+    which = draw(st.sampled_from(["validation", "test"]))
+    block_entries = draw(st.integers(1, 80))  # from one user per block to all
+    return users, items, split, which, ks, block_entries
+
+
+@given(ranking_cases())
+@settings(max_examples=200)
+def test_evaluate_matches_per_user_reference(case):
+    users, items, split, which, ks, block_entries = case
+    with np.errstate(invalid="ignore"), \
+            mock.patch.object(evaluation, "_SCORE_BLOCK_ENTRIES", block_entries):
+        got = evaluate(users, items, split, which, ks)
+        want = evaluate_reference(users, items, split, which, ks)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
