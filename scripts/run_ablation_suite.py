@@ -20,10 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from alignrec.config import RunConfig
 from alignrec.data import SynthSpec, synth_generate
 from alignrec.diagnostics import align_stats
-from alignrec.model import load_checkpoint
+from alignrec.model import Recommender, load_checkpoint
 from alignrec.train import restore_model, run_training
-
-VARIANTS = ("full", "no-la", "no-ga", "text-only", "visual-only")
 
 
 def main() -> int:
@@ -43,7 +41,7 @@ def main() -> int:
           f"density {dataset['density']:.3f}", file=sys.stderr)
 
     results = {}
-    for variant in VARIANTS:
+    for variant in Recommender.VARIANTS:
         per_seed = []
         for seed in seeds:
             cfg = RunConfig(interactions=dataset["interactions"],

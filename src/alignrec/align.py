@@ -27,26 +27,17 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class AlignConfig:
-    """Weights and kernel settings for the combined alignment loss.
+    """Kernel bandwidths of the distribution distance.
 
     Multiple bandwidths are averaged into a multi-kernel estimator; pass a
-    single-element tuple to use one Gaussian kernel. InfoNCE anchors on the
-    first modality; `symmetric_infonce` averages both directions.
+    single-element tuple to use one Gaussian kernel.
     """
 
     bandwidths: tuple[float, ...] = (1.0, 1.5, 2.0)
-    temperature: float = 0.2
-    lambda_mmd: float = 0.0
-    lambda_cl: float = 0.0
-    symmetric_infonce: bool = False
 
     def __post_init__(self):
         if not self.bandwidths or any(s <= 0 for s in self.bandwidths):
             raise ParameterError(f"bandwidths must be positive, got {self.bandwidths}")
-        if self.temperature <= 0:
-            raise ParameterError(f"temperature must be positive, got {self.temperature}")
-        if self.lambda_mmd < 0 or self.lambda_cl < 0:
-            raise ParameterError("loss weights must be non-negative")
 
 
 def gaussian_kernel(v: np.ndarray, t: np.ndarray, sigma: float) -> float:
@@ -118,15 +109,3 @@ def infonce(first: Tensor, second: Tensor, temperature: float,
     if symmetric:
         loss = scale(add(loss, _nce_direction(transpose2d(sim), eye, n)), 0.5)
     return loss
-
-
-def align_loss(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
-    """lambda_mmd * MMD^2 + lambda_cl * InfoNCE; zero-weight terms are skipped."""
-    total = None
-    if cfg.lambda_mmd != 0.0:
-        total = scale(mmd_squared(first, second, cfg), cfg.lambda_mmd)
-    if cfg.lambda_cl != 0.0:
-        nce = scale(infonce(first, second, cfg.temperature, cfg.symmetric_infonce),
-                    cfg.lambda_cl)
-        total = nce if total is None else add(total, nce)
-    return total if total is not None else Tensor(0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
@@ -54,19 +55,11 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _flag_values(args: argparse.Namespace) -> dict:
-    keys = ("interactions", "visual", "text", "out", "seed", "kcore",
-            "batch_size", "max_epochs", "base_lr", "patience", "id_dim",
-            "reduction", "graph_layers", "branch_channels", "lambda_cl",
-            "lambda_mmd", "lambda_reg", "temperature")
-    values = {k: getattr(args, k, None) for k in keys}
+    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     # Lists take the config-file syntax; resolve_config checks their types.
     for key in ("bandwidths", "eval_ks"):
-        if getattr(args, key, None) is not None:
-            values[key] = parse_value(f"[{getattr(args, key)}]")
-    if getattr(args, "checkpoint", None) is not None:
-        values["checkpoint"] = args.checkpoint
-    if getattr(args, "variant", None) is not None:
-        values["variant"] = args.variant
+        if values[key] is not None:
+            values[key] = parse_value(f"[{values[key]}]")
     return values
 
 
@@ -79,12 +72,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    run_training(cfg)
-    return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
     cfg = _resolve(args)
     run_training(cfg)
     return EXIT_OK
@@ -156,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_ablate)
     p_ablate.add_argument("--variant", required=True,
                           choices=Recommender.VARIANTS)
-    p_ablate.set_defaults(handler=cmd_ablate)
+    p_ablate.set_defaults(handler=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="test-split metrics for a checkpoint")
     _add_config_flags(p_eval)

@@ -7,6 +7,7 @@ written next to the run outputs so evaluation commands can reuse it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,17 +52,8 @@ class RunConfig:
     variant: str = "full"
 
     def hyperparams(self) -> HyperParams:
-        return HyperParams(
-            lambda_cl=self.lambda_cl, lambda_mmd=self.lambda_mmd,
-            lambda_reg=self.lambda_reg, reduction=self.reduction,
-            id_dim=self.id_dim, graph_layers=self.graph_layers,
-            branch_channels=self.branch_channels,
-            attention_reduction=self.attention_reduction,
-            dilations=tuple(self.dilations),
-            bandwidths=tuple(self.bandwidths),
-            temperature=self.temperature,
-            symmetric_infonce=self.symmetric_infonce,
-        )
+        return HyperParams(**{f.name: getattr(self, f.name)
+                              for f in fields(HyperParams)})
 
     def lines(self) -> list[str]:
         out = []
@@ -146,8 +138,8 @@ def resolve_config(config_path: str | None, flag_values: dict) -> RunConfig:
 
 
 # Smallest value each count accepts.
-_MINIMUM = {"batch_size": 1, "max_epochs": 0, "patience": 0, "id_dim": 1,
-            "reduction": 1, "attention_reduction": 1}
+_MINIMUM = {"kcore": 0, "batch_size": 1, "max_epochs": 0, "patience": 0,
+            "id_dim": 1, "reduction": 1, "attention_reduction": 1}
 
 
 def _coerce(annotation: str, value):
@@ -186,3 +178,9 @@ def _coerce_types(cfg: RunConfig) -> None:
         if getattr(cfg, name) < minimum:
             raise ConfigError(f"{name} must be >= {minimum}, "
                               f"got {getattr(cfg, name)}")
+    if not (math.isfinite(cfg.base_lr) and cfg.base_lr > 0):
+        raise ConfigError(f"base_lr must be finite and > 0, got {cfg.base_lr}")
+    if not cfg.eval_ks or min(cfg.eval_ks) < 1:
+        raise ConfigError(f"eval_ks must be non-empty cutoffs >= 1, "
+                          f"got {format_value(cfg.eval_ks)}")
+    cfg.hyperparams()  # the model's own range checks, before any data loads

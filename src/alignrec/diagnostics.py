@@ -8,6 +8,7 @@ from .align import AlignConfig, infonce, mmd_squared
 from .data import save_fmat
 from .dream import DreamConfig, DreamParams, dream_forward
 from .errors import ConfigError
+from .evaluation import sample_negative
 from .gradcheck import GradCheckReport, grad_check
 from .model import (
     HyperParams,
@@ -29,13 +30,7 @@ def _random_triples(rng: np.random.Generator, n_users: int, n_items: int,
         positives.append(set(int(i) for i in items))
         pairs.extend((u, int(i)) for i in items)
     pairs = np.array(pairs, dtype=np.int64)
-    negs = []
-    for u, _ in pairs:
-        while True:
-            j = int(rng.integers(0, n_items))
-            if j not in positives[u]:
-                negs.append(j)
-                break
+    negs = [sample_negative(int(u), positives[u], n_items, rng) for u, _ in pairs]
     batch = TripletBatch(users=pairs[:, 0].copy(), pos_items=pairs[:, 1].copy(),
                          neg_items=np.array(negs, dtype=np.int64))
     return pairs, batch
@@ -124,7 +119,7 @@ def align_stats(model: Recommender, export_path=None) -> dict:
     for sigma in model.hp.bandwidths:
         cfg = AlignConfig(bandwidths=(sigma,))
         per_bandwidth[str(sigma)] = mmd_squared(h_v, h_t, cfg).item()
-    combined = mmd_squared(h_v, h_t, AlignConfig(bandwidths=model.hp.bandwidths))
+    combined = mmd_squared(h_v, h_t, model.align_cfg)
 
     a = h_v.data / np.maximum(np.linalg.norm(h_v.data, axis=1, keepdims=True), 1e-12)
     b = h_t.data / np.maximum(np.linalg.norm(h_t.data, axis=1, keepdims=True), 1e-12)

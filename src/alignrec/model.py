@@ -3,8 +3,10 @@ fusion, inner-product scoring, BPR, and the joint training objective."""
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -13,7 +15,6 @@ from .align import AlignConfig, infonce, mmd_squared
 from .dream import DreamConfig, DreamParams, dream_forward, xavier_uniform
 from .errors import ConfigError, DataFormatError
 from .tensor import (
-    DimensionError,
     ParameterError,
     Tensor,
     UsageError,
@@ -77,11 +78,10 @@ class HyperParams:
             raise ConfigError(f"graph_layers must be >= 0, got {self.graph_layers}")
         if min(self.lambda_cl, self.lambda_mmd, self.lambda_reg) < 0:
             raise ConfigError("loss weights must be non-negative")
-
-    def align_config(self) -> AlignConfig:
-        return AlignConfig(bandwidths=self.bandwidths, temperature=self.temperature,
-                           lambda_mmd=self.lambda_mmd, lambda_cl=self.lambda_cl,
-                           symmetric_infonce=self.symmetric_infonce)
+        if not self.bandwidths or not all(s > 0 for s in self.bandwidths):
+            raise ConfigError(f"bandwidths must be positive, got {self.bandwidths}")
+        if not self.temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
 @dataclass
@@ -271,16 +271,6 @@ def fuse(user_out: Tensor, item_out: Tensor, h_visual: Tensor | None,
     return user_out, item_repr
 
 
-def score(user_repr: np.ndarray, item_repr: np.ndarray, user: int, item: int) -> float:
-    """Inner-product preference score for one user-item pair."""
-    n_users, n_items = user_repr.shape[0], item_repr.shape[0]
-    if not (0 <= user < n_users):
-        raise IndexError(f"user index {user} out of range for {n_users} users")
-    if not (0 <= item < n_items):
-        raise IndexError(f"item index {item} out of range for {n_items} items")
-    return float(user_repr[user] @ item_repr[item])
-
-
 def bpr_loss(batch: TripletBatch, user_repr: Tensor, item_repr: Tensor) -> Tensor:
     """Pairwise ranking loss: sum of -log sigmoid(pos score - neg score)."""
     if len(batch) == 0:
@@ -319,6 +309,7 @@ class Recommender:
         self.operator = operator
         self.variant = variant
         self.refine = variant != "no-la"
+        self.align_cfg = AlignConfig(bandwidths=hp.bandwidths)
         if variant == "no-ga":
             self.lambda_mmd = 0.0
             self.lambda_cl = 0.0
@@ -359,7 +350,7 @@ class Recommender:
             hv_rows = gather_rows(h_v, unique_pos)
             ht_rows = gather_rows(h_t, unique_pos)
             if self.lambda_mmd != 0.0:
-                mmd = mmd_squared(hv_rows, ht_rows, self.hp.align_config())
+                mmd = mmd_squared(hv_rows, ht_rows, self.align_cfg)
                 parts["mmd"] = mmd.item()
                 loss = add(loss, scale(mmd, self.lambda_mmd))
             if self.lambda_cl != 0.0:
@@ -387,18 +378,27 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, named: dict[str, Tensor]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        for name in sorted(named):
-            data = np.ascontiguousarray(named[name].data, dtype="<f8")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", data.ndim))
-            for extent in data.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(data.tobytes())
+    """Write through a sibling temp file renamed into place, so `path` holds
+    either its old content or the whole new checkpoint."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            for name in sorted(named):
+                data = np.ascontiguousarray(named[name].data, dtype="<f8")
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", data.ndim))
+                for extent in data.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -16,6 +16,8 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
     evaluate, lr_schedule, sample_negative, split_811
 from .model import (
+    TEXT,
+    VISUAL,
     ModelParams,
     Recommender,
     TripletBatch,
@@ -40,21 +42,7 @@ def emit(record: dict, stream, copy_to=None) -> None:
         copy_to.flush()
 
 
-def load_run_dataset(cfg: RunConfig, need_visual: bool, need_text: bool) -> Dataset:
-    if cfg.interactions is None:
-        raise ConfigError("no interactions path given")
-    ds = load_dataset(cfg.interactions,
-                      visual_path=cfg.visual if need_visual else None,
-                      text_path=cfg.text if need_text else None,
-                      kcore=cfg.kcore)
-    if need_visual and ds.visual is None:
-        raise ConfigError("variant requires --visual features")
-    if need_text and ds.text is None:
-        raise ConfigError("variant requires --text features")
-    return ds
-
-
-def feature_dims(cfg: RunConfig, ds: Dataset) -> tuple[int, int]:
+def feature_dims(ds: Dataset) -> tuple[int, int]:
     """Both raw dims are needed for the shared-width rule even when a variant
     uses one modality; fall back to the present one if the other is absent."""
     dv = ds.visual.shape[1] if ds.visual is not None else None
@@ -64,18 +52,42 @@ def feature_dims(cfg: RunConfig, ds: Dataset) -> tuple[int, int]:
     return dv if dv is not None else dt, dt if dt is not None else dv
 
 
-def build_model(cfg: RunConfig, ds: Dataset, split) -> Recommender:
-    hp = cfg.hyperparams()
+def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
+    """Load the features the variant uses, split 8:1:1 and build the model at
+    its seeded initial parameters."""
+    if cfg.interactions is None:
+        raise ConfigError("no interactions path given")
     modalities = Recommender.modalities_for(cfg.variant)
-    dv, dt = feature_dims(cfg, ds)
+    use_visual, use_text = VISUAL in modalities, TEXT in modalities
+    ds = load_dataset(cfg.interactions,
+                      visual_path=cfg.visual if use_visual else None,
+                      text_path=cfg.text if use_text else None,
+                      kcore=cfg.kcore)
+    if use_visual and ds.visual is None:
+        raise ConfigError("variant requires --visual features")
+    if use_text and ds.text is None:
+        raise ConfigError("variant requires --text features")
+    split = split_811(ds.pairs, ds.n_users, ds.n_items, cfg.seed)
+    log(f"dataset: {ds.n_users} users, {ds.n_items} items, "
+        f"{len(ds.pairs)} interactions "
+        f"(train {len(split.train)}, val {len(split.validation)}, "
+        f"test {len(split.test)})")
+
+    hp = cfg.hyperparams()
+    dv, dt = feature_dims(ds)
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, hp, rng,
                                 modalities=modalities)
     operator = build_propagation_operator(split.train, ds.n_users, ds.n_items)
-    x_visual = Tensor(ds.visual) if ds.visual is not None and "visual" in modalities \
-        else None
-    x_text = Tensor(ds.text) if ds.text is not None and "text" in modalities else None
-    return Recommender(params, hp, x_visual, x_text, operator, cfg.variant)
+    model = Recommender(params, hp, Tensor(ds.visual) if use_visual else None,
+                        Tensor(ds.text) if use_text else None, operator,
+                        cfg.variant)
+
+    total_params = sum(p.data.size for p in params.named().values())
+    log(f"params: total {total_params}, projection "
+        f"{projection_param_count(dv, dt, cfg.reduction)} at reduction "
+        f"{cfg.reduction}")
+    return ds, split, model
 
 
 def iterate_batches(train_pairs: np.ndarray, positives, n_items: int,
@@ -96,23 +108,9 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
     test metrics and output paths. Emits one metrics JSON line per epoch
     (validation) plus a final test line at the restored best parameters."""
     stdout = stdout if stdout is not None else sys.stdout
-    need_visual = cfg.variant != "text-only"
-    need_text = cfg.variant != "visual-only"
-    ds = load_run_dataset(cfg, need_visual, need_text)
-    split = split_811(ds.pairs, ds.n_users, ds.n_items, cfg.seed)
-    model = build_model(cfg, ds, split)
+    ds, split, model = prepare_run(cfg)
     params = model.params
-
-    dv, dt = feature_dims(cfg, ds)
     named = params.named()
-    total_params = sum(p.data.size for p in named.values())
-    log(f"dataset: {ds.n_users} users, {ds.n_items} items, "
-        f"{len(ds.pairs)} interactions "
-        f"(train {len(split.train)}, val {len(split.validation)}, "
-        f"test {len(split.test)})")
-    log(f"params: total {total_params}, projection "
-        f"{projection_param_count(dv, dt, cfg.reduction)} at reduction "
-        f"{cfg.reduction}")
 
     out_dir = Path(cfg.out) if cfg.out else None
     metrics_file = None
@@ -197,11 +195,7 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
 def restore_model(cfg: RunConfig,
                   checkpoint_arrays: dict) -> tuple[Recommender, SplitDataset, Dataset]:
     """Rebuild the model for a saved run and load its parameters."""
-    need_visual = cfg.variant != "text-only"
-    need_text = cfg.variant != "visual-only"
-    ds = load_run_dataset(cfg, need_visual, need_text)
-    split = split_811(ds.pairs, ds.n_users, ds.n_items, cfg.seed)
-    model = build_model(cfg, ds, split)
+    ds, split, model = prepare_run(cfg)
     try:
         model.params.load_state(checkpoint_arrays)
     except DataFormatError as err:

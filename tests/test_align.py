@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alignrec.align import AlignConfig, align_loss, gaussian_kernel, infonce, \
-    mmd_squared
+from alignrec.align import AlignConfig, gaussian_kernel, infonce, mmd_squared
 from alignrec.gradcheck import grad_check
 from alignrec.tensor import DimensionError, ParameterError, Tensor
 
@@ -197,41 +196,8 @@ def test_infonce_gradient_check():
     assert report.passed, report.max_rel_error
 
 
-# ---------------------------------------------------------------------------
-# combined loss
-# ---------------------------------------------------------------------------
-
-def test_align_loss_zero_weights():
-    rng = np.random.default_rng(10)
-    v = Tensor(rng.standard_normal((4, 3)))
-    t = Tensor(rng.standard_normal((4, 3)))
-    cfg = AlignConfig(lambda_mmd=0.0, lambda_cl=0.0)
-    assert align_loss(v, t, cfg).item() == 0.0
-
-
-def test_align_loss_single_term():
-    rng = np.random.default_rng(11)
-    v = Tensor(rng.standard_normal((4, 3)))
-    t = Tensor(rng.standard_normal((4, 3)))
-    cfg = AlignConfig(lambda_mmd=0.4, lambda_cl=0.0)
-    expected = 0.4 * mmd_squared(v, t, cfg).item()
-    assert abs(align_loss(v, t, cfg).item() - expected) <= 1e-12
-
-
-def test_align_loss_weighted_sum_of_independent_terms():
-    rng = np.random.default_rng(12)
-    v = Tensor(rng.standard_normal((5, 3)))
-    t = Tensor(rng.standard_normal((5, 3)))
-    cfg = AlignConfig(lambda_mmd=0.15, lambda_cl=0.01, temperature=0.2)
-    expected = (0.15 * mmd_squared(v, t, cfg).item()
-                + 0.01 * infonce(v, t, 0.2).item())
-    assert abs(align_loss(v, t, cfg).item() - expected) <= 1e-12
-
-
 def test_align_config_validation():
     with pytest.raises(ParameterError):
         AlignConfig(bandwidths=())
     with pytest.raises(ParameterError):
         AlignConfig(bandwidths=(1.0, -2.0))
-    with pytest.raises(ParameterError):
-        AlignConfig(temperature=-0.1)

@@ -151,11 +151,35 @@ GOLDEN_SEED3_LINES = [
 ]
 
 
-def test_train_stream_matches_golden_record(demo, capsys):
-    lines, _ = train_lines(capsys, demo, ["--max-epochs", "3", "--seed", "3"])
+# Recorded with `ablate` before the train and ablate commands were merged.
+GOLDEN_SEED3_NO_GA_LINES = [
+    '{"epoch": 1, "split": "validation", "variant": "no-ga", "ndcg@10": 0.3176265513315325, "ndcg@20": 0.4150627982408109, "recall@10": 0.6333333333333333, "recall@20": 1.0, "losses": {"bpr": 0.6279932830426809, "mmd": 0.0, "infonce": 0.0, "reg": 166.62516336288527}}',
+    '{"epoch": 2, "split": "validation", "variant": "no-ga", "ndcg@10": 0.37375796956158047, "ndcg@20": 0.4253511543104722, "recall@10": 0.8, "recall@20": 1.0, "losses": {"bpr": 0.6289009594649597, "mmd": 0.0, "infonce": 0.0, "reg": 165.67194670657648}}',
+    '{"epoch": 3, "split": "validation", "variant": "no-ga", "ndcg@10": 0.3800841365991149, "ndcg@20": 0.43185563661073245, "recall@10": 0.8, "recall@20": 1.0, "losses": {"bpr": 0.6227565532708509, "mmd": 0.0, "infonce": 0.0, "reg": 164.7359579463194}}',
+    '{"epoch": 1, "split": "test", "variant": "no-ga", "ndcg@10": 0.3089863103622919, "ndcg@20": 0.3958944083998862, "recall@10": 0.6666666666666666, "recall@20": 1.0, "losses": {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}}',
+]
+GOLDEN_SEED3_TEXT_ONLY_LINES = [
+    '{"epoch": 1, "split": "validation", "variant": "text-only", "ndcg@10": 0.3747326256146779, "ndcg@20": 0.4442298428806565, "recall@10": 0.7333333333333333, "recall@20": 1.0, "losses": {"bpr": 0.6268656687353842, "mmd": 0.0, "infonce": 0.0, "reg": 119.2868880056298}}',
+    '{"epoch": 2, "split": "validation", "variant": "text-only", "ndcg@10": 0.37515853106730834, "ndcg@20": 0.44483406359601274, "recall@10": 0.7333333333333333, "recall@20": 1.0, "losses": {"bpr": 0.6275147689078948, "mmd": 0.0, "infonce": 0.0, "reg": 119.03382062963615}}',
+    '{"epoch": 3, "split": "validation", "variant": "text-only", "ndcg@10": 0.3945566803995787, "ndcg@20": 0.45584452644227275, "recall@10": 0.7666666666666667, "recall@20": 1.0, "losses": {"bpr": 0.6253886561912401, "mmd": 0.0, "infonce": 0.0, "reg": 118.78154399362609}}',
+    '{"epoch": 1, "split": "test", "variant": "text-only", "ndcg@10": 0.27331424779855656, "ndcg@20": 0.3804376266512398, "recall@10": 0.6, "recall@20": 1.0, "losses": {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}}',
+]
+
+
+@pytest.mark.parametrize("command, golden", [
+    (["train"], GOLDEN_SEED3_LINES),
+    (["ablate", "--variant", "full"], GOLDEN_SEED3_LINES),
+    (["ablate", "--variant", "no-ga"], GOLDEN_SEED3_NO_GA_LINES),
+    (["ablate", "--variant", "text-only"], GOLDEN_SEED3_TEXT_ONLY_LINES),
+], ids=["train", "ablate-full", "ablate-no-ga", "ablate-text-only"])
+def test_train_stream_matches_golden_record(demo, capsys, command, golden):
+    rc = main([*command, *data_flags(demo), "--batch-size", "64",
+               "--max-epochs", "3", "--seed", "3"])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0
     for record in lines:
         record.pop("wall_ms")
-    assert [json.dumps(record) for record in lines] == GOLDEN_SEED3_LINES
+    assert [json.dumps(record) for record in lines] == golden
 
 
 def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
@@ -198,15 +222,29 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     (["--batch-size", "-3"], None),
     ([], "batch_size = foo\n"),
     ([], "attention_reduction = 0\n"),
+    (["--base-lr", "-1"], None),
+    (["--base-lr", "nan"], None),
+    (["--kcore", "-1"], None),
+    (["--ks", "0"], None),
+    ([], "eval_ks = []\n"),
+    (["--bandwidths", "0"], None),
+    (["--temperature", "-1"], None),
+    (["--bandwidths", "0"], "variant = no-ga\n"),
+    (["--temperature", "-1"], "variant = no-ga\n"),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
-        "batch-size-text-in-file", "attention-reduction-zero-in-file"])
+        "batch-size-text-in-file", "attention-reduction-zero-in-file",
+        "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
+        "ks-empty-in-file", "bandwidth-zero", "temperature-negative",
+        "no-ga-bandwidth-zero", "no-ga-temperature-negative"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
         path.write_text(config_text)
         flags = [*flags, "--config", str(path)]
     rc = main(["train", *data_flags(demo), "--max-epochs", "1", *flags])
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "dataset:" not in err  # rejected before any data is loaded
     assert rc == 2
 
 

@@ -22,7 +22,6 @@ from alignrec.model import (
     propagate,
     reduce_modalities,
     save_checkpoint,
-    score,
     target_dim,
 )
 from alignrec.tensor import ParameterError, Tensor, UsageError
@@ -204,20 +203,6 @@ def test_fuse_text_only_term():
     assert np.max(np.abs(item_repr.data - expected)) <= 1e-12
 
 
-def test_score_cases():
-    e = np.array([[0.6, 0.8], [1.0, 0.0]])
-    assert score(e, e, 0, 0) == pytest.approx(1.0)
-    assert score(e, np.array([[0.0, 1.0]]), 1, 0) == 0.0
-    rng = np.random.default_rng(0)
-    users, items = rng.standard_normal((3, 4)), rng.standard_normal((5, 4))
-    expected = sum(users[2, k] * items[4, k] for k in range(4))
-    assert abs(score(users, items, 2, 4) - expected) <= 1e-12
-    with pytest.raises(IndexError):
-        score(users, items, 3, 0)
-    with pytest.raises(IndexError):
-        score(users, items, 0, 5)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -277,20 +262,23 @@ def test_total_loss_zero_params_zero_regularizer():
 
 def test_total_loss_is_weighted_sum_of_independent_terms():
     from alignrec.align import AlignConfig, infonce, mmd_squared
-    model, batch, _ = tiny_model()
-    hp = model.hp
-    loss, _ = model.total_loss(batch)
+    # default weights, then a single alignment term (the other is skipped)
+    for weights in ({}, {"lambda_mmd": 0.4, "lambda_cl": 0.0}):
+        model, batch, _ = tiny_model(**weights)
+        hp = model.hp
+        loss, parts = model.total_loss(batch)
 
-    user_repr, item_repr, h_v, h_t = model.representations()
-    expected = bpr_loss(batch, user_repr, item_repr).item() / len(batch)
-    unique_pos = np.unique(batch.pos_items)
-    hv = Tensor(h_v.data[unique_pos])
-    ht = Tensor(h_t.data[unique_pos])
-    expected += hp.lambda_mmd * mmd_squared(hv, ht, hp.align_config()).item()
-    expected += hp.lambda_cl * infonce(hv, ht, hp.temperature).item()
-    expected += hp.lambda_reg * sum(float((p.data ** 2).sum())
-                                    for p in model.params.regularized())
-    assert abs(loss.item() - expected) <= 1e-12
+        user_repr, item_repr, h_v, h_t = model.representations()
+        expected = bpr_loss(batch, user_repr, item_repr).item() / len(batch)
+        unique_pos = np.unique(batch.pos_items)
+        hv = Tensor(h_v.data[unique_pos])
+        ht = Tensor(h_t.data[unique_pos])
+        expected += hp.lambda_mmd * mmd_squared(hv, ht, AlignConfig(hp.bandwidths)).item()
+        expected += hp.lambda_cl * infonce(hv, ht, hp.temperature).item()
+        expected += hp.lambda_reg * sum(float((p.data ** 2).sum())
+                                        for p in model.params.regularized())
+        assert abs(loss.item() - expected) <= 1e-12
+        assert (parts["infonce"] == 0.0) == (hp.lambda_cl == 0.0)
 
 
 def test_no_ga_variant_is_bit_identical_to_bpr_plus_reg():
@@ -367,6 +355,23 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     save_checkpoint(a, model.params.named())
     save_checkpoint(b, model.params.named())
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_write_failure_keeps_old_file(tmp_path):
+    class Unreadable:
+        @property
+        def data(self):
+            raise OSError("no space left on device")
+
+    model, _, _ = tiny_model(seed=4)
+    path = tmp_path / "model.mrec"
+    save_checkpoint(path, model.params.named())
+    before = path.read_bytes()
+    # names sort so that some parameters are written before the failure
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, {**model.params.named(), "m_unreadable": Unreadable()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mrec"]
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
