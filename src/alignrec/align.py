@@ -33,10 +33,10 @@ class AlignConfig:
     single-element tuple to use one Gaussian kernel.
     """
 
-    bandwidths: tuple[float, ...] = (1.0, 1.5, 2.0)
+    bandwidths: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.bandwidths or any(s <= 0 for s in self.bandwidths):
+        if not self.bandwidths or not all(s > 0 for s in self.bandwidths):
             raise ParameterError(f"bandwidths must be positive, got {self.bandwidths}")
 
 

@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, UsageError) as err:
         log(f"error: {err}")
         return EXIT_USAGE
-    except (DataFormatError, DimensionError, FileNotFoundError, IndexError) as err:
+    except (DataFormatError, DimensionError, OSError, IndexError) as err:
         log(f"error: {err}")
         return EXIT_DATA
     except NumericalError as err:

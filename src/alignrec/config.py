@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .errors import ConfigError
-from .model import HyperParams
+from .model import HyperParams, Recommender
+
+# Smallest value each run count accepts; the model's own counts are checked
+# by `HyperParams`.
+_MINIMUM = {"kcore": 0, "batch_size": 1, "max_epochs": 0, "patience": 0}
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(HyperParams):
+    """The model's `HyperParams` plus the paths and settings of one run."""
+
     # paths
     interactions: str | None = None
     visual: str | None = None
@@ -32,28 +37,23 @@ class RunConfig:
     max_epochs: int = 1000
     base_lr: float = 0.001
     patience: int = 20
-    # model
-    id_dim: int = 64
-    reduction: int = 8
-    graph_layers: int = 2
-    branch_channels: int = 8
-    attention_reduction: int = 4
-    dilations: tuple[int, ...] = (6, 12, 18)
-    # alignment
-    lambda_cl: float = 0.01
-    lambda_mmd: float = 0.15
-    lambda_reg: float = 1e-4
-    temperature: float = 0.2
-    bandwidths: tuple[float, ...] = (1.0, 1.5, 2.0)
-    symmetric_infonce: bool = False
     # evaluation
     eval_ks: tuple[int, ...] = (10, 20)
     # ablation
     variant: str = "full"
 
-    def hyperparams(self) -> HyperParams:
-        return HyperParams(**{f.name: getattr(self, f.name)
-                              for f in fields(HyperParams)})
+    def __post_init__(self):
+        super().__post_init__()
+        for name, minimum in _MINIMUM.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, "
+                                  f"got {getattr(self, name)}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not self.eval_ks or min(self.eval_ks) < 1:
+            raise ConfigError(f"eval_ks must be non-empty cutoffs >= 1, "
+                              f"got {format_value(self.eval_ks)}")
+        Recommender.modalities_for(self.variant)  # rejects an unknown variant
 
     def lines(self) -> list[str]:
         out = []
@@ -107,39 +107,42 @@ def parse_value(text: str):
 def parse_config_file(path) -> dict:
     values = {}
     known = {f.name for f in fields(RunConfig)}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = parse_value(raw)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8: {err.reason}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        values[key] = parse_value(raw)
     return values
 
 
 def resolve_config(config_path: str | None, flag_values: dict) -> RunConfig:
-    """Layer config-file entries over defaults, then non-None flags on top."""
-    cfg = RunConfig()
-    if config_path is not None:
-        if not Path(config_path).exists():
-            raise ConfigError(f"config file not found: {config_path}")
-        for key, value in parse_config_file(config_path).items():
-            setattr(cfg, key, value)
-    for key, value in flag_values.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    _coerce_types(cfg)
-    return cfg
-
-
-# Smallest value each count accepts.
-_MINIMUM = {"kcore": 0, "batch_size": 1, "max_epochs": 0, "patience": 0,
-            "id_dim": 1, "reduction": 1, "attention_reduction": 1}
+    """Layer config-file entries over defaults, then non-None flags on top;
+    every value is checked against its field type, then `RunConfig` checks
+    its ranges."""
+    values = parse_config_file(config_path) if config_path is not None else {}
+    values.update((k, v) for k, v in flag_values.items() if v is not None)
+    types = {f.name: f.type for f in fields(RunConfig)}
+    for key, value in values.items():
+        try:
+            values[key] = _coerce(types[key], value)
+        except ValueError:
+            raise ConfigError(f"{key} = {format_value(value)}: "
+                              f"expected {types[key]}") from None
+    return RunConfig(**values)
 
 
 def _coerce(annotation: str, value):
@@ -163,24 +166,3 @@ def _coerce(annotation: str, value):
         raise ValueError
     return value
 
-
-def _coerce_types(cfg: RunConfig) -> None:
-    """Check every field against its declared type and every count against
-    its minimum, converting where `_coerce` allows."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        try:
-            setattr(cfg, f.name, _coerce(f.type, value))
-        except ValueError:
-            raise ConfigError(f"{f.name} = {format_value(value)}: "
-                              f"expected {f.type}") from None
-    for name, minimum in _MINIMUM.items():
-        if getattr(cfg, name) < minimum:
-            raise ConfigError(f"{name} must be >= {minimum}, "
-                              f"got {getattr(cfg, name)}")
-    if not (math.isfinite(cfg.base_lr) and cfg.base_lr > 0):
-        raise ConfigError(f"base_lr must be finite and > 0, got {cfg.base_lr}")
-    if not cfg.eval_ks or min(cfg.eval_ks) < 1:
-        raise ConfigError(f"eval_ks must be non-empty cutoffs >= 1, "
-                          f"got {format_value(cfg.eval_ks)}")
-    cfg.hyperparams()  # the model's own range checks, before any data loads

@@ -39,17 +39,35 @@ class RawInteractions:
 
 def load_interactions(path) -> RawInteractions:
     seen: dict[tuple[str, str], None] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split("\t")
-            if len(fields) != 2 or not fields[0] or not fields[1]:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 'user<TAB>item', got {stripped!r}")
-            seen[(fields[0], fields[1])] = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                fields = stripped.split("\t")
+                if len(fields) != 2 or not fields[0] or not fields[1]:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected 'user<TAB>item', got {stripped!r}")
+                seen[(fields[0], fields[1])] = None
+    except UnicodeDecodeError:
+        raise DataFormatError(
+            f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from None
+    if not seen:
+        raise DataFormatError(f"{path}: no interactions")
     return RawInteractions(pairs=list(seen))
+
+
+def _first_undecodable_line(path) -> int:
+    """The text reader decodes ahead of the line it yields, so the failing
+    line is found again on the raw bytes."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
 
 
 def kcore_filter(raw: RawInteractions, k: int = 5) -> RawInteractions:

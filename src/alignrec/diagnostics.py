@@ -6,7 +6,7 @@ import numpy as np
 
 from .align import AlignConfig, infonce, mmd_squared
 from .data import save_fmat
-from .dream import DreamConfig, DreamParams, dream_forward
+from .dream import DreamParams, dream_forward
 from .errors import ConfigError
 from .evaluation import sample_negative
 from .gradcheck import GradCheckReport, grad_check
@@ -41,29 +41,28 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
     (5 users, 8 items, width 16, 4 branch channels) instance."""
     rng = np.random.default_rng(seed)
     suite = []
+    hp = HyperParams(reduction=2, id_dim=8, branch_channels=4, graph_layers=2)
 
     # dilated refinement block end to end
-    cfg = DreamConfig(input_length=16, branch_channels=4, attention_reduction=4)
-    dream = DreamParams.create(cfg, rng)
+    dream = DreamParams.create(hp.dream_cfg, rng)
     x = Tensor(rng.standard_normal((3, 16)), requires_grad=True)
     probe = Tensor(rng.standard_normal((3, 16)))
     dream_params = {"input": x, **dream.named("dream")}
 
     def dream_loss():
-        return sum_all(mul(dream_forward(x, dream, cfg), probe))
+        return sum_all(mul(dream_forward(x, dream, hp.dream_cfg), probe))
 
     suite.append(("dream_forward", dream_loss, dream_params))
 
     # distribution distance between two trainable sample sets
-    align_cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
     v = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
     t = Tensor(rng.standard_normal((8, 16)) + 0.3, requires_grad=True)
-    suite.append(("mmd_squared", lambda: mmd_squared(v, t, align_cfg),
+    suite.append(("mmd_squared", lambda: mmd_squared(v, t, hp.align_cfg),
                   {"first": v, "second": t}))
 
     v2 = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
     t2 = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
-    suite.append(("infonce", lambda: infonce(v2, t2, 0.2),
+    suite.append(("infonce", lambda: infonce(v2, t2, hp.temperature),
                   {"first": v2, "second": t2}))
 
     # pairwise ranking loss on trainable representations
@@ -74,7 +73,6 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
                   {"user_repr": users, "item_repr": items}))
 
     # the joint objective over a full model instance
-    hp = HyperParams(reduction=2, id_dim=8, branch_channels=4, graph_layers=2)
     model_rng = np.random.default_rng(seed + 1)
     params = ModelParams.create(5, 8, 32, 32, hp, model_rng)
     pairs, batch = _random_triples(model_rng, 5, 8, 3)

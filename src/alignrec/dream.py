@@ -37,26 +37,26 @@ BRANCHES = 5
 
 @dataclass(frozen=True)
 class DreamConfig:
-    input_length: int
-    branch_channels: int = 8
-    attention_reduction: int = 4
-    dilations: tuple[int, ...] = (6, 12, 18)
+    branch_channels: int
+    attention_reduction: int
+    dilations: tuple[int, ...]
 
     def __post_init__(self):
-        if self.input_length < 1:
-            raise ParameterError(f"input_length must be >= 1, got {self.input_length}")
         if self.branch_channels < 1:
             raise ParameterError(
                 f"branch_channels must be >= 1, got {self.branch_channels}")
-        fused = BRANCHES * self.branch_channels
-        if fused % self.attention_reduction != 0:
+        if self.attention_reduction < 1:
             raise ParameterError(
-                f"fused channel count {fused} is not divisible by "
+                f"attention_reduction must be >= 1, got {self.attention_reduction}")
+        if self.fused_channels % self.attention_reduction != 0:
+            raise ParameterError(
+                f"fused channel count {self.fused_channels} is not divisible by "
                 f"attention_reduction {self.attention_reduction}")
-        if any(d < 1 for d in self.dilations) or list(self.dilations) != sorted(
-                set(self.dilations)):
+        if len(self.dilations) != BRANCHES - 2 or any(d < 1 for d in self.dilations) \
+                or list(self.dilations) != sorted(set(self.dilations)):
             raise ParameterError(
-                f"dilations must be strictly increasing positive ints, got {self.dilations}")
+                f"dilations must be {BRANCHES - 2} strictly increasing positive ints, "
+                f"got {self.dilations}")
 
     @property
     def fused_channels(self) -> int:

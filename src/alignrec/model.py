@@ -56,7 +56,10 @@ def projection_param_count(visual_dim: int, text_dim: int, reduction: int) -> in
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Loss weights, dimensions and architecture knobs for one model."""
+    """Loss weights, dimensions and architecture knobs for one model.
+
+    Also carries `dream_cfg` and `align_cfg`, the refinement and alignment
+    configs built from these fields."""
 
     lambda_cl: float = 0.01
     lambda_mmd: float = 0.15
@@ -72,16 +75,20 @@ class HyperParams:
     symmetric_infonce: bool = False
 
     def __post_init__(self):
+        if self.reduction < 1:
+            raise ConfigError(f"reduction must be >= 1, got {self.reduction}")
         if self.id_dim < 1:
             raise ConfigError(f"id_dim must be >= 1, got {self.id_dim}")
         if self.graph_layers < 0:
             raise ConfigError(f"graph_layers must be >= 0, got {self.graph_layers}")
         if min(self.lambda_cl, self.lambda_mmd, self.lambda_reg) < 0:
             raise ConfigError("loss weights must be non-negative")
-        if not self.bandwidths or not all(s > 0 for s in self.bandwidths):
-            raise ConfigError(f"bandwidths must be positive, got {self.bandwidths}")
         if not self.temperature > 0:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        # Built with the config, so their range checks run before data loads.
+        object.__setattr__(self, "dream_cfg", DreamConfig(
+            self.branch_channels, self.attention_reduction, self.dilations))
+        object.__setattr__(self, "align_cfg", AlignConfig(self.bandwidths))
 
 
 @dataclass
@@ -103,9 +110,6 @@ class ModelParams:
                hp: HyperParams, rng: np.random.Generator,
                modalities: tuple[str, ...] = (VISUAL, TEXT)) -> "ModelParams":
         d = target_dim(visual_dim, text_dim, hp.reduction)
-        dream_cfg = DreamConfig(input_length=d, branch_channels=hp.branch_channels,
-                                attention_reduction=hp.attention_reduction,
-                                dilations=hp.dilations)
 
         def t(shape):
             return Tensor(xavier_uniform(rng, shape, shape[0], shape[1]),
@@ -113,14 +117,14 @@ class ModelParams:
 
         params = cls(user_emb=t((n_users, hp.id_dim)),
                      item_emb=t((n_items, hp.id_dim)),
-                     dream_cfg=dream_cfg)
+                     dream_cfg=hp.dream_cfg)
         if VISUAL in modalities:
             params.visual_reduce = t((visual_dim, d))
-            params.dream_visual = DreamParams.create(dream_cfg, rng)
+            params.dream_visual = DreamParams.create(hp.dream_cfg, rng)
             params.visual_fuse = t((d, hp.id_dim))
         if TEXT in modalities:
             params.text_reduce = t((text_dim, d))
-            params.dream_text = DreamParams.create(dream_cfg, rng)
+            params.dream_text = DreamParams.create(hp.dream_cfg, rng)
             params.text_fuse = t((d, hp.id_dim))
         return params
 
@@ -299,9 +303,7 @@ class Recommender:
     def __init__(self, params: ModelParams, hp: HyperParams,
                  x_visual: Tensor | None, x_text: Tensor | None,
                  operator: sp.csr_matrix, variant: str = "full"):
-        if variant not in self.VARIANTS:
-            raise ConfigError(
-                f"unknown variant '{variant}'; valid: {', '.join(self.VARIANTS)}")
+        self.modalities_for(variant)  # rejects an unknown variant
         self.params = params
         self.hp = hp
         self.x_visual = x_visual
@@ -309,7 +311,7 @@ class Recommender:
         self.operator = operator
         self.variant = variant
         self.refine = variant != "no-la"
-        self.align_cfg = AlignConfig(bandwidths=hp.bandwidths)
+        self.align_cfg = hp.align_cfg
         if variant == "no-ga":
             self.lambda_mmd = 0.0
             self.lambda_cl = 0.0
@@ -319,6 +321,9 @@ class Recommender:
 
     @classmethod
     def modalities_for(cls, variant: str) -> tuple[str, ...]:
+        if variant not in cls.VARIANTS:
+            raise ConfigError(
+                f"unknown variant '{variant}'; valid: {', '.join(cls.VARIANTS)}")
         if variant == "text-only":
             return (TEXT,)
         if variant == "visual-only":

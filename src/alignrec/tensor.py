@@ -234,24 +234,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return _make_out(np.where(take_a, a.data, b.data), (a, b), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bw(g):
-        return (g * out,)
-
-    return _make_out(out, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-
-    def bw(g):
-        return (g / ad,)
-
-    return _make_out(np.log(ad), (a,), bw)
-
-
 def square(a: Tensor) -> Tensor:
     ad = a.data
 
@@ -362,32 +344,18 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x @ weight (+ bias) over the trailing axis of x."""
+def linear(x: Tensor, weight: Tensor) -> Tensor:
+    """x @ weight over the trailing axis of x."""
     xd, wd = x.data, weight.data
     if wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
         raise DimensionError(
             f"linear: input shape {xd.shape} does not match weight shape {wd.shape}")
-    out = xd @ wd
-    if bias is not None:
-        if bias.data.shape != (wd.shape[1],):
-            raise DimensionError(
-                f"linear: bias shape {bias.data.shape} does not match output dim {wd.shape[1]}")
-        out = out + bias.data
 
-    if bias is None:
-        def bw(g):
-            gw = _flat_batch(xd, 1).T @ _flat_batch(g, 1)
-            return g @ wd.T, gw
-        return _make_out(out, (x, weight), bw)
+    def bw(g):
+        gw = _flat_batch(xd, 1).T @ _flat_batch(g, 1)
+        return g @ wd.T, gw
 
-    def bw_b(g):
-        gf = _flat_batch(g, 1)
-        gw = _flat_batch(xd, 1).T @ gf
-        gb = gf.sum(axis=0)
-        return g @ wd.T, gw, gb
-
-    return _make_out(out, (x, weight, bias), bw_b)
+    return _make_out(xd @ wd, (x, weight), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

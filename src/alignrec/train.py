@@ -73,13 +73,12 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
         f"(train {len(split.train)}, val {len(split.validation)}, "
         f"test {len(split.test)})")
 
-    hp = cfg.hyperparams()
     dv, dt = feature_dims(ds)
     rng = np.random.default_rng(cfg.seed)
-    params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, hp, rng,
+    params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, cfg, rng,
                                 modalities=modalities)
     operator = build_propagation_operator(split.train, ds.n_users, ds.n_items)
-    model = Recommender(params, hp, Tensor(ds.visual) if use_visual else None,
+    model = Recommender(params, cfg, Tensor(ds.visual) if use_visual else None,
                         Tensor(ds.text) if use_text else None, operator,
                         cfg.variant)
 

@@ -60,7 +60,7 @@ def test_kernel_symmetry_and_errors():
 
 def test_mmd_identical_sets_is_zero():
     v = np.random.default_rng(1).standard_normal((6, 3))
-    cfg = AlignConfig()
+    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
     assert abs(mmd_squared(Tensor(v), Tensor(v.copy()), cfg).item()) <= 1e-12
 
 
@@ -77,7 +77,7 @@ def test_mmd_matches_double_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((16, 8))
     t = rng.standard_normal((16, 8)) + 0.25
-    cfg = AlignConfig()
+    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
     got = mmd_squared(Tensor(v), Tensor(t), cfg).item()
     assert abs(got - mmd_loop_oracle(v, t, cfg.bandwidths)) <= 1e-10
 
@@ -107,7 +107,7 @@ def test_mmd_decreases_as_sets_approach():
 
 
 def test_mmd_errors():
-    cfg = AlignConfig()
+    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
     with pytest.raises(DimensionError):
         mmd_squared(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))), cfg)
     with pytest.raises(DimensionError):
@@ -118,7 +118,7 @@ def test_mmd_gradient_check():
     rng = np.random.default_rng(4)
     v = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     t = Tensor(rng.standard_normal((6, 4)) + 0.5, requires_grad=True)
-    cfg = AlignConfig()
+    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
     report = grad_check(lambda: mmd_squared(v, t, cfg), {"v": v, "t": t}, tol=1e-5)
     assert report.passed, report.max_rel_error
 
@@ -201,3 +201,5 @@ def test_align_config_validation():
         AlignConfig(bandwidths=())
     with pytest.raises(ParameterError):
         AlignConfig(bandwidths=(1.0, -2.0))
+    with pytest.raises(ParameterError):
+        AlignConfig(bandwidths=(float("nan"),))

@@ -75,10 +75,13 @@ def test_resolved_config_lines_round_trip(tmp_path):
     path = tmp_path / "resolved.cfg"
     path.write_text("\n".join(cfg.lines()) + "\n")
     again = resolve_config(str(path), {})
-    assert again.seed == 3
-    assert again.bandwidths == (0.5, 1.0)
-    assert again.symmetric_infonce is True
+    assert again == cfg
     assert again.out == "123"
+
+
+def test_direct_construction_is_range_checked():
+    with pytest.raises(ConfigError, match="batch_size"):
+        RunConfig(batch_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +234,22 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     (["--temperature", "-1"], None),
     (["--bandwidths", "0"], "variant = no-ga\n"),
     (["--temperature", "-1"], "variant = no-ga\n"),
+    ([], "branch_channels = 0\n"),
+    ([], "branch_channels = 3\n"),
+    ([], "dilations = [0]\n"),
+    ([], "dilations = [6, 6]\n"),
+    ([], "dilations = [6, 12]\n"),
+    ([], "variant = bogus\n"),
+    (["--branch-channels", "0"], None),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
         "ks-empty-in-file", "bandwidth-zero", "temperature-negative",
-        "no-ga-bandwidth-zero", "no-ga-temperature-negative"])
+        "no-ga-bandwidth-zero", "no-ga-temperature-negative",
+        "branch-channels-zero-in-file", "branch-channels-indivisible-in-file",
+        "dilation-zero-in-file", "dilations-repeated-in-file",
+        "dilations-two-in-file",
+        "variant-unknown-in-file", "branch-channels-zero"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
@@ -246,6 +260,33 @@ def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text
     assert "error:" in err
     assert "dataset:" not in err  # rejected before any data is loaded
     assert rc == 2
+
+
+@pytest.mark.parametrize("case", [
+    "interactions-not-utf8", "config-not-utf8", "interactions-is-directory",
+    "visual-is-directory", "config-is-directory", "interactions-empty"])
+def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
+    code = 2 if case.startswith("config") else 3  # config error, data error
+    flags = data_flags(demo)
+    bad = tmp_path / "bad"
+    if case.endswith("not-utf8"):
+        bad.write_bytes(b"u1\ti1\nu2\t\xff\xfe\n")
+    elif case.endswith("empty"):
+        bad.write_text("# no pairs\n")
+    else:
+        bad.mkdir()
+    if case.startswith("config"):
+        flags += ["--config", str(bad)]
+    else:
+        option = "--" + case.split("-")[0]
+        flags[flags.index(option) + 1] = str(bad)
+    rc = main(["train", *flags, "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    assert "error:" in err and str(bad) in err
+    assert "Traceback" not in err
+    assert rc == code
+    if case == "interactions-not-utf8":
+        assert f"{bad}:2:" in err  # names the line
 
 
 def test_missing_interactions_exits_usage(demo, capsys):

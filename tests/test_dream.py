@@ -16,9 +16,11 @@ from alignrec.gradcheck import grad_check
 from alignrec.tensor import DimensionError, ParameterError, Tensor, mul, sum_all
 
 
-def make(seed=0, d=12, cb=4):
-    cfg = DreamConfig(input_length=d, branch_channels=cb, attention_reduction=4,
-                      dilations=(1, 2, 3))
+D = 12  # width of the maps `make` refines
+
+
+def make(seed=0, cb=4):
+    cfg = DreamConfig(branch_channels=cb, attention_reduction=4, dilations=(1, 2, 3))
     params = DreamParams.create(cfg, np.random.default_rng(seed))
     return cfg, params
 
@@ -29,29 +31,33 @@ def sigmoid(x):
 
 def test_config_invariants():
     with pytest.raises(ParameterError):
-        DreamConfig(input_length=8, branch_channels=3, attention_reduction=4)
+        DreamConfig(branch_channels=3, attention_reduction=4, dilations=(6, 12, 18))
     with pytest.raises(ParameterError):
-        DreamConfig(input_length=8, dilations=(6, 6, 12))
+        DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 6, 12))
+    with pytest.raises(ParameterError):  # one dilated branch per dilation, three
+        DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 12))
     with pytest.raises(ParameterError):
-        DreamConfig(input_length=0)
+        DreamConfig(branch_channels=0, attention_reduction=4, dilations=(6, 12, 18))
+    with pytest.raises(ParameterError):
+        DreamConfig(branch_channels=8, attention_reduction=0, dilations=(6, 12, 18))
 
 
 def test_multi_scale_zero_input_gives_zero_map():
     cfg, params = make()
-    out = multi_scale(Tensor(np.zeros((1, cfg.input_length))), params, cfg)
-    assert out.shape == (cfg.fused_channels, cfg.input_length)
+    out = multi_scale(Tensor(np.zeros((1, D))), params, cfg)
+    assert out.shape == (cfg.fused_channels, D)
     assert np.array_equal(out.data, np.zeros_like(out.data))
 
 
 def test_multi_scale_channel_count():
     cfg, params = make(cb=8)
-    out = multi_scale(Tensor(np.ones((1, cfg.input_length))), params, cfg)
+    out = multi_scale(Tensor(np.ones((1, D))), params, cfg)
     assert out.shape[0] == 5 * 8
 
 
 def test_multi_scale_pool_branch_constant_for_constant_input():
     cfg, params = make()
-    out = multi_scale(Tensor(np.full((1, cfg.input_length), 0.7)), params, cfg)
+    out = multi_scale(Tensor(np.full((1, D), 0.7)), params, cfg)
     pooled_rows = out.data[4 * cfg.branch_channels:]
     assert np.allclose(pooled_rows, pooled_rows[:, :1])
 
@@ -59,7 +65,7 @@ def test_multi_scale_pool_branch_constant_for_constant_input():
 def test_multi_scale_matches_per_branch_oracles():
     cfg, params = make(seed=3)
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((1, cfg.input_length))
+    x = rng.standard_normal((1, D))
     out = multi_scale(Tensor(x), params, cfg).data
     cb = cfg.branch_channels
 
@@ -68,12 +74,12 @@ def test_multi_scale_matches_per_branch_oracles():
 
     for j, dilation in enumerate(cfg.dilations):
         kernel = params.dilated_kernels[j].data
-        expected = np.zeros((cb, cfg.input_length))
+        expected = np.zeros((cb, D))
         for o in range(cb):
-            for l in range(cfg.input_length):
+            for l in range(D):
                 for k in (-1, 0, 1):
                     src = l + k * dilation
-                    if 0 <= src < cfg.input_length:
+                    if 0 <= src < D:
                         expected[o, l] += kernel[o, 0, k + 1] * x[0, src]
         expected = np.maximum(expected, 0.0)
         rows = out[(1 + j) * cb:(2 + j) * cb]
@@ -88,7 +94,7 @@ def test_channel_attention_zero_weights_halve_map():
     params.squeeze_weight.data[:] = 0.0
     params.restore_weight.data[:] = 0.0
     fused = Tensor(np.random.default_rng(1).standard_normal(
-        (cfg.fused_channels, cfg.input_length)))
+        (cfg.fused_channels, D)))
     gate, recalibrated = channel_attention(fused, params)
     assert np.allclose(gate.data, 0.5)
     assert np.allclose(recalibrated.data, 0.5 * fused.data)
@@ -97,7 +103,7 @@ def test_channel_attention_zero_weights_halve_map():
 def test_channel_attention_matches_formula_oracle():
     cfg, params = make(seed=5)
     rng = np.random.default_rng(2)
-    fused = rng.standard_normal((cfg.fused_channels, cfg.input_length))
+    fused = rng.standard_normal((cfg.fused_channels, D))
     gate, recalibrated = channel_attention(Tensor(fused), params)
 
     pooled = fused.mean(axis=1)
@@ -113,7 +119,7 @@ def test_spatial_attention_zero_weights_halve_map():
     params.spatial_kernel.data[:] = 0.0
     params.spatial_bias.data[:] = 0.0
     fused = Tensor(np.random.default_rng(3).standard_normal(
-        (cfg.fused_channels, cfg.input_length)))
+        (cfg.fused_channels, D)))
     gate, highlighted = spatial_attention(fused, params)
     assert np.allclose(gate.data, 0.5)
     assert np.allclose(highlighted.data, 0.5 * fused.data)
@@ -122,7 +128,7 @@ def test_spatial_attention_zero_weights_halve_map():
 def test_spatial_attention_matches_formula_oracle():
     cfg, params = make(seed=6)
     rng = np.random.default_rng(4)
-    fused = rng.standard_normal((cfg.fused_channels, cfg.input_length))
+    fused = rng.standard_normal((cfg.fused_channels, D))
     gate, highlighted = spatial_attention(Tensor(fused), params)
 
     pooled = fused.mean(axis=0, keepdims=True)
@@ -134,7 +140,7 @@ def test_spatial_attention_matches_formula_oracle():
 
 def test_spatial_pool_of_constant_map_is_constant():
     cfg, params = make()
-    fused = Tensor(np.full((cfg.fused_channels, cfg.input_length), 1.3))
+    fused = Tensor(np.full((cfg.fused_channels, D), 1.3))
     gate, _ = spatial_attention(fused, params)
     assert np.allclose(gate.data, gate.data[0, 0])
 
@@ -154,20 +160,21 @@ def test_attention_fuse_rules():
 def test_dream_forward_zero_projection_is_identity():
     cfg, params = make(seed=7)
     params.out_kernel.data[:] = 0.0
-    rows = np.random.default_rng(6).standard_normal((5, cfg.input_length))
+    rows = np.random.default_rng(6).standard_normal((5, D))
     out = dream_forward(Tensor(rows), params, cfg)
     assert np.array_equal(out.data, rows)
 
 
 def test_dream_forward_zero_input_fixpoint():
     cfg, params = make(seed=8)  # biases are zero-initialized
-    out = dream_forward(Tensor(np.zeros((4, cfg.input_length))), params, cfg)
-    assert np.array_equal(out.data, np.zeros((4, cfg.input_length)))
+    out = dream_forward(Tensor(np.zeros((4, D))), params, cfg)
+    assert np.array_equal(out.data, np.zeros((4, D)))
 
 
 @pytest.mark.parametrize("n,d,cb", [(1, 4, 4), (3, 16, 4), (2, 40, 8)])
 def test_dream_forward_shape_contract(n, d, cb):
-    cfg = DreamConfig(input_length=d, branch_channels=cb)
+    cfg = DreamConfig(branch_channels=cb, attention_reduction=4,
+                      dilations=(6, 12, 18))
     params = DreamParams.create(cfg, np.random.default_rng(9))
     out = dream_forward(Tensor(np.random.default_rng(10).standard_normal((n, d))),
                         params, cfg)
@@ -175,7 +182,7 @@ def test_dream_forward_shape_contract(n, d, cb):
 
 
 def test_dream_forward_gradient_check():
-    cfg = DreamConfig(input_length=16, branch_channels=4, attention_reduction=4)
+    cfg = DreamConfig(branch_channels=4, attention_reduction=4, dilations=(6, 12, 18))
     params = DreamParams.create(cfg, np.random.default_rng(11))
     rows = Tensor(np.random.default_rng(12).standard_normal((3, 16)),
                   requires_grad=True)

@@ -22,13 +22,11 @@ from alignrec.tensor import (
     concat_rows,
     conv1d_dilated,
     conv1x1,
-    exp,
     gather_rows,
     gaussian_from_sqdist,
     global_avg_pool,
     l2_normalize_rows,
     linear,
-    log,
     logsumexp_rows,
     matmul,
     maximum,
@@ -98,14 +96,12 @@ def test_linear_matches_loop_oracle():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3))
     w = rng.standard_normal((3, 2))
-    b = rng.standard_normal(2)
     expected = np.zeros((2, 2))
     for n in range(2):
         for j in range(2):
             for i in range(3):
                 expected[n, j] += x[n, i] * w[i, j]
-            expected[n, j] += b[j]
-    out = linear(Tensor(x), Tensor(w), Tensor(b))
+    out = linear(Tensor(x), Tensor(w))
     assert np.max(np.abs(out.data - expected)) <= 1e-12
 
 
@@ -396,8 +392,6 @@ _case("relu", lambda: (lambda a: sum_all(square(relu(a))), [_rand((3, 3), 8, 0.5
 _case("sigmoid", lambda: (lambda a: sum_all(square(sigmoid(a))), [_rand((3, 3), 9)]))
 _case("maximum", lambda: (lambda a, b: sum_all(maximum(a, b)),
                           [_rand((4, 4), 10), _rand((4, 4), 11, 3.0)]))
-_case("exp", lambda: (lambda a: sum_all(exp(a)), [_rand((3, 3), 12)]))
-_case("log", lambda: (lambda a: sum_all(log(a)), [_rand((3, 3), 13, 5.0)]))
 _case("softplus", lambda: (lambda a: sum_all(square(softplus(a))), [_rand((6,), 14)]))
 _case("sum_axis", lambda: (lambda a: sum_all(square(sum_axis(a, 1))),
                            [_rand((3, 4), 15)]))
@@ -412,9 +406,9 @@ _case("slice_rows", lambda: (lambda a: sum_all(square(slice_rows(a, 1, 3))),
 _case("gather_rows",
       lambda: (lambda a: sum_all(square(gather_rows(a, np.array([0, 2, 2, 1])))),
                [_rand((3, 4), 21)]))
-_case("linear_bias",
-      lambda: (lambda x, w, b: sum_all(square(linear(x, w, b))),
-               [_rand((3, 4), 22), _rand((4, 2), 23), _rand((2,), 24)]))
+_case("linear",
+      lambda: (lambda x, w: sum_all(square(linear(x, w))),
+               [_rand((2, 3, 4), 22), _rand((4, 2), 23)]))
 _case("matmul", lambda: (lambda a, b: sum_all(square(matmul(a, b))),
                          [_rand((3, 4), 25), _rand((4, 2), 26)]))
 _case("conv1x1", lambda: (lambda x, k: sum_all(square(conv1x1(x, k))),
@@ -545,6 +539,6 @@ def test_grad_check_detects_broken_backward_rule():
 
 
 def test_grad_check_reports_non_finite():
-    x = Tensor(np.array([-1.0]), requires_grad=True)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-        grad_check(lambda: log(x), {"x": x})
+    x = Tensor(np.array([1e200]), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        grad_check(lambda: sum_all(square(x)), {"x": x})
