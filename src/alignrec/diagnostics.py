@@ -8,7 +8,7 @@ from .align import AlignConfig, infonce, mmd_squared
 from .data import save_fmat
 from .dream import DreamParams, dream_forward
 from .errors import ConfigError
-from .evaluation import sample_negative
+from .evaluation import pair_keys, sample_negatives
 from .gradcheck import GradCheckReport, grad_check
 from .model import (
     HyperParams,
@@ -23,17 +23,12 @@ from .tensor import Tensor, mul, sum_all
 
 def _random_triples(rng: np.random.Generator, n_users: int, n_items: int,
                     per_user: int) -> tuple[np.ndarray, TripletBatch]:
-    pairs = []
-    positives = []
-    for u in range(n_users):
-        items = rng.choice(n_items, size=per_user, replace=False)
-        positives.append(set(int(i) for i in items))
-        pairs.extend((u, int(i)) for i in items)
-    pairs = np.array(pairs, dtype=np.int64)
-    negs = [sample_negative(int(u), positives[u], n_items, rng) for u, _ in pairs]
-    batch = TripletBatch(users=pairs[:, 0].copy(), pos_items=pairs[:, 1].copy(),
-                         neg_items=np.array(negs, dtype=np.int64))
-    return pairs, batch
+    users = np.repeat(np.arange(n_users), per_user)
+    items = np.concatenate([rng.choice(n_items, size=per_user, replace=False)
+                            for _ in range(n_users)])
+    pairs = np.stack([users, items], axis=1)
+    negs = sample_negatives(users, pair_keys(pairs, n_items), n_items, rng)
+    return pairs, TripletBatch(users=users, pos_items=items, neg_items=negs)
 
 
 def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,23 +13,14 @@ from .tensor import ParameterError, UsageError
 
 @dataclass
 class SplitDataset:
-    """Per-user disjoint train/validation/test interactions over dense ids."""
+    """Per-user disjoint train/validation/test interactions over dense ids.
+    Each array is the only record of its pairs, grouped by ascending user."""
 
     n_users: int
     n_items: int
     train: np.ndarray       # (T, 2) [user, item]
     validation: np.ndarray  # (V, 2)
     test: np.ndarray        # (S, 2)
-    train_positives: list[set[int]] = field(default_factory=list)
-    validation_positives: list[set[int]] = field(default_factory=list)
-    test_positives: list[set[int]] = field(default_factory=list)
-
-
-def _positives_by_user(pairs: np.ndarray, n_users: int) -> list[set[int]]:
-    out: list[set[int]] = [set() for _ in range(n_users)]
-    for u, i in pairs:
-        out[int(u)].add(int(i))
-    return out
 
 
 def split_811(interactions: np.ndarray, n_users: int, n_items: int,
@@ -38,55 +29,65 @@ def split_811(interactions: np.ndarray, n_users: int, n_items: int,
 
     Counts are floors of 10% with a minimum of one each once the user has at
     least three interactions; users below that keep everything in train.
+    Each user's sorted items are shuffled, in ascending user order.
     """
     if len(interactions) == 0:
         raise UsageError("split_811: empty interaction set")
     rng = np.random.default_rng(seed)
-    items_of: list[list[int]] = [[] for _ in range(n_users)]
-    for u, i in interactions:
-        items_of[int(u)].append(int(i))
-    train, validation, test = [], [], []
-    for u in range(n_users):
-        items = np.array(sorted(items_of[u]), dtype=np.int64)
-        n = len(items)
-        if n == 0:
-            continue
-        rng.shuffle(items)
-        if n >= 3:
-            held = max(n // 10, 1)
-            n_test, n_val = held, held
-        else:
-            n_test = n_val = 0
-        test.extend((u, int(i)) for i in items[:n_test])
-        validation.extend((u, int(i)) for i in items[n_test:n_test + n_val])
-        train.extend((u, int(i)) for i in items[n_test + n_val:])
-
-    def arr(pairs):
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-    ds = SplitDataset(n_users=n_users, n_items=n_items, train=arr(train),
-                      validation=arr(validation), test=arr(test))
-    ds.train_positives = _positives_by_user(ds.train, n_users)
-    ds.validation_positives = _positives_by_user(ds.validation, n_users)
-    ds.test_positives = _positives_by_user(ds.test, n_users)
-    return ds
+    pairs = interactions[np.lexsort((interactions[:, 1], interactions[:, 0]))]
+    users, items = pairs[:, 0], pairs[:, 1]
+    counts = np.bincount(users, minlength=n_users)
+    starts = np.cumsum(counts) - counts
+    for u in np.flatnonzero(counts >= 2):  # shuffling one item draws nothing
+        rng.shuffle(items[starts[u]:starts[u] + counts[u]])
+    rank = np.arange(len(pairs)) - starts[users]
+    held = np.where(counts >= 3, np.maximum(counts // 10, 1), 0)[users]
+    return SplitDataset(n_users, n_items, train=pairs[rank >= 2 * held],
+                        validation=pairs[(rank >= held) & (rank < 2 * held)],
+                        test=pairs[rank < held])
 
 
-def sample_negative(user: int, positives: set[int], n_items: int,
-                    rng: np.random.Generator) -> int:
-    """Uniform draw over items the user has not interacted with.
+def pair_keys(pairs: np.ndarray, n_items: int) -> np.ndarray:
+    """Sorted distinct `user * n_items + item` keys of (user, item) pairs."""
+    return np.unique(pairs[:, 0] * n_items + pairs[:, 1])
 
-    Rejection sampling capped at 100 tries, then a uniform pick from the
-    enumerated complement.
-    """
-    if len(positives) >= n_items:
-        raise UsageError(f"user {user} interacted with every item; cannot sample")
-    for _ in range(100):
-        candidate = int(rng.integers(0, n_items))
-        if candidate not in positives:
-            return candidate
-    complement = np.setdiff1d(np.arange(n_items), np.fromiter(positives, dtype=np.int64))
-    return int(complement[rng.integers(0, len(complement))])
+
+def sample_negatives(users: np.ndarray, positive_keys: np.ndarray, n_items: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Per user, a uniform draw over the items not among its `pair_keys`,
+    equal draw for draw to the loop where each user in turn calls
+    `rng.integers(0, n_items)` until the item is not a positive, or after 100
+    rejections picks from its complement. A block holds one candidate per
+    user still without a negative, so the loop would draw all of them."""
+    out = np.empty(len(users), dtype=np.int64)
+    t = tries = 0  # first user without a negative, and its rejections
+    while t < len(users):
+        saved = rng.bit_generator.state
+        block = rng.integers(0, n_items, size=len(users) - t)
+        c = 0  # candidates of the block used so far
+        while c < len(block):
+            w = min(64, len(block) - c)  # candidates checked per step
+            query = users[t:t + w] * n_items + block[c:c + w]
+            rejected = (positive_keys.searchsorted(query, "right")
+                        > positive_keys.searchsorted(query))
+            r = int(rejected.argmax()) if rejected.any() else w
+            out[t:t + r] = block[c:c + r]
+            if r == w:
+                t, c, tries = t + w, c + w, 0
+            else:  # user t + r rejected candidate c + r
+                t, c, tries = t + r, c + r + 1, tries + 1 if r == 0 else 1
+            if tries == 100:
+                rng.bit_generator.state = saved
+                rng.integers(0, n_items, size=c)
+                own = users[t] * n_items
+                complement = np.setdiff1d(np.arange(own, own + n_items),
+                                          positive_keys) - own
+                if len(complement) == 0:
+                    raise UsageError(f"user {users[t]} interacted with every item")
+                out[t] = complement[rng.integers(0, len(complement))]
+                t, tries = t + 1, 0
+                break
+    return out
 
 
 def rank_topk(user_repr: np.ndarray, item_repr: np.ndarray, user: int,
@@ -130,17 +131,18 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
 
     The ranking contract is the one `rank_topk` states for a single user:
     each user's scores are the mat-vec `item_repr @ user_repr[user]`, the
-    user's training positives (from `split.train`) are masked, items with a
+    user's training pairs in `split.train` are masked, items with a
     non-finite score are never ranked, and ties go to the lower item index.
     Users are ranked in blocks whose score matrix holds at most
     `_SCORE_BLOCK_ENTRIES` entries, and the per-user metrics are summed in
     ascending user order.
     """
-    held = {"validation": split.validation_positives,
-            "test": split.test_positives}[which]
+    held = {"validation": split.validation, "test": split.test}[which]
     k_max = max(ks)
-    users = [user for user in range(split.n_users) if held[user]]
-    if not users:
+    users, starts = np.unique(held[:, 0], return_index=True)
+    bounds, held_items = [*starts.tolist(), len(held)], held[:, 1].tolist()
+    relevant = [set(held_items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if len(users) == 0:
         raise UsageError(f"evaluate: no users with {which} interactions")
     if k_max < 1:
         raise ParameterError(f"k must be >= 1, got {k_max}")
@@ -148,9 +150,7 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     cut = min(k_max, n_items)
     block = max(1, _SCORE_BLOCK_ENTRIES // n_items)
 
-    train_order = np.argsort(split.train[:, 0], kind="stable")
-    train_users = split.train[train_order, 0]
-    train_items = split.train[train_order, 1]
+    train_users, train_items = split.train[:, 0], split.train[:, 1]
     row_of = np.full(split.n_users, -1, dtype=np.int64)
 
     sums = {f"recall@{k}": 0.0 for k in ks}
@@ -176,14 +176,14 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
         # stable sort below sees all items tied at the cut.
         kth = np.argpartition(-rows, cut - 1, axis=1)[:, cut - 1]
         threshold = rows[np.arange(len(chunk)), kth]
-        for row, user in enumerate(chunk):
+        for row in range(len(chunk)):
             line = rows[row]
             candidates = np.flatnonzero((line >= threshold[row])
                                         & (line > -np.inf))
             order = np.argsort(-line[candidates], kind="stable")
             ranked = candidates[order[:k_max]].tolist()
             for k in ks:
-                recall, ndcg = recall_ndcg_at_k(ranked, held[user], k)
+                recall, ndcg = recall_ndcg_at_k(ranked, relevant[start + row], k)
                 sums[f"recall@{k}"] += recall
                 sums[f"ndcg@{k}"] += ndcg
     return {name: value / len(users) for name, value in sums.items()}

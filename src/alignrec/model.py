@@ -411,10 +411,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 8
+    offset = 4
     out: dict[str, np.ndarray] = {}
 
     def need(n: int):
@@ -423,6 +420,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 f"{path}: truncated checkpoint, expected {offset + n} bytes, "
                 f"have {len(blob)}")
 
+    need(4)
+    (version,) = struct.unpack_from("<I", blob, offset)
+    if version != CHECKPOINT_VERSION:
+        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
+    offset += 4
     while offset < len(blob):
         need(2)
         (name_len,) = struct.unpack_from("<H", blob, offset)

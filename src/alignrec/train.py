@@ -14,7 +14,7 @@ from .config import RunConfig
 from .data import Dataset, load_dataset, save_mapping
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
-    evaluate, lr_schedule, sample_negative, split_811
+    evaluate, lr_schedule, pair_keys, sample_negatives, split_811
 from .model import (
     TEXT,
     VISUAL,
@@ -89,17 +89,14 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     return ds, split, model
 
 
-def iterate_batches(train_pairs: np.ndarray, positives, n_items: int,
-                    batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(len(train_pairs))
-    shuffled = train_pairs[order]
+def iterate_batches(train_pairs: np.ndarray, n_items: int, batch_size: int,
+                    rng: np.random.Generator):
+    positive_keys = pair_keys(train_pairs, n_items)
+    shuffled = train_pairs[rng.permutation(len(train_pairs))]
     for start in range(0, len(shuffled), batch_size):
-        chunk = shuffled[start:start + batch_size]
-        negatives = np.fromiter(
-            (sample_negative(int(u), positives[int(u)], n_items, rng)
-             for u, _ in chunk), dtype=np.int64, count=len(chunk))
-        yield TripletBatch(users=chunk[:, 0].copy(), pos_items=chunk[:, 1].copy(),
-                           neg_items=negatives)
+        users, items = shuffled[start:start + batch_size].T.copy()
+        negatives = sample_negatives(users, positive_keys, n_items, rng)
+        yield TripletBatch(users=users, pos_items=items, neg_items=negatives)
 
 
 def run_training(cfg: RunConfig, stdout=None) -> dict:
@@ -107,14 +104,18 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
     test metrics and output paths. Emits one metrics JSON line per epoch
     (validation) plus a final test line at the restored best parameters."""
     stdout = stdout if stdout is not None else sys.stdout
+    out_dir = Path(cfg.out) if cfg.out else None
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory: {err}") from err
     ds, split, model = prepare_run(cfg)
     params = model.params
     named = params.named()
 
-    out_dir = Path(cfg.out) if cfg.out else None
     metrics_file = None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "resolved_config.txt").write_text(
             "\n".join(cfg.lines()) + "\n", encoding="utf-8")
         save_mapping(out_dir / "users.tsv", ds.user_tokens)
@@ -134,8 +135,8 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
             adam.lr = lr_schedule(epoch - 1, cfg.base_lr)
             loss_sums = {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}
             n_batches = 0
-            for batch in iterate_batches(split.train, split.train_positives,
-                                         ds.n_items, cfg.batch_size, rng):
+            for batch in iterate_batches(split.train, ds.n_items,
+                                         cfg.batch_size, rng):
                 params.zero_grads()
                 with Tape() as tape:
                     loss, parts = model.total_loss(batch)

@@ -197,13 +197,17 @@ def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
         assert out[key] == test_line[key]
 
 
-def test_evaluate_corrupted_checkpoint_exits_3(demo, tmp_path, capsys):
+@pytest.mark.parametrize("cut", [None, 4, 6],
+                         ids=["bad-magic", "header-cut-at-4", "header-cut-at-6"])
+def test_evaluate_corrupted_checkpoint_exits_3(demo, tmp_path, capsys, cut):
     train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(tmp_path / "run")])
     ckpt = tmp_path / "run" / "checkpoint.mrec"
-    ckpt.write_bytes(b"ZZZZ" + ckpt.read_bytes()[4:])
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(b"ZZZZ" + blob[4:] if cut is None else blob[:cut])
     rc = main(["evaluate", "--checkpoint", str(ckpt),
                "--config", str(tmp_path / "run" / "resolved_config.txt")])
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert rc == 3
 
 
@@ -264,19 +268,25 @@ def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text
 
 @pytest.mark.parametrize("case", [
     "interactions-not-utf8", "config-not-utf8", "interactions-is-directory",
-    "visual-is-directory", "config-is-directory", "interactions-empty"])
+    "visual-is-directory", "config-is-directory", "interactions-empty",
+    "out-under-file"])
 def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
-    code = 2 if case.startswith("config") else 3  # config error, data error
+    # config error or unusable output path, data error
+    code = 2 if case.startswith(("config", "out")) else 3
     flags = data_flags(demo)
     bad = tmp_path / "bad"
     if case.endswith("not-utf8"):
         bad.write_bytes(b"u1\ti1\nu2\t\xff\xfe\n")
     elif case.endswith("empty"):
         bad.write_text("# no pairs\n")
+    elif case.endswith("under-file"):
+        bad.write_text("a file, not a directory\n")
     else:
         bad.mkdir()
     if case.startswith("config"):
         flags += ["--config", str(bad)]
+    elif case.startswith("out"):
+        flags += ["--out", str(bad / "run")]
     else:
         option = "--" + case.split("-")[0]
         flags[flags.index(option) + 1] = str(bad)
@@ -285,6 +295,8 @@ def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
     assert "error:" in err and str(bad) in err
     assert "Traceback" not in err
     assert rc == code
+    if code == 2:
+        assert "dataset:" not in err  # rejected before any data is loaded
     if case == "interactions-not-utf8":
         assert f"{bad}:2:" in err  # names the line
 

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alignrec.data import (
-    Dataset,
     RawInteractions,
     SynthSpec,
     kcore_filter,

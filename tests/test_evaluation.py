@@ -15,9 +15,10 @@ from alignrec.evaluation import (
     early_stop_update,
     evaluate,
     lr_schedule,
+    pair_keys,
     rank_topk,
     recall_ndcg_at_k,
-    sample_negative,
+    sample_negatives,
     split_811,
 )
 from alignrec.tensor import ParameterError, UsageError
@@ -32,6 +33,14 @@ def make_interactions(counts, seed=0):
         for i in rng.choice(n_items, size=c, replace=False):
             pairs.append((u, int(i)))
     return np.array(pairs, dtype=np.int64), len(counts), n_items
+
+
+def positives_by_user(pairs, n_users):
+    """The per-user item sets of a (user, item) pair array."""
+    out = [set() for _ in range(n_users)]
+    for u, i in pairs.tolist():
+        out[u].add(i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +76,42 @@ def test_split_empty_errors():
         split_811(np.empty((0, 2), dtype=np.int64), 0, 0, seed=0)
 
 
+def split_811_reference(interactions, n_users, seed):
+    """The split as one loop over users: sort, shuffle, cut test/val/train."""
+    rng = np.random.default_rng(seed)
+    items_of = [[] for _ in range(n_users)]
+    for u, i in interactions:
+        items_of[int(u)].append(int(i))
+    train, validation, test = [], [], []
+    for u in range(n_users):
+        items = np.array(sorted(items_of[u]), dtype=np.int64)
+        n = len(items)
+        if n == 0:
+            continue
+        rng.shuffle(items)
+        held = max(n // 10, 1) if n >= 3 else 0
+        test.extend((u, int(i)) for i in items[:held])
+        validation.extend((u, int(i)) for i in items[held:2 * held])
+        train.extend((u, int(i)) for i in items[2 * held:])
+    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2)
+                 for pairs in (train, validation, test))
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 9, 10, 11, 19, 20, 21, 35]),
+                min_size=1, max_size=10),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 99))
+def test_split_matches_per_user_reference(counts, order_seed, seed):
+    counts[0] = max(counts[0], 1)  # at least one interaction
+    pairs, m, n = make_interactions(counts, seed=order_seed)
+    pairs = pairs[np.random.default_rng(order_seed).permutation(len(pairs))]
+    split = split_811(pairs, m, n, seed=seed)
+    want = split_811_reference(pairs, m, seed)
+    for got, expected in zip((split.train, split.validation, split.test), want):
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.all(np.diff(got[:, 0]) >= 0)  # grouped by ascending user
+
+
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 99))
 def test_split_disjoint_and_covering(counts, seed):
     pairs, m, n = make_interactions(counts, seed=7)
@@ -76,9 +121,9 @@ def test_split_disjoint_and_covering(counts, seed):
                | set(map(tuple, split.test)))
     assert rebuilt == original
     assert len(split.train) + len(split.validation) + len(split.test) == len(pairs)
-    for u in range(m):
-        tr, va, te = (split.train_positives[u], split.validation_positives[u],
-                      split.test_positives[u])
+    sets = [positives_by_user(part, m)
+            for part in (split.train, split.validation, split.test)]
+    for tr, va, te in zip(*sets):
         assert not (tr & va) and not (tr & te) and not (va & te)
         if len(tr) + len(va) + len(te) >= 3:
             assert len(tr) >= 1
@@ -88,26 +133,43 @@ def test_split_disjoint_and_covering(counts, seed):
 # negative sampling
 # ---------------------------------------------------------------------------
 
+def sample_negative_reference(user, positives, n_items, rng):
+    """The sampler as one scalar loop per user: rejection sampling capped at
+    100 tries, then a uniform pick from the enumerated complement."""
+    if len(positives) >= n_items:
+        raise UsageError(f"user {user} interacted with every item; cannot sample")
+    for _ in range(100):
+        candidate = int(rng.integers(0, n_items))
+        if candidate not in positives:
+            return candidate
+    complement = np.setdiff1d(np.arange(n_items),
+                              np.fromiter(positives, dtype=np.int64))
+    return int(complement[rng.integers(0, len(complement))])
+
+
+def draw_negatives(positives, n_items, draws, seed, user=0):
+    """`draws` negatives for one user whose positives are the given items."""
+    keys = pair_keys(np.array([(user, i) for i in positives],
+                              dtype=np.int64).reshape(-1, 2), n_items)
+    return sample_negatives(np.full(draws, user), keys, n_items,
+                            np.random.default_rng(seed))
+
+
 def test_sample_negative_forced_outcome():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert sample_negative(0, {1}, 2, rng) == 0
+    assert draw_negatives({1}, 2, 50, seed=0).tolist() == [0] * 50
 
 
 def test_sample_negative_never_returns_positive():
-    rng = np.random.default_rng(1)
     positives = {0, 3, 5, 9}
-    for _ in range(10 ** 6):
-        assert sample_negative(0, positives, 12, rng) not in positives
+    negatives = draw_negatives(positives, 12, 10 ** 6, seed=1)
+    assert not np.isin(negatives, list(positives)).any()
 
 
 def test_sample_negative_uniform_within_3_sigma():
-    rng = np.random.default_rng(2)
     positives = {0, 1}
     n_items, draws = 12, 100_000
-    counts = np.zeros(n_items)
-    for _ in range(draws):
-        counts[sample_negative(0, positives, n_items, rng)] += 1
+    counts = np.bincount(draw_negatives(positives, n_items, draws, seed=2),
+                         minlength=n_items)
     candidates = n_items - len(positives)
     p = 1.0 / candidates
     expected = draws * p
@@ -120,17 +182,67 @@ def test_sample_negative_uniform_within_3_sigma():
 
 
 def test_sample_negative_exhausted_user_errors():
-    rng = np.random.default_rng(3)
     with pytest.raises(UsageError):
-        sample_negative(0, {0, 1, 2}, 3, rng)
+        draw_negatives({0, 1, 2}, 3, 1, seed=3)
 
 
 def test_sample_negative_fallback_scan_is_uniform():
     # rejection cap of 100 makes failure astronomically unlikely here, so
     # exercise the fallback directly with one available candidate
-    rng = np.random.default_rng(4)
-    positives = set(range(999))
-    assert sample_negative(0, positives, 1000, rng) == 999
+    assert draw_negatives(set(range(999)), 1000, 1, seed=4).tolist() == [999]
+
+
+@st.composite
+def sampling_cases(draw):
+    n_items = draw(st.integers(1, 400))
+    n_users = draw(st.integers(1, 6))
+    positives = []
+    for _ in range(n_users):
+        kind = draw(st.sampled_from(["none", "some", "all-but-one"]))
+        size = {"none": 0, "all-but-one": n_items - 1,
+                "some": draw(st.integers(0, n_items - 1))}[kind]
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        positives.append(set(rng.choice(n_items, size=size, replace=False).tolist()))
+    users = draw(st.lists(st.integers(0, n_users - 1), max_size=300))
+    return n_items, positives, np.array(users, dtype=np.int64)
+
+
+def assert_matches_scalar_loop(n_items, positives, users, seed):
+    pairs = np.array([(u, i) for u, items in enumerate(positives) for i in items],
+                     dtype=np.int64).reshape(-1, 2)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_negatives(users, pair_keys(pairs, n_items), n_items, rng)
+    want = [sample_negative_reference(int(u), positives[u], n_items, reference_rng)
+            for u in users]
+    assert got.tolist() == want
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@given(sampling_cases(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200)
+def test_sample_negatives_matches_scalar_loop(case, seed):
+    assert_matches_scalar_loop(*case, seed)
+
+
+def test_sample_negatives_fallback_mid_batch_matches_scalar_loop():
+    # user 1 has one free item in 500, so most of its triples reach the
+    # 100-rejection fallback; the batch spans several 64-candidate windows
+    positives = [set(range(0, 500, 7)), set(range(499)), set()]
+    users = np.random.default_rng(5).integers(0, 3, size=400)
+    for seed in range(3):
+        assert_matches_scalar_loop(500, positives, users, seed)
+
+
+def test_sample_negatives_exhausted_user_errors_like_scalar_loop():
+    positives = [{0}, {0, 1, 2}]
+    users = np.array([0, 0, 1, 0])
+    keys = pair_keys(np.array([(0, 0), (1, 0), (1, 1), (1, 2)]), 3)
+    with pytest.raises(UsageError, match="user 1"):
+        sample_negatives(users, keys, 3, np.random.default_rng(6))
+    with pytest.raises(UsageError, match="user 1"):
+        rng = np.random.default_rng(6)
+        for u in users:
+            sample_negative_reference(int(u), positives[u], 3, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +370,13 @@ def test_evaluate_random_representations_near_chance():
 
     k = 20
     means, variances = [], []
+    train_sets = positives_by_user(split.train, m)
+    test_sets = positives_by_user(split.test, m)
     for u in range(m):
-        relevant = len(split.test_positives[u])
+        relevant = len(test_sets[u])
         if relevant == 0:
             continue
-        candidates = n - len(split.train_positives[u])
+        candidates = n - len(train_sets[u])
         mean_hits = k * relevant / candidates
         var_hits = (k * (relevant / candidates) * (1 - relevant / candidates)
                     * (candidates - k) / (candidates - 1))
@@ -291,15 +405,16 @@ def test_evaluate_skips_users_without_heldout():
     users, items = rng.standard_normal((m, 4)), rng.standard_normal((n, 4))
     metrics = evaluate(users, items, split, "test", ks=(5,))
     only_user0 = recall_ndcg_at_k(
-        rank_topk(users, items, 0, split.train_positives[0], 5),
-        split.test_positives[0], 5)
+        rank_topk(users, items, 0, positives_by_user(split.train, m)[0], 5),
+        positives_by_user(split.test, m)[0], 5)
     assert metrics["recall@5"] == only_user0[0]
 
 
 def evaluate_reference(users, items, split, which, ks):
     """`evaluate` as one `rank_topk` call per user, summed in user order."""
-    held = {"validation": split.validation_positives,
-            "test": split.test_positives}[which]
+    held = positives_by_user(
+        {"validation": split.validation, "test": split.test}[which], split.n_users)
+    train_sets = positives_by_user(split.train, split.n_users)
     sums = {f"recall@{k}": 0.0 for k in ks}
     sums.update({f"ndcg@{k}": 0.0 for k in ks})
     counted = 0
@@ -307,8 +422,7 @@ def evaluate_reference(users, items, split, which, ks):
         if not held[user]:
             continue
         counted += 1
-        ranked = rank_topk(users, items, user, split.train_positives[user],
-                           max(ks))
+        ranked = rank_topk(users, items, user, train_sets[user], max(ks))
         for k in ks:
             recall, ndcg = recall_ndcg_at_k(ranked, held[user], k)
             sums[f"recall@{k}"] += recall
