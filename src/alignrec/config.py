@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .model import HyperParams, Recommender
 
-# Smallest value each run count accepts; the model's own counts are checked
-# by `HyperParams`.
-_MINIMUM = {"kcore": 0, "batch_size": 1, "max_epochs": 0, "patience": 0}
+# Smallest value each run count and the seed accept; the model's own counts
+# are checked by `HyperParams`.
+_MINIMUM = {"seed": 0, "kcore": 0, "batch_size": 1, "max_epochs": 0,
+            "patience": 0}
 
 
 @dataclass(frozen=True)

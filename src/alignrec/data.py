@@ -215,8 +215,10 @@ class SynthSpec:
                      "visual_dim", "text_dim"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ParameterError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.interactions_per_user >= self.items:
             raise ParameterError(
                 f"interactions_per_user ({self.interactions_per_user}) must be "

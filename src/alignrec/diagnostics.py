@@ -9,7 +9,7 @@ from .data import save_fmat
 from .dream import DreamParams, dream_forward
 from .errors import ConfigError
 from .evaluation import pair_keys, sample_negatives
-from .gradcheck import GradCheckReport, grad_check
+from .gradcheck import GradCheckReport, check_settings, grad_check
 from .model import (
     HyperParams,
     ModelParams,
@@ -83,6 +83,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
 def run_gradcheck(seed: int = 0, tol: float = 1e-4, h: float = 1e-6,
                   max_coords: int = 8) -> tuple[dict, bool]:
     """Run every suite entry; returns (report dict, all passed)."""
+    check_settings(h, tol, seed)
     results = {}
     all_passed = True
     for name, fn, params in build_suite(seed):

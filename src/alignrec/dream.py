@@ -5,6 +5,9 @@ Five parallel branches (pointwise conv, three dilated convs, pooled global
 context) are concatenated, recalibrated by channel and spatial attention,
 fused by elementwise max, and projected back to a d-vector that is added to
 the input as a residual refinement.
+
+The stages below are plain numpy on maps of shape (..., channels, length).
+`dream_forward` chains them and records the whole block as one tape node.
 """
 
 from __future__ import annotations
@@ -13,24 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (
-    DimensionError,
-    ParameterError,
-    Tensor,
-    add,
-    broadcast_len,
-    channel_mean,
-    concat_channels,
-    conv1d_dilated,
-    conv1x1,
-    global_avg_pool,
-    linear,
-    maximum,
-    mul,
-    relu,
-    reshape,
-    sigmoid,
-)
+from .tensor import ParameterError, Tensor, _make_out, _unbroadcast, stable_sigmoid
 
 BRANCHES = 5
 
@@ -124,53 +110,166 @@ class DreamParams:
                 self.out_kernel]
 
 
-def multi_scale(x: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor:
+def pointwise_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Channel mixing: out[..., o, l] = sum_c kernel[o, c] * x[..., c, l]."""
+    return np.einsum("oc,...cl->...ol", kernel, x)
+
+
+def _pointwise_grads(kernel, x, g):
+    """(input, kernel) gradients of `pointwise_conv` on (N, C, L) maps."""
+    return np.einsum("oc,...ol->...cl", kernel, g), np.einsum("nol,ncl->oc", g, x)
+
+
+def dilated_conv(kernel: np.ndarray, x: np.ndarray,
+                 dilation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Length-3 dilated convolution with symmetric zero padding of `dilation`.
+
+    Output length equals input length: out[..., o, l] =
+    sum_{c,k in 0..2} kernel[o, c, k] * xpad[..., c, l + k*dilation].
+    Also returns the taps (..., C, 3, L) that the kernel gradient reads.
+    """
+    length = x.shape[-1]
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(dilation, dilation)])
+    taps = np.stack([xp[..., k * dilation:k * dilation + length] for k in range(3)],
+                    axis=-2)
+    return np.einsum("ock,...ckl->...ol", kernel, taps), taps
+
+
+def _dilated_grads(kernel, taps, g, dilation):
+    """(input, kernel) gradients of `dilated_conv` on (N, C, L) maps."""
+    length = g.shape[-1]
+    spread = np.einsum("ock,...ol->...ckl", kernel, g)
+    padded = np.zeros(spread.shape[:-2] + (length + 2 * dilation,))
+    for k in range(3):
+        padded[..., k * dilation:k * dilation + length] += spread[..., k, :]
+    return (padded[..., dilation:dilation + length],
+            np.einsum("nol,nckl->ock", g, taps))
+
+
+def _relu(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0.0, a, 0.0)
+
+
+def multi_scale(x: np.ndarray, params: DreamParams, cfg: DreamConfig):
     """Concatenate the five branch outputs, each ReLU-activated.
 
     `x` is a single-channel map (1, d), or (N, 1, d) for a batch of rows.
+    Returns the (..., 5C_b, d) map, then the taps of each dilated branch and
+    the pooled input, which the backward pass reads.
     """
     length = x.shape[-1]
-    branches = [relu(conv1x1(x, params.point_kernel))]
+    branches = [_relu(pointwise_conv(params.point_kernel.data, x))]
+    taps = []
     for kernel, dilation in zip(params.dilated_kernels, cfg.dilations):
-        branches.append(relu(conv1d_dilated(x, kernel, dilation)))
-    pooled = conv1x1(global_avg_pool(x), params.pool_kernel)
-    branches.append(relu(broadcast_len(pooled, length)))
-    return concat_channels(branches)
+        out, branch_taps = dilated_conv(kernel.data, x, dilation)
+        branches.append(_relu(out))
+        taps.append(branch_taps)
+    pooled = x.mean(axis=-1, keepdims=True)
+    context = pointwise_conv(params.pool_kernel.data, pooled)
+    branches.append(_relu(np.repeat(context, length, axis=-1)))
+    return np.concatenate(branches, axis=-2), taps, pooled
 
 
-def channel_attention(fused: Tensor, params: DreamParams) -> tuple[Tensor, Tensor]:
-    """Gate channels by a squeeze-and-restore MLP on the pooled channel vector."""
-    z = global_avg_pool(fused)                       # (..., C', 1)
-    vec = reshape(z, z.shape[:-1])                   # (..., C')
-    hidden = relu(linear(vec, params.squeeze_weight))
-    gate = sigmoid(linear(hidden, params.restore_weight))
-    gate_map = reshape(gate, gate.shape + (1,))      # (..., C', 1)
-    return gate_map, mul(fused, gate_map)
+def channel_attention(fused: np.ndarray, params: DreamParams):
+    """Gate channels by a squeeze-and-restore MLP on the pooled channel vector.
+
+    Returns the gate (..., C', 1) and the gated map, then the pooled vector
+    and the hidden layer, which the backward pass reads.
+    """
+    pooled = fused.mean(axis=-1)
+    hidden = _relu(pooled @ params.squeeze_weight.data)
+    gate = stable_sigmoid(hidden @ params.restore_weight.data)[..., None]
+    return gate, fused * gate, pooled, hidden
 
 
-def spatial_attention(fused: Tensor, params: DreamParams) -> tuple[Tensor, Tensor]:
-    """Gate positions by a 1x1 conv over the channel-averaged response."""
-    pooled = channel_mean(fused)                     # (..., 1, d)
-    raw = add(conv1x1(pooled, params.spatial_kernel), params.spatial_bias)
-    gate = sigmoid(raw)                              # (..., 1, d)
-    return gate, mul(fused, gate)
+def spatial_attention(fused: np.ndarray, params: DreamParams):
+    """Gate positions by a 1x1 conv over the channel-averaged response.
+
+    Returns the gate (..., 1, d) and the gated map, then the channel mean,
+    which the backward pass reads.
+    """
+    pooled = fused.mean(axis=-2, keepdims=True)
+    gate = stable_sigmoid(pointwise_conv(params.spatial_kernel.data, pooled)
+                          + params.spatial_bias.data)
+    return gate, fused * gate, pooled
 
 
-def attention_fuse(channel_out: Tensor, spatial_out: Tensor) -> Tensor:
-    """Keep the stronger of the two attention responses at every entry."""
-    if channel_out.shape != spatial_out.shape:
-        raise DimensionError(
-            f"attention_fuse: shapes {channel_out.shape} and {spatial_out.shape} differ")
-    return maximum(channel_out, spatial_out)
+def attention_fuse(channel_out: np.ndarray, spatial_out: np.ndarray):
+    """Keep the stronger of the two attention responses at every entry.
+
+    Ties go to the channel response. Also returns where the channel response
+    was kept, which routes the gradient.
+    """
+    take_channel = channel_out >= spatial_out
+    return np.where(take_channel, channel_out, spatial_out), take_channel
 
 
 def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor:
-    """Refine (N, d) rows in place of their maps; output is input + projection."""
+    """Refine (N, d) rows in place of their maps; output is input + projection.
+
+    The block is one tape node. Its backward replays each stage's rule in
+    reverse and sums into the two maps with several consumers (`x`, `fused`)
+    in the order a tape of the separate operations would, so its gradients
+    equal that tape's bit for bit.
+    """
     n, d = rows.shape
-    x = reshape(rows, (n, 1, d))
-    fused = multi_scale(x, params, cfg)
-    _, channel_out = channel_attention(fused, params)
-    _, spatial_out = spatial_attention(fused, params)
-    refined = attention_fuse(channel_out, spatial_out)
-    projected = reshape(conv1x1(refined, params.out_kernel), (n, d))
-    return add(rows, projected)
+    x = rows.data.reshape(n, 1, d)
+    fused, taps, pooled_x = multi_scale(x, params, cfg)
+    channel_gate, channel_out, pooled_channels, hidden = channel_attention(fused, params)
+    spatial_gate, spatial_out, pooled_positions = spatial_attention(fused, params)
+    refined, take_channel = attention_fuse(channel_out, spatial_out)
+    del channel_out, spatial_out
+    projected = pointwise_conv(params.out_kernel.data, refined).reshape(n, d)
+
+    def backward(g):
+        g_refined, g_out_kernel = _pointwise_grads(
+            params.out_kernel.data, refined, g.reshape(n, 1, d))
+        g_channel = np.where(take_channel, g_refined, 0.0)
+        g_spatial = np.where(take_channel, 0.0, g_refined)
+
+        # spatial attention: the gated product, then the channel mean
+        g_fused = g_spatial * spatial_gate
+        g_gate = _unbroadcast(g_spatial * fused, spatial_gate.shape)
+        g_logit = g_gate * spatial_gate * (1.0 - spatial_gate)
+        g_spatial_bias = _unbroadcast(g_logit, params.spatial_bias.shape)
+        g_pooled, g_spatial_kernel = _pointwise_grads(
+            params.spatial_kernel.data, pooled_positions, g_logit)
+        g_fused = g_fused + np.broadcast_to(g_pooled / fused.shape[-2], fused.shape)
+
+        # channel attention: the gated product, then the pooled vector
+        g_fused = g_fused + g_channel * channel_gate
+        g_gate = _unbroadcast(g_channel * fused, channel_gate.shape)
+        g_logit = (g_gate * channel_gate * (1.0 - channel_gate)).reshape(
+            pooled_channels.shape)
+        g_restore = hidden.T @ g_logit
+        g_hidden = (g_logit @ params.restore_weight.data.T) * (hidden > 0.0)
+        g_squeeze = pooled_channels.T @ g_hidden
+        g_pooled = g_hidden @ params.squeeze_weight.data.T
+        g_fused = g_fused + np.broadcast_to(g_pooled[..., None] / d, fused.shape)
+
+        # branches, last first: pool, dilated (widest first), point. A ReLU
+        # output is > 0 exactly where its input was, so `fused` gives the masks.
+        cb = cfg.branch_channels
+        g_branches = [g_fused[..., i * cb:(i + 1) * cb, :]
+                      * (fused[..., i * cb:(i + 1) * cb, :] > 0.0)
+                      for i in range(BRANCHES)]
+        g_pooled, g_pool_kernel = _pointwise_grads(
+            params.pool_kernel.data, pooled_x,
+            g_branches[-1].sum(axis=-1, keepdims=True))
+        g_x = np.broadcast_to(g_pooled / d, x.shape)
+        g_dilated = [None] * len(cfg.dilations)
+        for j in reversed(range(len(cfg.dilations))):
+            g_in, g_dilated[j] = _dilated_grads(
+                params.dilated_kernels[j].data, taps[j], g_branches[1 + j],
+                cfg.dilations[j])
+            g_x = g_x + g_in
+        g_in, g_point_kernel = _pointwise_grads(params.point_kernel.data, x,
+                                                g_branches[0])
+        g_x = g_x + g_in
+        return (g + g_x.reshape(n, d), g_point_kernel, *g_dilated, g_pool_kernel,
+                g_squeeze, g_restore, g_spatial_kernel, g_spatial_bias, g_out_kernel)
+
+    inputs = (rows, params.point_kernel, *params.dilated_kernels, params.pool_kernel,
+              params.squeeze_weight, params.restore_weight, params.spatial_kernel,
+              params.spatial_bias, params.out_kernel)
+    return _make_out(rows.data + projected, inputs, backward)

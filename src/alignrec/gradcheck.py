@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tape, Tensor, backward
+from .tensor import ParameterError, Tape, Tensor, backward
 
 # Test-only fault hook: parameter names listed here get their analytic
 # gradient negated before comparison, simulating a broken backward rule.
@@ -30,20 +31,29 @@ class GradCheckReport:
                    for e in self.max_rel_error.values())
 
 
+def check_settings(h: float, tol: float, seed: int) -> None:
+    """Reject a step, tolerance or seed that no check can run with."""
+    if not (math.isfinite(h) and h > 0):
+        raise ParameterError(f"h must be finite and > 0, got {h}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
 def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
-               max_coords_per_param: int = 16, seed: int = 0,
-               exclude: dict[str, np.ndarray] | None = None) -> GradCheckReport:
+               max_coords_per_param: int = 16, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of a scalar function against central differences.
 
     `f()` must be deterministic and evaluate the loss from the current values
     of `params`. A seeded subset of up to `max_coords_per_param` coordinates
-    per parameter is perturbed. Coordinates flagged in `exclude` (boolean
-    masks, e.g. exact ties of an elementwise max) are skipped.
+    per parameter is perturbed.
 
-    Raises ValueError if any evaluation is non-finite.
+    Raises ParameterError for settings `check_settings` rejects and
+    ValueError if any evaluation is non-finite.
     """
+    check_settings(h, tol, seed)
     rng = np.random.default_rng(seed)
-    exclude = exclude or {}
 
     for p in params.values():
         p.zero_grad()
@@ -68,10 +78,6 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
         else:
             coords = rng.choice(size, size=max_coords_per_param, replace=False)
             coords.sort()
-        mask = exclude.get(name)
-        if mask is not None:
-            skip = mask.reshape(-1)
-            coords = np.array([c for c in coords if not skip[c]], dtype=np.int64)
         worst = 0.0
         for c in coords:
             orig = flat[c]

@@ -8,10 +8,10 @@ execution order and accumulates gradients into the `.grad` buffers of every
 reachable tensor that requires one.
 
 Conventions:
-  - Feature maps are (channels, length); a leading batch axis is accepted by
-    the conv/pool ops and treated as independent rows.
   - Elementwise binary ops allow the second operand to broadcast over a
     single axis, e.g. (C, 1) against (C, L) or (1, L) against (C, L).
+  - A composite block may record itself as one node through `_make_out`,
+    with a backward closure that returns one gradient per input.
   - Tapes are eager, single-use and thread-confined. Tensors themselves are
     value-semantic and safe to share once no tape references them.
 """
@@ -154,9 +154,10 @@ def _check_broadcastable(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
 
 
-def _flat_batch(a: np.ndarray, core_ndim: int) -> np.ndarray:
-    """Collapse any leading batch axes so einsum can sum over them."""
-    return a.reshape(-1, *a.shape[a.ndim - core_ndim:])
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), branching on sign so that exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -201,39 +202,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make_out(a.data * c, (a,), bw)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def bw(g):
-        return (g * mask,)
-
-    return _make_out(np.where(mask, a.data, 0.0), (a,), bw)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # branch on sign to avoid overflow in exp
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _make_out(out, (a,), bw)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; at exact ties the gradient routes to `a` only."""
-    _check_broadcastable(a.data, b.data, "maximum")
-    take_a = a.data >= b.data
-
-    def bw(g):
-        return (_unbroadcast(np.where(take_a, g, 0.0), a.data.shape),
-                _unbroadcast(np.where(take_a, 0.0, g), b.data.shape))
-
-    return _make_out(np.where(take_a, a.data, b.data), (a, b), bw)
-
-
 def square(a: Tensor) -> Tensor:
     ad = a.data
 
@@ -247,8 +215,7 @@ def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), the numerically stable form of -log(sigmoid(-x))."""
     x = a.data
     out = np.logaddexp(0.0, x)
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    sig = stable_sigmoid(x)
 
     def bw(g):
         return (g * sig,)
@@ -278,15 +245,6 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _make_out(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = a.data.shape
-
-    def bw(g):
-        return (g.reshape(old),)
-
-    return _make_out(a.data.reshape(shape), (a,), bw)
 
 
 def transpose2d(a: Tensor) -> Tensor:
@@ -344,20 +302,6 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, weight: Tensor) -> Tensor:
-    """x @ weight over the trailing axis of x."""
-    xd, wd = x.data, weight.data
-    if wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
-        raise DimensionError(
-            f"linear: input shape {xd.shape} does not match weight shape {wd.shape}")
-
-    def bw(g):
-        gw = _flat_batch(xd, 1).T @ _flat_batch(g, 1)
-        return g @ wd.T, gw
-
-    return _make_out(xd @ wd, (x, weight), bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
@@ -367,117 +311,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return _make_out(ad @ bd, (a, b), bw)
-
-
-# ---------------------------------------------------------------------------
-# convolutions and pooling on (…, C, L) maps
-# ---------------------------------------------------------------------------
-
-def conv1x1(x: Tensor, kernel: Tensor) -> Tensor:
-    """Pointwise channel mixing: out[..., o, l] = sum_c kernel[o, c] * x[..., c, l]."""
-    xd, kd = x.data, kernel.data
-    if kd.ndim != 2 or xd.ndim < 2 or xd.shape[-2] != kd.shape[1]:
-        raise DimensionError(
-            f"conv1x1: input shape {xd.shape} does not match kernel shape {kd.shape}")
-
-    def bw(g):
-        gx = np.einsum("oc,...ol->...cl", kd, g)
-        gk = np.einsum("nol,ncl->oc", _flat_batch(g, 2), _flat_batch(xd, 2))
-        return gx, gk
-
-    return _make_out(np.einsum("oc,...cl->...ol", kd, xd), (x, kernel), bw)
-
-
-def conv1d_dilated(x: Tensor, kernel: Tensor, dilation: int) -> Tensor:
-    """Length-3 dilated convolution with symmetric zero padding of `dilation`.
-
-    Output length equals input length: out[..., o, l] =
-    sum_{c,k in 0..2} kernel[o, c, k] * xpad[..., c, l + k*dilation].
-    """
-    if dilation < 1:
-        raise ParameterError(f"dilation must be >= 1, got {dilation}")
-    xd, kd = x.data, kernel.data
-    if kd.ndim != 3 or kd.shape[2] != 3 or xd.ndim < 2 or xd.shape[-2] != kd.shape[1]:
-        raise DimensionError(
-            f"conv1d_dilated: input shape {xd.shape} does not match kernel shape {kd.shape}")
-    length = xd.shape[-1]
-    if length < 1:
-        raise DimensionError("conv1d_dilated: empty spatial extent")
-
-    pad = [(0, 0)] * (xd.ndim - 1) + [(dilation, dilation)]
-    xp = np.pad(xd, pad)
-    # taps[..., c, k, l] = xpad[..., c, l + k*dilation]
-    taps = np.stack([xp[..., k * dilation:k * dilation + length] for k in range(3)],
-                    axis=-2)
-
-    def bw(g):
-        gk = np.einsum("nol,nckl->ock", _flat_batch(g, 2), _flat_batch(taps, 3))
-        gxp = np.zeros_like(xp)
-        spread = np.einsum("ock,...ol->...ckl", kd, g)
-        for k in range(3):
-            gxp[..., k * dilation:k * dilation + length] += spread[..., k, :]
-        return gxp[..., dilation:dilation + length], gk
-
-    return _make_out(np.einsum("ock,...ckl->...ol", kd, taps), (x, kernel), bw)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the length axis: (…, C, L) -> (…, C, 1)."""
-    xd = x.data
-    if xd.ndim < 2 or xd.shape[-1] < 1:
-        raise DimensionError(f"global_avg_pool: bad input shape {xd.shape}")
-    length = xd.shape[-1]
-
-    def bw(g):
-        return (np.broadcast_to(g / length, xd.shape).copy(),)
-
-    return _make_out(xd.mean(axis=-1, keepdims=True), (x,), bw)
-
-
-def channel_mean(x: Tensor) -> Tensor:
-    """Mean over the channel axis: (…, C, L) -> (…, 1, L)."""
-    xd = x.data
-    if xd.ndim < 2:
-        raise DimensionError(f"channel_mean: bad input shape {xd.shape}")
-    channels = xd.shape[-2]
-
-    def bw(g):
-        return (np.broadcast_to(g / channels, xd.shape).copy(),)
-
-    return _make_out(xd.mean(axis=-2, keepdims=True), (x,), bw)
-
-
-def broadcast_len(x: Tensor, length: int) -> Tensor:
-    """Repeat a single-position map to `length` positions; backward sums back."""
-    if length < 1:
-        raise ParameterError(f"broadcast_len: length must be >= 1, got {length}")
-    xd = x.data
-    if xd.ndim < 2 or xd.shape[-1] != 1:
-        raise DimensionError(f"broadcast_len: source spatial extent must be 1, got {xd.shape}")
-
-    def bw(g):
-        return (g.sum(axis=-1, keepdims=True),)
-
-    return _make_out(np.repeat(xd, length, axis=-1), (x,), bw)
-
-
-def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Stack maps along the channel axis in argument order."""
-    if not parts:
-        raise DimensionError("concat_channels: empty part list")
-    lengths = {p.data.shape[-1] for p in parts}
-    leading = {p.data.shape[:-2] for p in parts}
-    if len(lengths) != 1 or len(leading) != 1:
-        raise DimensionError(
-            f"concat_channels: mismatched shapes {[p.data.shape for p in parts]}")
-    sizes = [p.data.shape[-2] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        return tuple(g[..., offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
-
-    return _make_out(np.concatenate([p.data for p in parts], axis=-2),
-                     tuple(parts), bw)
 
 
 # ---------------------------------------------------------------------------

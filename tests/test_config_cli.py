@@ -245,6 +245,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     ([], "dilations = [6, 12]\n"),
     ([], "variant = bogus\n"),
     (["--branch-channels", "0"], None),
+    (["--seed", "-1"], None),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
@@ -253,7 +254,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
         "branch-channels-zero-in-file", "branch-channels-indivisible-in-file",
         "dilation-zero-in-file", "dilations-repeated-in-file",
         "dilations-two-in-file",
-        "variant-unknown-in-file", "branch-channels-zero"])
+        "variant-unknown-in-file", "branch-channels-zero", "seed-negative"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
@@ -262,7 +263,30 @@ def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text
     rc = main(["train", *data_flags(demo), "--max-epochs", "1", *flags])
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "Traceback" not in err
     assert "dataset:" not in err  # rejected before any data is loaded
+    assert rc == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["synth", "--seed", "-1"],
+    ["synth", "--noise", "nan"],
+    ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--h", "0"],
+    ["gradcheck", "--tol", "nan"],
+    ["gradcheck", "--tol", "-1"],
+], ids=["synth-seed-negative", "synth-noise-nan", "gradcheck-seed-negative",
+        "gradcheck-h-zero", "gradcheck-tol-nan", "gradcheck-tol-negative"])
+def test_invalid_synth_or_gradcheck_value_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "data"
+    if command[0] == "synth":
+        command = [*command, "--out", str(out)]
+    rc = main(command)
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no report and no synth summary
+    assert not out.exists()
     assert rc == 2
 
 

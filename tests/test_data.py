@@ -210,6 +210,10 @@ def test_synth_validation():
     with pytest.raises(ParameterError):
         SynthSpec(noise=-0.5)
     with pytest.raises(ParameterError):
+        SynthSpec(noise=float("nan"))
+    with pytest.raises(ParameterError):
+        SynthSpec(seed=-1)
+    with pytest.raises(ParameterError):
         SynthSpec(users=0)
 
 

@@ -1,5 +1,7 @@
 """Refinement module: branch structure, attention gates, fusion, residual."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from alignrec.dream import (
     spatial_attention,
 )
 from alignrec.gradcheck import grad_check
-from alignrec.tensor import DimensionError, ParameterError, Tensor, mul, sum_all
+from alignrec.tensor import ParameterError, Tape, Tensor, backward, mul, sum_all
 
 
 D = 12  # width of the maps `make` refines
@@ -40,25 +42,27 @@ def test_config_invariants():
         DreamConfig(branch_channels=0, attention_reduction=4, dilations=(6, 12, 18))
     with pytest.raises(ParameterError):
         DreamConfig(branch_channels=8, attention_reduction=0, dilations=(6, 12, 18))
+    with pytest.raises(ParameterError):
+        DreamConfig(branch_channels=8, attention_reduction=4, dilations=(0, 6, 12))
 
 
 def test_multi_scale_zero_input_gives_zero_map():
     cfg, params = make()
-    out = multi_scale(Tensor(np.zeros((1, D))), params, cfg)
+    out, _, _ = multi_scale(np.zeros((1, D)), params, cfg)
     assert out.shape == (cfg.fused_channels, D)
-    assert np.array_equal(out.data, np.zeros_like(out.data))
+    assert np.array_equal(out, np.zeros_like(out))
 
 
 def test_multi_scale_channel_count():
     cfg, params = make(cb=8)
-    out = multi_scale(Tensor(np.ones((1, D))), params, cfg)
+    out, _, _ = multi_scale(np.ones((1, D)), params, cfg)
     assert out.shape[0] == 5 * 8
 
 
 def test_multi_scale_pool_branch_constant_for_constant_input():
     cfg, params = make()
-    out = multi_scale(Tensor(np.full((1, D), 0.7)), params, cfg)
-    pooled_rows = out.data[4 * cfg.branch_channels:]
+    out, _, _ = multi_scale(np.full((1, D), 0.7), params, cfg)
+    pooled_rows = out[4 * cfg.branch_channels:]
     assert np.allclose(pooled_rows, pooled_rows[:, :1])
 
 
@@ -66,7 +70,7 @@ def test_multi_scale_matches_per_branch_oracles():
     cfg, params = make(seed=3)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, D))
-    out = multi_scale(Tensor(x), params, cfg).data
+    out, _, _ = multi_scale(x, params, cfg)
     cb = cfg.branch_channels
 
     point = np.maximum(params.point_kernel.data @ x, 0.0)
@@ -93,68 +97,68 @@ def test_channel_attention_zero_weights_halve_map():
     cfg, params = make()
     params.squeeze_weight.data[:] = 0.0
     params.restore_weight.data[:] = 0.0
-    fused = Tensor(np.random.default_rng(1).standard_normal(
-        (cfg.fused_channels, D)))
-    gate, recalibrated = channel_attention(fused, params)
-    assert np.allclose(gate.data, 0.5)
-    assert np.allclose(recalibrated.data, 0.5 * fused.data)
+    fused = np.random.default_rng(1).standard_normal((cfg.fused_channels, D))
+    gate, recalibrated, _, _ = channel_attention(fused, params)
+    assert np.allclose(gate, 0.5)
+    assert np.allclose(recalibrated, 0.5 * fused)
 
 
 def test_channel_attention_matches_formula_oracle():
     cfg, params = make(seed=5)
     rng = np.random.default_rng(2)
     fused = rng.standard_normal((cfg.fused_channels, D))
-    gate, recalibrated = channel_attention(Tensor(fused), params)
+    gate, recalibrated, _, _ = channel_attention(fused, params)
 
     pooled = fused.mean(axis=1)
     hidden = np.maximum(pooled @ params.squeeze_weight.data, 0.0)
     expected_gate = sigmoid(hidden @ params.restore_weight.data)
-    assert np.max(np.abs(gate.data.reshape(-1) - expected_gate)) <= 1e-12
-    assert np.max(np.abs(recalibrated.data - fused * expected_gate[:, None])) <= 1e-12
-    assert np.all(gate.data > 0.0) and np.all(gate.data < 1.0)
+    assert np.max(np.abs(gate.reshape(-1) - expected_gate)) <= 1e-12
+    assert np.max(np.abs(recalibrated - fused * expected_gate[:, None])) <= 1e-12
+    assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
 
 def test_spatial_attention_zero_weights_halve_map():
     cfg, params = make()
     params.spatial_kernel.data[:] = 0.0
     params.spatial_bias.data[:] = 0.0
-    fused = Tensor(np.random.default_rng(3).standard_normal(
-        (cfg.fused_channels, D)))
-    gate, highlighted = spatial_attention(fused, params)
-    assert np.allclose(gate.data, 0.5)
-    assert np.allclose(highlighted.data, 0.5 * fused.data)
+    fused = np.random.default_rng(3).standard_normal((cfg.fused_channels, D))
+    gate, highlighted, _ = spatial_attention(fused, params)
+    assert np.allclose(gate, 0.5)
+    assert np.allclose(highlighted, 0.5 * fused)
 
 
 def test_spatial_attention_matches_formula_oracle():
     cfg, params = make(seed=6)
     rng = np.random.default_rng(4)
     fused = rng.standard_normal((cfg.fused_channels, D))
-    gate, highlighted = spatial_attention(Tensor(fused), params)
+    gate, highlighted, _ = spatial_attention(fused, params)
 
     pooled = fused.mean(axis=0, keepdims=True)
     expected_gate = sigmoid(params.spatial_kernel.data[0, 0] * pooled
                             + params.spatial_bias.data[0, 0])
-    assert np.max(np.abs(gate.data - expected_gate)) <= 1e-12
-    assert np.max(np.abs(highlighted.data - fused * expected_gate)) <= 1e-12
+    assert np.max(np.abs(gate - expected_gate)) <= 1e-12
+    assert np.max(np.abs(highlighted - fused * expected_gate)) <= 1e-12
 
 
 def test_spatial_pool_of_constant_map_is_constant():
     cfg, params = make()
-    fused = Tensor(np.full((cfg.fused_channels, D), 1.3))
-    gate, _ = spatial_attention(fused, params)
-    assert np.allclose(gate.data, gate.data[0, 0])
+    fused = np.full((cfg.fused_channels, D), 1.3)
+    gate, _, _ = spatial_attention(fused, params)
+    assert np.allclose(gate, gate[0, 0])
 
 
 def test_attention_fuse_rules():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 6))
-    assert np.array_equal(attention_fuse(Tensor(a), Tensor(a.copy())).data, a)
-    assert np.array_equal(attention_fuse(Tensor(a), Tensor(a + 1.0)).data, a + 1.0)
+    fused, take_channel = attention_fuse(a, a.copy())
+    assert np.array_equal(fused, a)
+    assert take_channel.all()  # ties go to the channel response
+    fused, take_channel = attention_fuse(a, a + 1.0)
+    assert np.array_equal(fused, a + 1.0)
+    assert not take_channel.any()
     b = rng.standard_normal((4, 6))
     expected = np.where(a >= b, a, b)
-    assert np.max(np.abs(attention_fuse(Tensor(a), Tensor(b)).data - expected)) <= 1e-12
-    with pytest.raises(DimensionError):
-        attention_fuse(Tensor(a), Tensor(np.ones((4, 5))))
+    assert np.max(np.abs(attention_fuse(a, b)[0] - expected)) <= 1e-12
 
 
 def test_dream_forward_zero_projection_is_identity():
@@ -193,3 +197,113 @@ def test_dream_forward_gradient_check():
 
     report = grad_check(f, {"rows": rows, **params.named("p")}, tol=1e-5)
     assert report.passed, report.max_rel_error
+
+
+def dream_oracle(rows, params, cfg):
+    """The block written out with scalar loops, one row at a time."""
+    cb = cfg.branch_channels
+    channels = cfg.fused_channels
+    squeeze = params.squeeze_weight.data
+    restore = params.restore_weight.data
+    hidden_width = squeeze.shape[1]
+    out = np.zeros_like(rows)
+    for r, v in enumerate(rows):
+        d = len(v)
+        fused = []
+        for o in range(cb):
+            fused.append([max(params.point_kernel.data[o, 0] * v[l], 0.0)
+                          for l in range(d)])
+        for kernel, dilation in zip(params.dilated_kernels, cfg.dilations):
+            for o in range(cb):
+                row = []
+                for l in range(d):
+                    total = 0.0
+                    for k in (-1, 0, 1):
+                        if 0 <= l + k * dilation < d:
+                            total += kernel.data[o, 0, k + 1] * v[l + k * dilation]
+                    row.append(max(total, 0.0))
+                fused.append(row)
+        mean = sum(v) / d
+        for o in range(cb):
+            fused.append([max(params.pool_kernel.data[o, 0] * mean, 0.0)] * d)
+
+        pooled = [sum(fused[c]) / d for c in range(channels)]
+        hidden = [max(sum(pooled[c] * squeeze[c, h] for c in range(channels)), 0.0)
+                  for h in range(hidden_width)]
+        channel_gate = [sigmoid(sum(hidden[h] * restore[h, c]
+                                    for h in range(hidden_width)))
+                        for c in range(channels)]
+        spatial_gate = [sigmoid(params.spatial_kernel.data[0, 0]
+                                * sum(fused[c][l] for c in range(channels)) / channels
+                                + params.spatial_bias.data[0, 0])
+                        for l in range(d)]
+        for l in range(d):
+            projection = 0.0
+            for c in range(channels):
+                refined = max(fused[c][l] * channel_gate[c],
+                              fused[c][l] * spatial_gate[l])
+                projection += params.out_kernel.data[0, c] * refined
+            out[r, l] = v[l] + projection
+    return out
+
+
+@pytest.mark.parametrize("n,d,cb,reduction,dilations", [
+    (1, 12, 1, 5, (1, 2, 3)),       # one row, one channel per branch
+    (3, 4, 8, 4, (1, 6, 12)),       # d smaller than the widest dilations
+    (2, 9, 8, 8, (2, 3, 5)),
+], ids=["one-row-one-channel", "d-below-dilations", "eight-channels"])
+def test_dream_forward_matches_loop_oracle(n, d, cb, reduction, dilations):
+    cfg = DreamConfig(branch_channels=cb, attention_reduction=reduction,
+                      dilations=dilations)
+    params = DreamParams.create(cfg, np.random.default_rng(14))
+    params.spatial_bias.data[:] = 0.3
+    rows = np.random.default_rng(15).standard_normal((n, d))
+    out = dream_forward(Tensor(rows), params, cfg)
+    assert np.max(np.abs(out.data - dream_oracle(rows, params, cfg))) <= 1e-12
+
+
+def test_dream_forward_ties_route_gradient_to_channel_attention():
+    cfg, params = make(seed=16)
+    params.restore_weight.data[:] = 0.0   # channel gate exactly 0.5
+    params.spatial_kernel.data[:] = 0.0   # spatial gate exactly 0.5
+    params.spatial_bias.data[:] = 0.0
+    rows = Tensor(np.random.default_rng(17).standard_normal((3, D)))
+    probe = Tensor(np.random.default_rng(18).standard_normal((3, D)))
+    with Tape() as tape:
+        loss = sum_all(mul(dream_forward(rows, params, cfg), probe))
+    backward(loss, tape)
+    # every entry ties, so the spatial branch receives no gradient at all
+    assert np.array_equal(params.spatial_kernel.grad, np.zeros((1, 1)))
+    assert np.array_equal(params.spatial_bias.grad, np.zeros((1, 1)))
+    assert np.any(params.restore_weight.grad != 0.0)
+
+
+def test_dream_forward_records_one_tape_node():
+    cfg, params = make(seed=19)
+    rows = Tensor(np.random.default_rng(20).standard_normal((4, D)),
+                  requires_grad=True)
+    with Tape() as tape:
+        dream_forward(rows, params, cfg)
+    assert len(tape) == 1
+
+
+# Recorded from the tape of separate operations that the one-node block
+# replaced (x86-64, numpy 2.4, OpenBLAS). The golden metric streams do not
+# notice the last-bit change a reordered gradient sum makes; this digest does.
+PER_OP_TAPE_DIGEST = "8ec53386e34073b70b9cbe65401b0f4e18ebac91639d502742242148c606058b"
+
+
+def test_dream_forward_bits_match_per_op_tape():
+    cfg = DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 12, 18))
+    params = DreamParams.create(cfg, np.random.default_rng(21))
+    rng = np.random.default_rng(22)
+    rows = Tensor(rng.standard_normal((50, 64)), requires_grad=True)
+    probe = Tensor(rng.standard_normal((50, 64)))
+    with Tape() as tape:
+        out = dream_forward(rows, params, cfg)
+        loss = sum_all(mul(out, probe))
+    backward(loss, tape)
+    digest = hashlib.sha256(out.data.tobytes() + rows.grad.tobytes())
+    for p in params.named("p").values():
+        digest.update(p.grad.tobytes())
+    assert digest.hexdigest() == PER_OP_TAPE_DIGEST
