@@ -1,4 +1,9 @@
-"""Global distribution alignment: Gaussian-kernel MMD and InfoNCE."""
+"""Global distribution alignment: Gaussian-kernel MMD and InfoNCE.
+
+Each loss is one tape node over plain numpy helpers. Its backward sums the
+gradient pieces in the order a tape of the separate operations would, so the
+gradients equal that tape's bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -6,23 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    DimensionError,
-    ParameterError,
-    Tensor,
-    add,
-    gaussian_from_sqdist,
-    l2_normalize_rows,
-    logsumexp_rows,
-    matmul,
-    mul,
-    pairwise_sqdist,
-    scale,
-    sub,
-    sum_all,
-    sum_axis,
-    transpose2d,
-)
+from .tensor import DimensionError, ParameterError, Tensor, _make_out
+
+NORM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,6 +43,38 @@ def gaussian_kernel(v: np.ndarray, t: np.ndarray, sigma: float) -> float:
     return float(np.exp(-(diff @ diff) / (2.0 * sigma * sigma)))
 
 
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All-pairs squared Euclidean distances |a_i - b_j|^2, clamped at 0
+    against cancellation."""
+    sq_a = (a * a).sum(axis=1)[:, None]
+    sq_b = (b * b).sum(axis=1)[None, :]
+    return np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
+
+
+def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by max(|row|, NORM_EPS), and that divisor; a zero row
+    stays zero."""
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    denom = np.maximum(norms, NORM_EPS)
+    return x / denom, denom
+
+
+def _normalize_rows_grad(out: np.ndarray, denom: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    # rows above the guard: (g - y * <y, g>) / |x|; guarded rows: g / eps
+    dot = (out * g).sum(axis=-1, keepdims=True)
+    return np.where(denom > NORM_EPS, (g - out * dot) / denom, g / denom)
+
+
+def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log(sum(exp(x))) with max-shift stabilization, (N, D) -> (N,),
+    and the row softmax that is its gradient."""
+    m = x.max(axis=1, keepdims=True)
+    shifted = np.exp(x - m)
+    total = shifted.sum(axis=1, keepdims=True)
+    return (np.log(total) + m).reshape(-1), shifted / total
+
+
 def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
     """Biased kernel-form MMD^2 between two equally sized sample sets.
 
@@ -68,23 +91,38 @@ def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
         raise DimensionError(
             f"mmd_squared: sample shapes {first.shape} and {second.shape} differ")
 
-    d_ff = pairwise_sqdist(first, first)
-    d_ss = pairwise_sqdist(second, second)
-    d_fs = pairwise_sqdist(first, second)
+    a, b = first.data, second.data
+    pairs = ((a, a), (b, b), (a, b))
+    dists = [sqdist(x, y) for x, y in pairs]
+    kernels = []  # per bandwidth: its exponent coefficient and (ff, ss, fs) kernels
     total = None
     for sigma in cfg.bandwidths:
-        within = add(sum_all(gaussian_from_sqdist(d_ff, sigma)),
-                     sum_all(gaussian_from_sqdist(d_ss, sigma)))
-        cross = scale(sum_all(gaussian_from_sqdist(d_fs, sigma)), 2.0)
-        term = scale(sub(within, cross), 1.0 / (n * n))
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / len(cfg.bandwidths))
+        coef = -1.0 / (2.0 * sigma * sigma)
+        k_ff, k_ss, k_fs = (np.exp(coef * d) for d in dists)
+        within = k_ff.sum() + k_ss.sum()
+        cross = k_fs.sum() * 2.0
+        term = (within - cross) * (1.0 / (n * n))
+        total = term if total is None else total + term
+        kernels.append((coef, (k_ff, k_ss, k_fs)))
 
+    def backward(g):
+        g_term = g * (1.0 / len(cfg.bandwidths)) * (1.0 / (n * n))
+        weights = (g_term, g_term, -g_term * 2.0)
+        # each distance sums its kernels' pieces, last bandwidth first
+        g_dists = [None] * len(pairs)
+        for coef, ks in reversed(kernels):
+            for j, (w, k) in enumerate(zip(weights, ks)):
+                piece = k * w * coef
+                g_dists[j] = piece if g_dists[j] is None else g_dists[j] + piece
+        # last-made distance first: fs, ss, ff
+        grads = []
+        for (x, y), g_d in reversed(list(zip(pairs, g_dists))):
+            grads += [2.0 * (g_d.sum(axis=1, keepdims=True) * x - g_d @ y),
+                      2.0 * (g_d.sum(axis=0)[:, None] * y - g_d.T @ x)]
+        return grads
 
-def _nce_direction(sim_scaled: Tensor, eye: Tensor, n: int) -> Tensor:
-    lse = logsumexp_rows(sim_scaled)
-    matched = sum_axis(mul(sim_scaled, eye), axis=1)
-    return scale(sum_all(sub(lse, matched)), 1.0 / n)
+    return _make_out(total * (1.0 / len(cfg.bandwidths)),
+                     (first, second, second, second, first, first), backward)
 
 
 def infonce(first: Tensor, second: Tensor, temperature: float,
@@ -101,11 +139,41 @@ def infonce(first: Tensor, second: Tensor, temperature: float,
         raise DimensionError(
             f"infonce: sample shapes {first.shape} and {second.shape} differ")
     n = first.shape[0]
-    first_n = l2_normalize_rows(first)
-    second_n = l2_normalize_rows(second)
-    sim = scale(matmul(first_n, transpose2d(second_n)), 1.0 / temperature)
-    eye = Tensor(np.eye(n))
-    loss = _nce_direction(sim, eye, n)
+    first_n, first_denom = normalize_rows(first.data)
+    second_n, second_denom = normalize_rows(second.data)
+    # Contiguous transposes: with a strided operand, BLAS products and numpy
+    # row sums can round differently, which would change the loss's bits.
+    second_nt = second_n.T.copy()
+    sim = (first_n @ second_nt) * (1.0 / temperature)
+    eye = np.eye(n)
+
+    def direction(logits):
+        lse, softmax = logsumexp_rows(logits)
+        matched = (logits * eye).sum(axis=1)
+        return (lse - matched).sum() * (1.0 / n), softmax
+
+    loss, softmax = direction(sim)
     if symmetric:
-        loss = scale(add(loss, _nce_direction(transpose2d(sim), eye, n)), 0.5)
-    return loss
+        loss_t, softmax_t = direction(sim.T.copy())
+        loss = (loss + loss_t) * 0.5
+
+    def direction_grad(g_sim, softmax, g_loss):
+        # the matched (diagonal) term, then the log-sum-exp
+        c = g_loss * (1.0 / n)
+        g_sim.flat[::n + 1] -= c
+        g_sim += softmax * c
+        return g_sim
+
+    def backward(g):
+        if symmetric:
+            g = g * 0.5
+            g_sim = direction_grad(np.zeros((n, n)), softmax_t, g).T.copy()
+        else:
+            g_sim = np.zeros((n, n))
+        g_sim = direction_grad(g_sim, softmax, g) * (1.0 / temperature)
+        g_first_n = g_sim @ second_nt.T
+        g_second_n = (first_n.T @ g_sim).T.copy()
+        return (_normalize_rows_grad(first_n, first_denom, g_first_n),
+                _normalize_rows_grad(second_n, second_denom, g_second_n))
+
+    return _make_out(loss, (first, second), backward)

@@ -119,7 +119,7 @@ def save_fmat(path, values: np.ndarray) -> None:
 
 
 def load_fmat(path) -> np.ndarray:
-    """Read a feature matrix, upcast to float64."""
+    """Read a feature matrix, upcast to float64; every value must be finite."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != FMAT_MAGIC:
@@ -135,7 +135,11 @@ def load_fmat(path) -> np.ndarray:
             f"{path}: payload length mismatch, expected {expected} bytes, "
             f"have {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16)
-    return values.reshape(rows, cols).astype(np.float64)
+    values = values.reshape(rows, cols).astype(np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise DataFormatError(f"{path}: row {bad_rows[0]} holds a non-finite value")
+    return values
 
 
 @dataclass
@@ -215,8 +219,8 @@ class SynthSpec:
                      "visual_dim", "text_dim"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive")
-        if not self.noise >= 0:
-            raise ParameterError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ParameterError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.interactions_per_user >= self.items:

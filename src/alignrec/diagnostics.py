@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .align import AlignConfig, infonce, mmd_squared
+from .align import AlignConfig, infonce, mmd_squared, normalize_rows
 from .data import save_fmat
 from .dream import DreamParams, dream_forward
 from .errors import ConfigError
@@ -115,8 +115,8 @@ def align_stats(model: Recommender, export_path=None) -> dict:
         per_bandwidth[str(sigma)] = mmd_squared(h_v, h_t, cfg).item()
     combined = mmd_squared(h_v, h_t, model.align_cfg)
 
-    a = h_v.data / np.maximum(np.linalg.norm(h_v.data, axis=1, keepdims=True), 1e-12)
-    b = h_t.data / np.maximum(np.linalg.norm(h_t.data, axis=1, keepdims=True), 1e-12)
+    a, _ = normalize_rows(h_v.data)
+    b, _ = normalize_rows(h_t.data)
     mean_cosine = float((a * b).sum(axis=1).mean())
 
     out = {"items": int(item_repr.shape[0]), "mmd": per_bandwidth,

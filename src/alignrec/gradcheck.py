@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericalError
 from .tensor import ParameterError, Tape, Tensor, backward
 
 # Test-only fault hook: parameter names listed here get their analytic
@@ -50,7 +51,7 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
     per parameter is perturbed.
 
     Raises ParameterError for settings `check_settings` rejects and
-    ValueError if any evaluation is non-finite.
+    NumericalError if any evaluation is non-finite.
     """
     check_settings(h, tol, seed)
     rng = np.random.default_rng(seed)
@@ -60,7 +61,7 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
     with Tape() as tape:
         loss = f()
     if not np.isfinite(loss.data):
-        raise ValueError("grad_check: non-finite loss evaluation")
+        raise NumericalError("grad_check: non-finite loss evaluation")
     backward(loss, tape)
     analytic = {}
     for name, p in params.items():
@@ -87,7 +88,7 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
             down = f().item()
             flat[c] = orig
             if not (np.isfinite(up) and np.isfinite(down)):
-                raise ValueError(f"grad_check: non-finite evaluation at {name}[{c}]")
+                raise NumericalError(f"grad_check: non-finite evaluation at {name}[{c}]")
             numeric = (up - down) / (2.0 * h)
             a = analytic[name].reshape(-1)[c]
             denom = max(abs(a), abs(numeric), 1e-6)

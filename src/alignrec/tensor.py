@@ -247,16 +247,6 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     return _make_out(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
-def transpose2d(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose2d expects a matrix, got shape {a.data.shape}")
-
-    def bw(g):
-        return (g.T.copy(),)
-
-    return _make_out(a.data.T.copy(), (a,), bw)
-
-
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise DimensionError(
@@ -311,77 +301,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bd.T, ad.T @ g
 
     return _make_out(ad @ bd, (a, b), bw)
-
-
-# ---------------------------------------------------------------------------
-# normalization and similarity kernels
-# ---------------------------------------------------------------------------
-
-_NORM_EPS = 1e-12
-
-
-def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Divide each row by max(|row|, 1e-12); near-zero rows pass through scaled."""
-    xd = x.data
-    norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
-    denom = np.maximum(norms, _NORM_EPS)
-    out = xd / denom
-
-    def bw(g):
-        # rows above the guard: (g - y * <y, g>) / |x|; guarded rows: g / eps
-        dot = (out * g).sum(axis=-1, keepdims=True)
-        gx = np.where(norms > _NORM_EPS, (g - out * dot) / denom, g / denom)
-        return (gx,)
-
-    return _make_out(out, (x,), bw)
-
-
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs squared Euclidean distances: out[i, j] = |a_i - b_j|^2."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[1]:
-        raise DimensionError(
-            f"pairwise_sqdist: shapes {ad.shape} and {bd.shape} do not agree")
-    sq_a = (ad * ad).sum(axis=1)[:, None]
-    sq_b = (bd * bd).sum(axis=1)[None, :]
-    out = np.maximum(sq_a + sq_b - 2.0 * (ad @ bd.T), 0.0)
-
-    def bw(g):
-        ga = 2.0 * (g.sum(axis=1, keepdims=True) * ad - g @ bd)
-        gb = 2.0 * (g.sum(axis=0)[:, None] * bd - g.T @ ad)
-        return ga, gb
-
-    return _make_out(out, (a, b), bw)
-
-
-def gaussian_from_sqdist(d: Tensor, sigma: float) -> Tensor:
-    """exp(-d / (2 sigma^2)) applied elementwise to squared distances."""
-    if sigma <= 0:
-        raise ParameterError(f"kernel bandwidth must be positive, got {sigma}")
-    coef = -1.0 / (2.0 * sigma * sigma)
-    out = np.exp(coef * d.data)
-
-    def bw(g):
-        return (g * out * coef,)
-
-    return _make_out(out, (d,), bw)
-
-
-def logsumexp_rows(x: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(x))) with max-shift stabilization; (N, D) -> (N,)."""
-    xd = x.data
-    if xd.ndim != 2:
-        raise DimensionError(f"logsumexp_rows expects a matrix, got shape {xd.shape}")
-    m = xd.max(axis=1, keepdims=True)
-    shifted = np.exp(xd - m)
-    total = shifted.sum(axis=1, keepdims=True)
-    out = (np.log(total) + m).reshape(-1)
-    softmax = shifted / total
-
-    def bw(g):
-        return (softmax * g[:, None],)
-
-    return _make_out(out, (x,), bw)
 
 
 def spmm_const(adjacency, x: Tensor) -> Tensor:

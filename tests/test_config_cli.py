@@ -7,7 +7,7 @@ import pytest
 
 from alignrec.cli import main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
-from alignrec.data import load_fmat
+from alignrec.data import load_fmat, save_fmat
 from alignrec.errors import ConfigError
 
 METRIC_KEYS = {"epoch", "split", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
@@ -271,11 +271,13 @@ def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text
 @pytest.mark.parametrize("command", [
     ["synth", "--seed", "-1"],
     ["synth", "--noise", "nan"],
+    ["synth", "--noise", "inf"],
     ["gradcheck", "--seed", "-1"],
     ["gradcheck", "--h", "0"],
     ["gradcheck", "--tol", "nan"],
     ["gradcheck", "--tol", "-1"],
-], ids=["synth-seed-negative", "synth-noise-nan", "gradcheck-seed-negative",
+], ids=["synth-seed-negative", "synth-noise-nan", "synth-noise-inf",
+        "gradcheck-seed-negative",
         "gradcheck-h-zero", "gradcheck-tol-nan", "gradcheck-tol-negative"])
 def test_invalid_synth_or_gradcheck_value_exits_2(tmp_path, capsys, command):
     out = tmp_path / "data"
@@ -293,7 +295,7 @@ def test_invalid_synth_or_gradcheck_value_exits_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("case", [
     "interactions-not-utf8", "config-not-utf8", "interactions-is-directory",
     "visual-is-directory", "config-is-directory", "interactions-empty",
-    "out-under-file"])
+    "out-under-file", "visual-non-finite"])
 def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
     # config error or unusable output path, data error
     code = 2 if case.startswith(("config", "out")) else 3
@@ -305,6 +307,10 @@ def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
         bad.write_text("# no pairs\n")
     elif case.endswith("under-file"):
         bad.write_text("a file, not a directory\n")
+    elif case.endswith("non-finite"):
+        values = load_fmat(demo / "visual.fmat")
+        values[3, 1] = np.inf
+        save_fmat(bad, values)
     else:
         bad.mkdir()
     if case.startswith("config"):
@@ -323,6 +329,8 @@ def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
         assert "dataset:" not in err  # rejected before any data is loaded
     if case == "interactions-not-utf8":
         assert f"{bad}:2:" in err  # names the line
+    if case == "visual-non-finite":
+        assert "row 3" in err
 
 
 def test_missing_interactions_exits_usage(demo, capsys):
@@ -371,6 +379,14 @@ def test_gradcheck_passes_and_fault_injection_fails(capsys):
     rc = main(["gradcheck", "--inject-fault", "first"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 4 and not report["passed"]
+
+
+def test_gradcheck_non_finite_evaluation_exits_4(capsys):
+    rc = main(["gradcheck", "--h", "1e300"])  # a perturbed loss overflows
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "non-finite" in captured.err
+    assert captured.out == ""
+    assert rc == 4
 
 
 def test_align_stats_reports_and_exports(demo, tmp_path, capsys):

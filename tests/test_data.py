@@ -131,6 +131,16 @@ def test_fmat_header_only_claiming_rows_errors(tmp_path):
         load_fmat(path)
 
 
+def test_fmat_non_finite_value_names_first_row(tmp_path):
+    values = np.zeros((5, 3))
+    values[2, 0] = np.nan
+    values[4, 2] = -np.inf
+    path = tmp_path / "m.fmat"
+    save_fmat(path, values)
+    with pytest.raises(DataFormatError, match=r"m\.fmat: row 2 "):
+        load_fmat(path)
+
+
 def test_fmat_bad_magic_and_version(tmp_path):
     import struct
     path = tmp_path / "bad.fmat"
@@ -211,6 +221,8 @@ def test_synth_validation():
         SynthSpec(noise=-0.5)
     with pytest.raises(ParameterError):
         SynthSpec(noise=float("nan"))
+    with pytest.raises(ParameterError):
+        SynthSpec(noise=float("inf"))
     with pytest.raises(ParameterError):
         SynthSpec(seed=-1)
     with pytest.raises(ParameterError):
