@@ -48,7 +48,10 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     against cancellation."""
     sq_a = (a * a).sum(axis=1)[:, None]
     sq_b = (b * b).sum(axis=1)[None, :]
-    return np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
+    cross = a @ b.T
+    cross *= 2.0
+    out = np.subtract(sq_a + sq_b, cross, out=cross)
+    return np.maximum(out, 0.0, out=out)
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +101,9 @@ def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
     total = None
     for sigma in cfg.bandwidths:
         coef = -1.0 / (2.0 * sigma * sigma)
-        k_ff, k_ss, k_fs = (np.exp(coef * d) for d in dists)
+        k_ff, k_ss, k_fs = (coef * d for d in dists)
+        for k in (k_ff, k_ss, k_fs):
+            np.exp(k, out=k)
         within = k_ff.sum() + k_ss.sum()
         cross = k_fs.sum() * 2.0
         term = (within - cross) * (1.0 / (n * n))
@@ -106,14 +111,20 @@ def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
         kernels.append((coef, (k_ff, k_ss, k_fs)))
 
     def backward(g):
+        # The kernels become their gradient pieces in place, so the tape
+        # replays once.
         g_term = g * (1.0 / len(cfg.bandwidths)) * (1.0 / (n * n))
         weights = (g_term, g_term, -g_term * 2.0)
         # each distance sums its kernels' pieces, last bandwidth first
         g_dists = [None] * len(pairs)
         for coef, ks in reversed(kernels):
             for j, (w, k) in enumerate(zip(weights, ks)):
-                piece = k * w * coef
-                g_dists[j] = piece if g_dists[j] is None else g_dists[j] + piece
+                k *= w
+                k *= coef
+                if g_dists[j] is None:
+                    g_dists[j] = k
+                else:
+                    g_dists[j] += k
         # last-made distance first: fs, ss, ff
         grads = []
         for (x, y), g_d in reversed(list(zip(pairs, g_dists))):

@@ -135,7 +135,8 @@ def load_fmat(path) -> np.ndarray:
             f"{path}: payload length mismatch, expected {expected} bytes, "
             f"have {len(blob)}")
     values = np.frombuffer(blob, dtype="<f4", count=rows * cols, offset=16)
-    values = values.reshape(rows, cols).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is reported below
+        values = values.reshape(rows, cols).astype(np.float64)
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
         raise DataFormatError(f"{path}: row {bad_rows[0]} holds a non-finite value")

@@ -110,9 +110,9 @@ class DreamParams:
                 self.out_kernel]
 
 
-def pointwise_conv(kernel: np.ndarray, x: np.ndarray) -> np.ndarray:
+def pointwise_conv(kernel: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     """Channel mixing: out[..., o, l] = sum_c kernel[o, c] * x[..., c, l]."""
-    return np.einsum("oc,...cl->...ol", kernel, x)
+    return np.einsum("oc,...cl->...ol", kernel, x, out=out)
 
 
 def _pointwise_grads(kernel, x, g):
@@ -120,34 +120,58 @@ def _pointwise_grads(kernel, x, g):
     return np.einsum("oc,...ol->...cl", kernel, g), np.einsum("nol,ncl->oc", g, x)
 
 
-def dilated_conv(kernel: np.ndarray, x: np.ndarray,
-                 dilation: int) -> tuple[np.ndarray, np.ndarray]:
+def _live_taps(dilation: int, length: int) -> slice:
+    """The taps that can read the input: at a dilation >= the length, both
+    outer taps read only zero padding and just the centre tap is live."""
+    return slice(1, 2) if dilation >= length else slice(0, 3)
+
+
+def dilated_conv(kernel: np.ndarray, x: np.ndarray, dilation: int,
+                 out=None) -> tuple[np.ndarray, np.ndarray]:
     """Length-3 dilated convolution with symmetric zero padding of `dilation`.
 
     Output length equals input length: out[..., o, l] =
     sum_{c,k in 0..2} kernel[o, c, k] * xpad[..., c, l + k*dilation].
     Also returns the taps (..., C, 3, L) that the kernel gradient reads.
+    Taps that read only padding are left out of the sum: for a finite kernel
+    they add only zeros.
     """
     length = x.shape[-1]
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(dilation, dilation)])
-    taps = np.stack([xp[..., k * dilation:k * dilation + length] for k in range(3)],
-                    axis=-2)
-    return np.einsum("ock,...ckl->...ol", kernel, taps), taps
+    taps = np.zeros(x.shape[:-1] + (3, length))
+    taps[..., 1, :] = x
+    if dilation < length:
+        taps[..., 0, dilation:] = x[..., :length - dilation]
+        taps[..., 2, :length - dilation] = x[..., dilation:]
+    live = _live_taps(dilation, length)
+    return np.einsum("ock,...ckl->...ol", kernel[..., live], taps[..., live, :],
+                     out=out), taps
 
 
 def _dilated_grads(kernel, taps, g, dilation):
-    """(input, kernel) gradients of `dilated_conv` on (N, C, L) maps."""
+    """(input, kernel) gradients of `dilated_conv` on (N, C, L) maps.
+
+    A dead tap's kernel gradient is a sum of products with zero padding,
+    +0.0 for a finite `g`, and its input gradient lands in the padding.
+    """
     length = g.shape[-1]
-    spread = np.einsum("ock,...ol->...ckl", kernel, g)
+    live = _live_taps(dilation, length)
+    spread = np.einsum("ock,...ol->...ckl", kernel[..., live], g)
+    g_kernel = np.zeros_like(kernel)
+    g_kernel[..., live] = np.einsum("nol,nckl->ock", g, taps[..., live, :])
+    if dilation >= length:  # einsum sums from +0.0, as the padded sum did
+        return spread[..., 0, :], g_kernel
     padded = np.zeros(spread.shape[:-2] + (length + 2 * dilation,))
     for k in range(3):
         padded[..., k * dilation:k * dilation + length] += spread[..., k, :]
-    return (padded[..., dilation:dilation + length],
-            np.einsum("nol,nckl->ock", g, taps))
+    return padded[..., dilation:dilation + length], g_kernel
 
 
 def _relu(a: np.ndarray) -> np.ndarray:
-    return np.where(a > 0.0, a, 0.0)
+    """max(a, 0) in place, bit for bit `np.where(a > 0, a, 0.0)`: `fmax`
+    drops NaN, and adding +0.0 turns the -0.0 it may keep into +0.0."""
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+    return a
 
 
 def multi_scale(x: np.ndarray, params: DreamParams, cfg: DreamConfig):
@@ -157,17 +181,16 @@ def multi_scale(x: np.ndarray, params: DreamParams, cfg: DreamConfig):
     Returns the (..., 5C_b, d) map, then the taps of each dilated branch and
     the pooled input, which the backward pass reads.
     """
-    length = x.shape[-1]
-    branches = [_relu(pointwise_conv(params.point_kernel.data, x))]
+    cb = cfg.branch_channels
+    fused = np.empty(x.shape[:-2] + (cfg.fused_channels, x.shape[-1]))
+    branch = [fused[..., i * cb:(i + 1) * cb, :] for i in range(BRANCHES)]
+    pointwise_conv(params.point_kernel.data, x, out=branch[0])
     taps = []
-    for kernel, dilation in zip(params.dilated_kernels, cfg.dilations):
-        out, branch_taps = dilated_conv(kernel.data, x, dilation)
-        branches.append(_relu(out))
-        taps.append(branch_taps)
+    for j, (kernel, dilation) in enumerate(zip(params.dilated_kernels, cfg.dilations)):
+        taps.append(dilated_conv(kernel.data, x, dilation, out=branch[1 + j])[1])
     pooled = x.mean(axis=-1, keepdims=True)
-    context = pointwise_conv(params.pool_kernel.data, pooled)
-    branches.append(_relu(np.repeat(context, length, axis=-1)))
-    return np.concatenate(branches, axis=-2), taps, pooled
+    branch[-1][...] = pointwise_conv(params.pool_kernel.data, pooled)
+    return _relu(fused), taps, pooled
 
 
 def channel_attention(fused: np.ndarray, params: DreamParams):
@@ -194,14 +217,18 @@ def spatial_attention(fused: np.ndarray, params: DreamParams):
     return gate, fused * gate, pooled
 
 
-def attention_fuse(channel_out: np.ndarray, spatial_out: np.ndarray):
+def attention_fuse(channel_out: np.ndarray, spatial_out: np.ndarray, out=None):
     """Keep the stronger of the two attention responses at every entry.
 
     Ties go to the channel response. Also returns where the channel response
-    was kept, which routes the gradient.
+    was kept, which routes the gradient. `out` may be `channel_out`.
+
+    Both responses are one ReLU map times a gate >= 0, so neither holds a
+    -0.0 and `np.maximum` keeps what `np.where(channel >= spatial, ...)`
+    would, unless a response is NaN.
     """
     take_channel = channel_out >= spatial_out
-    return np.where(take_channel, channel_out, spatial_out), take_channel
+    return np.maximum(channel_out, spatial_out, out=out), take_channel
 
 
 def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor:
@@ -217,38 +244,46 @@ def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor
     fused, taps, pooled_x = multi_scale(x, params, cfg)
     channel_gate, channel_out, pooled_channels, hidden = channel_attention(fused, params)
     spatial_gate, spatial_out, pooled_positions = spatial_attention(fused, params)
-    refined, take_channel = attention_fuse(channel_out, spatial_out)
+    refined, take_channel = attention_fuse(channel_out, spatial_out, out=channel_out)
     del channel_out, spatial_out
     projected = pointwise_conv(params.out_kernel.data, refined).reshape(n, d)
 
     def backward(g):
+        # The maps this reads are overwritten, so the tape replays once.
         g_refined, g_out_kernel = _pointwise_grads(
             params.out_kernel.data, refined, g.reshape(n, 1, d))
-        g_channel = np.where(take_channel, g_refined, 0.0)
-        g_spatial = np.where(take_channel, 0.0, g_refined)
+        # np.where(take, g, 0.0) and its complement, by masking. Off the mask
+        # this leaves a zero of g's sign; each one only enters numpy sums and
+        # einsums, which start from +0.0, or `g_fused` after an einsum term,
+        # so every result keeps its bits while g is finite.
+        g_spatial = g_refined * ~take_channel
+        g_channel = np.multiply(g_refined, take_channel, out=g_refined)
 
         # spatial attention: the gated product, then the channel mean
-        g_fused = g_spatial * spatial_gate
         g_gate = _unbroadcast(g_spatial * fused, spatial_gate.shape)
+        g_fused = np.multiply(g_spatial, spatial_gate, out=g_spatial)
         g_logit = g_gate * spatial_gate * (1.0 - spatial_gate)
         g_spatial_bias = _unbroadcast(g_logit, params.spatial_bias.shape)
         g_pooled, g_spatial_kernel = _pointwise_grads(
             params.spatial_kernel.data, pooled_positions, g_logit)
-        g_fused = g_fused + np.broadcast_to(g_pooled / fused.shape[-2], fused.shape)
+        g_fused += g_pooled / fused.shape[-2]
 
         # channel attention: the gated product, then the pooled vector
-        g_fused = g_fused + g_channel * channel_gate
         g_gate = _unbroadcast(g_channel * fused, channel_gate.shape)
+        g_channel *= channel_gate
+        g_fused += g_channel
         g_logit = (g_gate * channel_gate * (1.0 - channel_gate)).reshape(
             pooled_channels.shape)
         g_restore = hidden.T @ g_logit
         g_hidden = (g_logit @ params.restore_weight.data.T) * (hidden > 0.0)
         g_squeeze = pooled_channels.T @ g_hidden
         g_pooled = g_hidden @ params.squeeze_weight.data.T
-        g_fused = g_fused + np.broadcast_to(g_pooled[..., None] / d, fused.shape)
+        g_fused += g_pooled[..., None] / d
 
         # branches, last first: pool, dilated (widest first), point. A ReLU
         # output is > 0 exactly where its input was, so `fused` gives the masks.
+        # Each branch's gradient is its own contiguous array: einsum may sum
+        # in another order over a strided view.
         cb = cfg.branch_channels
         g_branches = [g_fused[..., i * cb:(i + 1) * cb, :]
                       * (fused[..., i * cb:(i + 1) * cb, :] > 0.0)

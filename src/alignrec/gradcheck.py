@@ -82,10 +82,12 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
         worst = 0.0
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
-            up = f().item()
-            flat[c] = orig - h
-            down = f().item()
+            # a step that overflows is reported below as NumericalError
+            with np.errstate(over="ignore", invalid="ignore"):
+                flat[c] = orig + h
+                up = f().item()
+                flat[c] = orig - h
+                down = f().item()
             flat[c] = orig
             if not (np.isfinite(up) and np.isfinite(down)):
                 raise NumericalError(f"grad_check: non-finite evaluation at {name}[{c}]")

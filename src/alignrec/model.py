@@ -3,6 +3,7 @@ fusion, inner-product scoring, BPR, and the joint training objective."""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -441,7 +442,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         need(4 * rank)
         shape = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
         offset += 4 * rank
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps around past 2**63
         need(8 * count)
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += 8 * count

@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class DimensionError(ValueError):
@@ -64,18 +65,26 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh array that owns its memory; `+ 0.0` turns -0.0 into
+            # +0.0 as adding to zeros did (`g.copy()` would keep it)
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class Tape:
-    """Ordered record of executed primitives, replayed backward once."""
+    """Ordered record of executed primitives, replayed backward once.
+
+    Backward closures may overwrite what their forward saved, so a second
+    replay raises `UsageError`.
+    """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self.replayed = False
 
     def __enter__(self) -> "Tape":
         _push_tape(self)
@@ -121,11 +130,15 @@ def _make_out(values, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate `.grad` on every requires_grad ancestor of a scalar loss.
 
-    Repeated calls without clearing gradients accumulate, matching the
-    additive semantics of `Tensor.accumulate_grad`.
+    Each tape is replayed once. Calls on new tapes without clearing
+    gradients accumulate, matching the additive semantics of
+    `Tensor.accumulate_grad`.
     """
     if loss.data.ndim != 0:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    if tape.replayed:
+        raise UsageError("backward: this tape was already replayed; record a new one")
+    tape.replayed = True
     loss.accumulate_grad(np.ones((), dtype=np.float64))
     for out, inputs, backward_fn in reversed(tape._nodes):
         if out.grad is None:
@@ -281,9 +294,11 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     shape = a.data.shape
 
     def bw(g):
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, idx, g)
-        return (full,)
+        # One column per gathered row: each source row sums its gradients in
+        # index order from 0.0, the order `np.add.at` adds them in.
+        m = idx.size
+        scatter = sp.csr_matrix((np.ones(m), (idx, np.arange(m))), shape=(shape[0], m))
+        return (scatter @ g,)
 
     return _make_out(a.data[idx], (a,), bw)
 
@@ -298,19 +313,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: shapes {ad.shape} and {bd.shape} do not agree")
 
     def bw(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _make_out(ad @ bd, (a, b), bw)
 
 
 def spmm_const(adjacency, x: Tensor) -> Tensor:
-    """Multiply by a constant sparse operator; backward applies its transpose."""
+    """Multiply by a constant sparse operator; backward applies its transpose.
+
+    The transpose of a CSR matrix is a CSC view of the same arrays, built
+    without a copy. Its product adds each output's terms in the order the
+    CSR transpose would, so nothing is converted.
+    """
     if adjacency.shape[1] != x.data.shape[0]:
         raise DimensionError(
             f"spmm_const: operator shape {adjacency.shape} does not match rows {x.data.shape}")
-    adj_t = adjacency.T.tocsr()
 
     def bw(g):
-        return (adj_t @ g,)
+        return (adjacency.T @ g,)
 
     return _make_out(adjacency @ x.data, (x,), bw)

@@ -1,6 +1,10 @@
 """Config precedence and end-to-end CLI behavior on tiny datasets."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +391,22 @@ def test_gradcheck_non_finite_evaluation_exits_4(capsys):
     assert "error:" in captured.err and "non-finite" in captured.err
     assert captured.out == ""
     assert rc == 4
+
+
+def test_gradcheck_overflow_prints_only_the_error_line():
+    """In a fresh interpreter, so that a numpy RuntimeWarning would reach
+    stderr instead of pytest's warning capture."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "alignrec", "gradcheck", "--h", "1e300"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "non-finite" in lines[0]
 
 
 def test_align_stats_reports_and_exports(demo, tmp_path, capsys):

@@ -15,7 +15,15 @@ from alignrec.dream import (
     spatial_attention,
 )
 from alignrec.gradcheck import grad_check
-from alignrec.tensor import ParameterError, Tape, Tensor, backward, mul, sum_all
+from alignrec.tensor import (
+    ParameterError,
+    Tape,
+    Tensor,
+    UsageError,
+    backward,
+    mul,
+    sum_all,
+)
 
 
 D = 12  # width of the maps `make` refines
@@ -292,18 +300,45 @@ def test_dream_forward_records_one_tape_node():
 # notice the last-bit change a reordered gradient sum makes; this digest does.
 PER_OP_TAPE_DIGEST = "8ec53386e34073b70b9cbe65401b0f4e18ebac91639d502742242148c606058b"
 
+# Recorded from the block before its kernels wrote in place and skipped
+# dead taps (same platform). At width 12 the outer taps of dilations 12 and
+# 18 read only padding, and every fourth row gets an exactly zero upstream
+# gradient, as an item that no batch row reads does.
+DEAD_TAP_DIGEST = "194de03dfc7b9e045905eec00ebe3abdbe1c1849109626ecd2772d460b17b234"
 
-def test_dream_forward_bits_match_per_op_tape():
+
+def taped_digest(n, d, param_seed, data_seed, unread=None):
+    """sha256 over the output and every input and parameter gradient."""
     cfg = DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 12, 18))
-    params = DreamParams.create(cfg, np.random.default_rng(21))
-    rng = np.random.default_rng(22)
-    rows = Tensor(rng.standard_normal((50, 64)), requires_grad=True)
-    probe = Tensor(rng.standard_normal((50, 64)))
+    params = DreamParams.create(cfg, np.random.default_rng(param_seed))
+    rng = np.random.default_rng(data_seed)
+    rows = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+    probe = rng.standard_normal((n, d))
+    if unread is not None:
+        probe[unread] = 0.0
     with Tape() as tape:
         out = dream_forward(rows, params, cfg)
-        loss = sum_all(mul(out, probe))
+        loss = sum_all(mul(out, Tensor(probe)))
     backward(loss, tape)
     digest = hashlib.sha256(out.data.tobytes() + rows.grad.tobytes())
     for p in params.named("p").values():
         digest.update(p.grad.tobytes())
-    assert digest.hexdigest() == PER_OP_TAPE_DIGEST
+    return digest.hexdigest()
+
+
+def test_dream_forward_bits_match_per_op_tape():
+    assert taped_digest(50, 64, 21, 22) == PER_OP_TAPE_DIGEST
+
+
+def test_dream_forward_bits_with_dead_taps_and_unread_rows():
+    assert taped_digest(300, 12, 23, 24, unread=slice(None, None, 4)) == DEAD_TAP_DIGEST
+
+
+def test_dream_backward_replays_once():
+    cfg, params = make(seed=25)
+    rows = Tensor(np.random.default_rng(26).standard_normal((4, D)), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(dream_forward(rows, params, cfg))
+    backward(loss, tape)
+    with pytest.raises(UsageError, match="already replayed"):
+        backward(loss, tape)

@@ -1,0 +1,177 @@
+"""The in-place idioms of the hot kernels against the forms they replace.
+
+Each check compares bytes, so a changed sign of zero or NaN payload fails it.
+Inputs mix signed zeros, infinities, NaN, subnormals and values over many
+decades, at lengths 1-70 and in views shifted by one element, so that both
+the SIMD bodies and the scalar tails of numpy's loops and both alignments
+of the data are exercised.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from alignrec.align import sqdist
+from alignrec.dream import _dilated_grads, _relu, attention_fuse, dilated_conv
+from alignrec.tensor import Tape, Tensor, backward, gather_rows, mul, spmm_const, sum_all
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                    2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1.7e308, -1.7e308])
+LENGTHS = [*range(1, 71), 1000, 4097]
+
+
+def mixed(rng, shape, offset=0, specials=SPECIAL):
+    """Values over 600 decades with ~40% drawn from `specials`, returned as a
+    view `offset` elements into a larger buffer."""
+    size = int(np.prod(shape))
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    pick = rng.random(size) < 0.4
+    values[pick] = rng.choice(specials, size=int(pick.sum()))
+    buffer = np.empty(size + offset)
+    buffer[offset:] = values
+    return buffer[offset:].reshape(shape)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+def test_relu_in_place_matches_where():
+    rng = np.random.default_rng(0)
+    for length in LENGTHS:
+        for offset in (0, 1):
+            a = mixed(rng, (length,), offset)
+            expected = np.where(a > 0.0, a, 0.0)
+            assert same_bits(_relu(a), expected), (length, offset)
+
+
+def test_fuse_maximum_matches_where_on_gated_relu_maps():
+    """Both responses are a ReLU map (no -0.0, no NaN) times a gate in [0, 1]."""
+    rng = np.random.default_rng(1)
+    positive = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7e308])
+    gates = np.array([0.0, 5e-324, 1e-300, 0.5, 1.0])
+    for length in LENGTHS:
+        for offset in (0, 1):
+            fused = np.abs(mixed(rng, (length,), offset, positive))
+            fused = np.where(np.isfinite(fused), fused, 0.0)
+            channel = fused * rng.choice(gates, size=length)
+            spatial = fused * rng.choice(gates, size=length)
+            expected = np.where(channel >= spatial, channel, spatial)
+            expected_take = channel >= spatial
+            got, take_channel = attention_fuse(channel, spatial, out=channel)
+            assert same_bits(got, expected), (length, offset)
+            assert np.array_equal(take_channel, expected_take)
+
+
+def test_mask_split_matches_where_up_to_the_sign_of_zero():
+    """g * mask keeps g where the mask holds and gives a zero of g's sign
+    elsewhere, where np.where gives +0.0. The DREAM backward only sums such
+    zeros with numpy reductions and einsums, which start from +0.0; the DREAM
+    digests pin the end result."""
+    minus_zeros = np.full((3, 4), -0.0)
+    assert not np.signbit(minus_zeros.sum(axis=0)).any()
+    assert not np.signbit(np.einsum("ij,jk->ik", minus_zeros.T, np.ones((3, 2)))).any()
+    rng = np.random.default_rng(2)
+    finite = SPECIAL[np.isfinite(SPECIAL)]
+    for length in LENGTHS:
+        for offset in (0, 1):
+            g = mixed(rng, (length,), offset, finite)
+            mask = rng.random(length) < 0.5
+            got = g * mask
+            assert same_bits(got[mask], g[mask])
+            assert np.all(got[~mask] == 0.0)
+            assert np.array_equal(got, np.where(mask, g, 0.0))
+
+
+def test_first_gradient_write_matches_adding_to_zeros():
+    rng = np.random.default_rng(3)
+    for length in LENGTHS:
+        for offset in (0, 1):
+            g = mixed(rng, (length,), offset)
+            t = Tensor(np.zeros(length))
+            t.accumulate_grad(g)
+            assert same_bits(t.grad, np.zeros(length) + g), (length, offset)
+            assert t.grad.flags.owndata
+            t.accumulate_grad(g)
+            assert same_bits(t.grad, (np.zeros(length) + g) + g)
+    g = np.array([-0.0, 1.0])
+    assert not same_bits(g.copy(), np.zeros(2) + g)  # why the write adds 0.0
+
+
+def test_gather_rows_backward_matches_add_at():
+    rng = np.random.default_rng(4)
+    for case in range(60):
+        rows, m, d = int(rng.integers(1, 40)), int(rng.integers(0, 300)), int(rng.integers(1, 6))
+        idx = rng.integers(0, rows, m)  # repeats: up to ~300 rows onto one
+        g = rng.standard_normal((m, d)) * 10.0 ** rng.integers(-8, 8, (m, 1))
+        if case % 3 == 0:
+            g[rng.random((m, d)) < 0.2] = rng.choice(SPECIAL)
+        expected = np.zeros((rows, d))
+        np.add.at(expected, idx, g)
+        src = Tensor(np.zeros((rows, d)), requires_grad=True)
+        with Tape() as tape, np.errstate(invalid="ignore"):  # 0 * inf
+            loss = sum_all(mul(gather_rows(src, idx), Tensor(g)))
+        backward(loss, tape)
+        assert same_bits(src.grad, np.zeros((rows, d)) + expected), case
+
+
+def test_spmm_transpose_view_matches_converted_transpose():
+    """Unsorted column indices and duplicate entries, as a sum of sparse
+    products can leave them."""
+    rng = np.random.default_rng(5)
+    for case in range(20):
+        n = int(rng.integers(1, 60))
+        nnz = int(rng.integers(0, 4 * n))
+        rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+        data = rng.standard_normal(nnz)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.searchsorted(rows[order], np.arange(n + 1))
+        op = sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+        g = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        x = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(mul(spmm_const(op, x), Tensor(g)))
+        backward(loss, tape)
+        assert same_bits(x.grad, np.zeros((n, 3)) + op.T.tocsr() @ g), case
+
+
+def _full_tap_grads(kernel, taps, g, dilation):
+    """The three-tap gradients, with the zero-padded outer taps included."""
+    length = g.shape[-1]
+    spread = np.einsum("ock,...ol->...ckl", kernel, g)
+    padded = np.zeros(spread.shape[:-2] + (length + 2 * dilation,))
+    for k in range(3):
+        padded[..., k * dilation:k * dilation + length] += spread[..., k, :]
+    return (padded[..., dilation:dilation + length],
+            np.einsum("nol,nckl->ock", g, taps))
+
+
+def test_dead_taps_match_three_tap_convolution():
+    rng = np.random.default_rng(6)
+    for case in range(200):
+        n, cb, length = int(rng.integers(1, 30)), int(rng.integers(1, 9)), int(rng.integers(1, 25))
+        dilation = int(rng.integers(length, length + 20))
+        kernel = rng.standard_normal((cb, 1, 3))
+        x = rng.standard_normal((n, 1, length))
+        x[rng.random((n, 1, length)) < 0.2] = 0.0
+        out, taps = dilated_conv(kernel, x, dilation)
+        full = np.einsum("ock,...ckl->...ol", kernel, taps)
+        assert same_bits(out, full), case
+        g = rng.standard_normal((n, cb, length))
+        g[rng.random(n) < 0.3] = 0.0
+        for got, expected in zip(_dilated_grads(kernel, taps, g, dilation),
+                                 _full_tap_grads(kernel, taps, g, dilation)):
+            assert same_bits(got, expected), case
+
+
+def test_sqdist_in_place_matches_expression():
+    rng = np.random.default_rng(7)
+    for case in range(60):
+        n, m, d = int(rng.integers(1, 50)), int(rng.integers(1, 50)), int(rng.integers(1, 20))
+        a = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 5)
+        b = rng.standard_normal((m, d))
+        b[: min(n, m) // 2] = a[: min(n, m) // 2]  # cancellation, clamped at 0
+        sq_a = (a * a).sum(axis=1)[:, None]
+        sq_b = (b * b).sum(axis=1)[None, :]
+        expected = np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
+        assert same_bits(sqdist(a, b), expected), case

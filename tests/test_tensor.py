@@ -256,6 +256,29 @@ def test_backward_accumulates_without_reset():
     assert np.array_equal(x.grad, 2 * first)
 
 
+def test_backward_twice_on_one_tape_raises():
+    """Closures may overwrite what their forward saved, so a tape replays once."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = sum_all(square(x))
+    backward(loss, tape)
+    first = x.grad.copy()
+    with pytest.raises(UsageError, match="already replayed"):
+        backward(loss, tape)
+    assert np.array_equal(x.grad, first)
+
+
+def test_matmul_backward_skips_constant_operand():
+    a = Tensor(np.random.default_rng(12).standard_normal((3, 4)))
+    w = Tensor(np.random.default_rng(13).standard_normal((4, 2)), requires_grad=True)
+    with Tape() as tape:
+        out = matmul(a, w)
+    (_, _, bw), = tape._nodes
+    g_a, g_w = bw(np.ones(out.shape))
+    assert g_a is None
+    assert np.array_equal(g_w, a.data.T @ np.ones(out.shape))
+
+
 def test_composite_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
