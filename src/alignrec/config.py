@@ -140,7 +140,7 @@ def resolve_config(config_path: str | None, flag_values: dict) -> RunConfig:
     for key, value in values.items():
         try:
             values[key] = _coerce(types[key], value)
-        except ValueError:
+        except (ValueError, OverflowError):  # float() of an int past 1e308
             raise ConfigError(f"{key} = {format_value(value)}: "
                               f"expected {types[key]}") from None
     return RunConfig(**values)

@@ -13,8 +13,10 @@ or remapping interactions never desynchronizes features from items.
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,8 +103,31 @@ def remap(raw: RawInteractions) -> tuple[np.ndarray, list[str], list[str]]:
     return dense, list(user_ids), list(item_ids)
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", keep_partial: bool = False):
+    """Write through a sibling temp file renamed over `path` on exit, so
+    `path` holds either its old content or all of the new. When the body
+    raises, the temp file is deleted; with `keep_partial` it is renamed into
+    place all the same, for files such as a stream of whole lines that are
+    valid when cut short. Text is UTF-8."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    commit = keep_partial
+    try:
+        with fh:
+            yield fh
+        commit = True
+    finally:
+        try:
+            if commit:
+                os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+
 def save_mapping(path, tokens: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for dense_id, token in enumerate(tokens):
             fh.write(f"{token}\t{dense_id}\n")
 
@@ -112,7 +137,7 @@ def save_fmat(path, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise DataFormatError(f"feature matrix must be 2-d, got shape {values.shape}")
     rows, cols = values.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(FMAT_MAGIC)
         fh.write(struct.pack("<III", FMAT_VERSION, rows, cols))
         fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
@@ -258,7 +283,7 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     text = modality(text_span, spec.text_dim)
 
     interactions_path = out / "interactions.tsv"
-    with open(interactions_path, "w", encoding="utf-8") as fh:
+    with atomic_open(interactions_path) as fh:
         for u in range(spec.users):
             top = np.argsort(-affinity[u], kind="stable")[:spec.interactions_per_user]
             for item in top:

@@ -136,32 +136,47 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     Users are ranked in blocks whose score matrix holds at most
     `_SCORE_BLOCK_ENTRIES` entries, and the per-user metrics are summed in
     ascending user order.
+
+    The arithmetic is `recall_ndcg_at_k`'s, done a block at a time: recall
+    is the integer hit count over the relevant count, and DCG and ideal DCG
+    are running sums over `1.0 / math.log2(pos + 2)` in rank order, where a
+    miss adds +0.0 and so leaves the sum unchanged. Each metric is summed
+    user by user and, within a user, in the order of `ks`, which may repeat
+    a cutoff.
     """
     held = {"validation": split.validation, "test": split.test}[which]
     k_max = max(ks)
-    users, starts = np.unique(held[:, 0], return_index=True)
-    bounds, held_items = [*starts.tolist(), len(held)], held[:, 1].tolist()
-    relevant = [set(held_items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    n_items = item_repr.shape[0]
+    keys = pair_keys(held, n_items)
+    held_users, held_items = np.divmod(keys, n_items)
+    users, starts, n_relevant = np.unique(held_users, return_index=True,
+                                          return_counts=True)
     if len(users) == 0:
         raise UsageError(f"evaluate: no users with {which} interactions")
     if k_max < 1:
         raise ParameterError(f"k must be >= 1, got {k_max}")
-    n_items = item_repr.shape[0]
     cut = min(k_max, n_items)
     block = max(1, _SCORE_BLOCK_ENTRIES // n_items)
+    starts = np.append(starts, len(keys))
 
     train_users, train_items = split.train[:, 0], split.train[:, 1]
     row_of = np.full(split.n_users, -1, dtype=np.int64)
+    discount = np.array([1.0 / math.log2(pos + 2) for pos in range(cut)])
+    ideal_dcg = np.cumsum(discount)  # [n - 1]: DCG of n hits on top
+    # Column of each metric in a block's (users, 2 * len(ks)) metric matrix.
+    names = [f"recall@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    columns = {name: [c for c, other in enumerate(names) if other == name]
+               for name in names}
+    sums = dict.fromkeys(columns, 0.0)
 
-    sums = {f"recall@{k}": 0.0 for k in ks}
-    sums.update({f"ndcg@{k}": 0.0 for k in ks})
     scores = np.empty((min(block, len(users)), n_items),
                       dtype=np.result_type(user_repr, item_repr))
     for start in range(0, len(users), block):
         chunk = users[start:start + block]
         rows = scores[:len(chunk)]
-        for row, user in enumerate(chunk):
-            np.matmul(item_repr, user_repr[user], out=rows[row])
+        # One gemv per user, as `item_repr @ user_repr[user]` runs it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(item_repr, user_repr[chunk][:, :, None], out=rows[:, :, None])
         rows[~np.isfinite(rows)] = -np.inf
 
         # Blocks cover ascending user ranges, so the pairs between lo and hi
@@ -172,20 +187,40 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
         listed = train_rows >= 0
         rows[train_rows[listed], train_items[lo:hi][listed]] = -np.inf
 
-        # Every item scoring at least the row's cut-th best score, so the
-        # stable sort below sees all items tied at the cut.
-        kth = np.argpartition(-rows, cut - 1, axis=1)[:, cut - 1]
-        threshold = rows[np.arange(len(chunk)), kth]
-        for row in range(len(chunk)):
+        # The row's cut-th best score. A row with exactly `cut` finite items
+        # at or above it is ranked by one stable sort over the block's
+        # candidate matrix; a row with a tie at the cut or fewer finite
+        # scores than the cut is ranked on its own. Rank slots left empty
+        # hold -1 and count as misses.
+        threshold = np.partition(rows, n_items - cut, axis=1)[:, n_items - cut]
+        above = rows >= threshold[:, None]
+        full = (np.count_nonzero(above, axis=1) == cut) & (threshold > -np.inf)
+        ranked = np.full((len(chunk), cut), -1, dtype=np.int64)
+        candidates = np.flatnonzero(above[full]).reshape(-1, cut) % n_items
+        order = np.argsort(-rows[np.flatnonzero(full)[:, None], candidates],
+                           axis=1, kind="stable")
+        ranked[full] = np.take_along_axis(candidates, order, axis=1)
+        for row in np.flatnonzero(~full):
             line = rows[row]
-            candidates = np.flatnonzero((line >= threshold[row])
-                                        & (line > -np.inf))
-            order = np.argsort(-line[candidates], kind="stable")
-            ranked = candidates[order[:k_max]].tolist()
-            for k in ks:
-                recall, ndcg = recall_ndcg_at_k(ranked, relevant[start + row], k)
-                sums[f"recall@{k}"] += recall
-                sums[f"ndcg@{k}"] += ndcg
+            candidates = np.flatnonzero(above[row] & (line > -np.inf))
+            top = candidates[np.argsort(-line[candidates], kind="stable")[:cut]]
+            ranked[row, :len(top)] = top
+
+        stop = start + len(chunk)
+        n_rel = n_relevant[start:stop]
+        held_out = np.zeros((len(chunk), n_items), dtype=bool)
+        held_out[np.repeat(np.arange(len(chunk)), n_rel),
+                 held_items[starts[start]:starts[stop]]] = True
+        hit = held_out[np.arange(len(chunk))[:, None], ranked] & (ranked >= 0)
+        hits, dcg = np.cumsum(hit, axis=1), np.cumsum(hit * discount, axis=1)
+        metrics = np.empty((len(chunk), len(names)))
+        for c, k in enumerate(ks):
+            metrics[:, c] = hits[:, min(k, cut) - 1] / n_rel
+            metrics[:, len(ks) + c] = (dcg[:, min(k, cut) - 1]
+                                       / ideal_dcg[np.minimum(k, n_rel) - 1])
+        for name, cols in columns.items():
+            series = np.concatenate(([sums[name]], metrics[:, cols].ravel()))
+            sums[name] = float(np.cumsum(series)[-1])
     return {name: value / len(users) for name, value in sums.items()}
 
 

@@ -4,15 +4,14 @@ fusion, inner-product scoring, BPR, and the joint training objective."""
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .align import AlignConfig, infonce, mmd_squared
+from .data import atomic_open
 from .dream import DreamConfig, DreamParams, dream_forward, xavier_uniform
 from .errors import ConfigError, DataFormatError
 from .tensor import (
@@ -82,14 +81,19 @@ class HyperParams:
             raise ConfigError(f"id_dim must be >= 1, got {self.id_dim}")
         if self.graph_layers < 0:
             raise ConfigError(f"graph_layers must be >= 0, got {self.graph_layers}")
-        if min(self.lambda_cl, self.lambda_mmd, self.lambda_reg) < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if not self.temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not all(math.isfinite(w) and w >= 0
+                   for w in (self.lambda_cl, self.lambda_mmd, self.lambda_reg)):
+            raise ConfigError("loss weights must be finite and non-negative")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be finite and > 0, "
+                              f"got {self.temperature}")
         # Built with the config, so their range checks run before data loads.
-        object.__setattr__(self, "dream_cfg", DreamConfig(
-            self.branch_channels, self.attention_reduction, self.dilations))
-        object.__setattr__(self, "align_cfg", AlignConfig(self.bandwidths))
+        try:
+            object.__setattr__(self, "dream_cfg", DreamConfig(
+                self.branch_channels, self.attention_reduction, self.dilations))
+            object.__setattr__(self, "align_cfg", AlignConfig(self.bandwidths))
+        except ParameterError as err:
+            raise ConfigError(str(err)) from None
 
 
 @dataclass
@@ -384,27 +388,20 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, named: dict[str, Tensor]) -> None:
-    """Write through a sibling temp file renamed into place, so `path` holds
-    either its old content or the whole new checkpoint."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            for name in sorted(named):
-                data = np.ascontiguousarray(named[name].data, dtype="<f8")
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<B", data.ndim))
-                for extent in data.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(data.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write through `atomic_open`, so `path` holds either its old content
+    or the whole new checkpoint."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        for name in sorted(named):
+            data = np.ascontiguousarray(named[name].data, dtype="<f8")
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<B", data.ndim))
+            for extent in data.shape:
+                fh.write(struct.pack("<I", extent))
+            fh.write(data.tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

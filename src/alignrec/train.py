@@ -6,12 +6,13 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .data import Dataset, load_dataset, save_mapping
+from .data import Dataset, atomic_open, load_dataset, save_mapping
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
     evaluate, lr_schedule, pair_keys, sample_negatives, split_811
@@ -39,7 +40,6 @@ def emit(record: dict, stream, copy_to=None) -> None:
     stream.flush()
     if copy_to is not None:
         copy_to.write(line + "\n")
-        copy_to.flush()
 
 
 def feature_dims(ds: Dataset) -> tuple[int, int]:
@@ -114,13 +114,11 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
     params = model.params
     named = params.named()
 
-    metrics_file = None
     if out_dir is not None:
-        (out_dir / "resolved_config.txt").write_text(
-            "\n".join(cfg.lines()) + "\n", encoding="utf-8")
+        with atomic_open(out_dir / "resolved_config.txt") as fh:
+            fh.write("\n".join(cfg.lines()) + "\n")
         save_mapping(out_dir / "users.tsv", ds.user_tokens)
         save_mapping(out_dir / "items.tsv", ds.item_tokens)
-        metrics_file = open(out_dir / "metrics.jsonl", "w", encoding="utf-8")
 
     rng = np.random.default_rng(cfg.seed)
     adam = AdamState(lr=cfg.base_lr)
@@ -129,19 +127,25 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
     best_epoch = 0
     tag = {"variant": cfg.variant} if cfg.variant != "full" else {}
 
-    try:
+    # The metrics lines stream into a temp file that replaces metrics.jsonl
+    # when training ends, also by an error, so the path holds whole lines.
+    with atomic_open(out_dir / "metrics.jsonl", keep_partial=True) \
+            if out_dir is not None else nullcontext() as metrics_file:
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             adam.lr = lr_schedule(epoch - 1, cfg.base_lr)
             loss_sums = {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}
             n_batches = 0
-            for batch in iterate_batches(split.train, ds.n_items,
-                                         cfg.batch_size, rng):
+            for step, batch in enumerate(iterate_batches(
+                    split.train, ds.n_items, cfg.batch_size, rng), start=1):
                 params.zero_grads()
                 with Tape() as tape:
                     loss, parts = model.total_loss(batch)
                 if not np.isfinite(loss.data):
-                    raise NumericalError(f"non-finite loss at epoch {epoch}")
+                    term = next((k for k, v in parts.items() if not np.isfinite(v)),
+                                "total")
+                    raise NumericalError(f"non-finite loss at epoch {epoch}, "
+                                         f"step {step} ({term})")
                 backward(loss, tape)
                 grads = {name: p.grad for name, p in named.items()
                          if p.grad is not None}
@@ -187,9 +191,6 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
             log(f"checkpoint saved to {checkpoint_path}")
         return {"best_epoch": best_epoch, "test_metrics": test,
                 "checkpoint": str(checkpoint_path) if checkpoint_path else None}
-    finally:
-        if metrics_file is not None:
-            metrics_file.close()
 
 
 def restore_model(cfg: RunConfig,

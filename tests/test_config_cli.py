@@ -1,13 +1,19 @@
 """Config precedence and end-to-end CLI behavior on tiny datasets."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignrec.cli import main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
@@ -86,6 +92,59 @@ def test_resolved_config_lines_round_trip(tmp_path):
 def test_direct_construction_is_range_checked():
     with pytest.raises(ConfigError, match="batch_size"):
         RunConfig(batch_size=0)
+    with pytest.raises(ConfigError, match="branch_channels"):  # from DreamConfig
+        RunConfig(branch_channels=0)
+    with pytest.raises(ConfigError, match="bandwidths"):  # from AlignConfig
+        RunConfig(bandwidths=(-1.0,))
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.integers(0, 400).map(lambda e: str(10 ** e)),  # past the float range
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0.5", "-0.0", "true",
+                     "false", "none", '"7"', "full", "no-mmd", ""]),
+    st.text(st.characters(blacklist_categories=["Cs"]), max_size=8),
+)
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=4).map(lambda v: f"[{', '.join(v)}]"))
+_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from([f.name for f in fields(RunConfig)]),
+              _VALUES),
+    st.builds("{} = {}".format, st.text(max_size=8), _VALUES),  # mostly unknown
+    st.text(st.characters(blacklist_categories=["Cs"]), max_size=20),
+    st.sampled_from(["", "# comment", "seed = 3  # trailing comment", "= 4"]),
+)
+
+
+@st.composite
+def config_files(draw):
+    text = "\n".join(draw(st.lists(_LINES, max_size=8))).encode("utf-8")
+    if draw(st.booleans()):  # bytes that may not be UTF-8
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.binary(min_size=1, max_size=6)) + text[at:]
+    return text
+
+
+@given(config_files())
+@settings(max_examples=300, deadline=None)
+def test_config_fuzz_raises_only_config_error(content):
+    """A config file either resolves to a `RunConfig` that reads back equal
+    from its own `lines()`, or is rejected with `ConfigError`, which `train`
+    reports as an `error:` line and exit 2 before any data is read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(content)
+        try:
+            cfg = resolve_config(str(path), {})
+        except ConfigError:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["train", "--config", str(path)])
+            assert rc == 2
+            assert err.getvalue().startswith("error:"), err.getvalue()
+            return
+        path.write_text("\n".join(cfg.lines()) + "\n", encoding="utf-8")
+        assert resolve_config(str(path), {}) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +173,47 @@ def test_train_emits_schema_lines_and_checkpoint(demo, tmp_path, capsys):
     assert (tmp_path / "run" / "checkpoint.mrec").exists()
     assert (tmp_path / "run" / "resolved_config.txt").exists()
     assert (tmp_path / "run" / "users.tsv").exists()
+
+
+def test_train_outputs_are_whole_and_leave_no_temp_files(demo, tmp_path, capsys):
+    run = tmp_path / "run"
+    _, captured = train_lines(capsys, demo, ["--max-epochs", "2", "--out", str(run)])
+    assert sorted(p.name for p in run.iterdir()) == [
+        "checkpoint.mrec", "items.tsv", "metrics.jsonl", "resolved_config.txt",
+        "users.tsv"]
+    assert (run / "metrics.jsonl").read_text() == captured.out
+    resolved = resolve_config(str(run / "resolved_config.txt"), {})
+    assert (run / "resolved_config.txt").read_text() == "\n".join(resolved.lines()) + "\n"
+
+
+def test_non_finite_term_names_epoch_step_and_term(demo, tmp_path, capsys, monkeypatch):
+    """The MMD term turns infinite at the second step of the second epoch
+    (two steps per epoch at batch 64). Until training ends metrics.jsonl is
+    a temp file; then it holds the first epoch's line and nothing else."""
+    import alignrec.model
+    from alignrec.tensor import Tensor
+
+    run, calls, original = tmp_path / "run", [], alignrec.model.mmd_squared
+
+    def mmd_squared(first, second, cfg):
+        calls.append(1)
+        if len(calls) < 4:
+            return original(first, second, cfg)
+        assert not (run / "metrics.jsonl").exists()
+        assert len(list(run.glob(".metrics.jsonl.*.tmp"))) == 1
+        return Tensor(np.array(np.inf))
+
+    monkeypatch.setattr(alignrec.model, "mmd_squared", mmd_squared)
+    rc = main(["train", *data_flags(demo), "--batch-size", "64", "--max-epochs", "3",
+               "--out", str(run)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "error: non-finite loss at epoch 2, step 2 (mmd)" in captured.err
+    lines = (run / "metrics.jsonl").read_text().splitlines()
+    assert lines == captured.out.splitlines() and len(lines) == 1
+    assert json.loads(lines[0])["epoch"] == 1
+    assert sorted(p.name for p in run.iterdir()) == [
+        "items.tsv", "metrics.jsonl", "resolved_config.txt", "users.tsv"]
 
 
 def test_train_zero_epochs_single_line(demo, capsys):
@@ -250,6 +350,10 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     ([], "variant = bogus\n"),
     (["--branch-channels", "0"], None),
     (["--seed", "-1"], None),
+    ([], "base_lr = 1" + "0" * 400 + "\n"),
+    ([], "lambda_cl = nan\n"),
+    (["--lambda-mmd", "inf"], None),
+    ([], "temperature = inf\n"),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
@@ -258,7 +362,9 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
         "branch-channels-zero-in-file", "branch-channels-indivisible-in-file",
         "dilation-zero-in-file", "dilations-repeated-in-file",
         "dilations-two-in-file",
-        "variant-unknown-in-file", "branch-channels-zero", "seed-negative"])
+        "variant-unknown-in-file", "branch-channels-zero", "seed-negative",
+        "base-lr-int-past-float-range-in-file", "lambda-cl-nan-in-file",
+        "lambda-mmd-inf", "temperature-inf-in-file"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"

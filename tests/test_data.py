@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alignrec.data import (
     RawInteractions,
     SynthSpec,
+    atomic_open,
     kcore_filter,
     load_dataset,
     load_fmat,
@@ -57,6 +58,42 @@ def test_save_mapping(tmp_path):
     path = tmp_path / "map.tsv"
     save_mapping(path, ["x", "y"])
     assert path.read_text() == "x\t0\ny\t1\n"
+
+
+def test_atomic_open_leaves_old_or_whole_new_content(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError), atomic_open(path) as fh:
+        fh.write("new\n")
+        raise RuntimeError
+    assert path.read_text() == "old\n"
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+        fh.flush()
+        assert path.read_text() == "old\n"  # until the rename
+    assert path.read_text() == "new\n"
+    with atomic_open(path, "wb") as fh:
+        fh.write(b"\xff")
+    assert path.read_bytes() == b"\xff"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_open_keep_partial_renames_after_an_error(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    with pytest.raises(KeyboardInterrupt), atomic_open(path, keep_partial=True) as fh:
+        fh.write("{}\n")
+        raise KeyboardInterrupt
+    assert path.read_text() == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["lines.jsonl"]
+
+
+def test_atomic_open_unusable_path_leaves_no_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError), atomic_open(tmp_path / "taken") as fh:
+        fh.write("x")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    with pytest.raises(OSError), atomic_open(tmp_path / "missing" / "x"):
+        pass
 
 
 # ---------------------------------------------------------------------------

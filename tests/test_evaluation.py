@@ -1,6 +1,7 @@
 """Protocol kit: splits, sampling, ranking, metrics, schedule, early stop."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from alignrec import evaluation
 from alignrec.errors import NumericalError
 from alignrec.evaluation import (
     EarlyStopState,
+    SplitDataset,
     early_stop_update,
     evaluate,
     lr_schedule,
@@ -462,6 +464,86 @@ def test_evaluate_matches_per_user_reference(case):
         got = evaluate(users, items, split, which, ks)
         want = evaluate_reference(users, items, split, which, ks)
     assert got == want
+
+
+def split_of(n_users, n_items, train, test):
+    """A split from (user, item) pair lists grouped by ascending user."""
+    def as_pairs(pairs):
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return SplitDataset(n_users, n_items, as_pairs(train), as_pairs([]), as_pairs(test))
+
+
+def evaluate_both(users, items, split, ks, block_entries=evaluation._SCORE_BLOCK_ENTRIES):
+    """`evaluate` with the given block size, checked equal to the reference."""
+    with mock.patch.object(evaluation, "_SCORE_BLOCK_ENTRIES", block_entries):
+        got = evaluate(users, items, split, "test", ks)
+    with np.errstate(all="ignore"):
+        assert got == evaluate_reference(users, items, split, "test", ks)
+    return got
+
+
+def random_case(seed, n_users=40, n_items=20, dim=2):
+    """Small-integer representations, so that score ties are common."""
+    rng = np.random.default_rng(seed)
+    per_user = max(3, n_items // 2)
+    pairs = np.array([(u, int(i)) for u in range(n_users)
+                      for i in rng.choice(n_items, per_user, replace=False)])
+    split = split_811(pairs, n_users, n_items, seed=seed)
+    users = rng.integers(-2, 3, size=(n_users, dim)).astype(np.float64)
+    items = rng.integers(-2, 3, size=(n_items, dim)).astype(np.float64)
+    return users, items, split
+
+
+def test_evaluate_repeated_cutoff_sums_each_time():
+    users, items, split = random_case(seed=11)
+    for block_entries in (20, 60, 1 << 19):
+        got = evaluate_both(users, items, split, (2, 2), block_entries)
+        once = evaluate(users, items, split, "test", (2,))
+        assert set(got) == {"recall@2", "ndcg@2"}
+        assert got["recall@2"] == pytest.approx(2 * once["recall@2"])
+
+
+def test_evaluate_tie_at_the_cut_inside_a_block():
+    """Three users in one block see the scores 3, 2, 2, 2, 1, 0; their
+    training items leave users 0 and 2 tied at the second place."""
+    users, items = np.ones((3, 1)), np.array([[3.0], [2.0], [2.0], [2.0], [1.0], [0.0]])
+    split = split_of(3, 6, train=[(0, 1), (1, 1), (1, 2)],
+                     test=[(0, 3), (1, 3), (2, 1)])
+    got = evaluate_both(users, items, split, (2,), block_entries=18)
+    # Ranked: user 0 [0, 2], user 1 [0, 3], user 2 [0, 1].
+    hit = 1.0 / math.log2(3)
+    assert got == {"recall@2": 2 / 3, "ndcg@2": (0.0 + hit + hit) / 3}
+
+
+def test_evaluate_row_with_fewer_finite_scores_than_the_cut():
+    """Scores 1, nan, inf, 2, 3, -inf leave three finite items, one of them
+    trained; a user with a NaN representation has none."""
+    users = np.array([[1.0], [np.nan]])
+    items = np.array([[1.0], [np.nan], [np.inf], [2.0], [3.0], [-np.inf]])
+    split = split_of(2, 6, train=[(0, 4)], test=[(0, 0), (1, 0)])
+    with np.errstate(invalid="ignore"):
+        got = evaluate_both(users, items, split, (1, 5), block_entries=12)
+    assert got["recall@1"] == 0.0 and got["recall@5"] == 0.5  # user 0: [3, 0]
+
+
+def test_evaluate_cutoff_above_catalog_size():
+    users, items, split = random_case(seed=12, n_items=5)
+    for block_entries in (5, 15, 1 << 19):
+        evaluate_both(users, items, split, (3, 10), block_entries)
+        evaluate_both(users, items, split, (7,), block_entries)
+
+
+def test_evaluate_overflowing_scores_warn_nothing():
+    """Representations near the float64 range overflow the score product to
+    +-inf or NaN; those items are not ranked, and no RuntimeWarning escapes."""
+    users, items, split = random_case(seed=13, dim=3)
+    users[::3] *= 1e200
+    items[::2] *= 1e200
+    with warnings.catch_warnings(), np.errstate(all="warn"):  # conftest ignores over
+        warnings.simplefilter("error")
+        got = evaluate(users, items, split, "test", (2, 10))
+    with np.errstate(all="ignore"):
+        assert got == evaluate_reference(users, items, split, "test", (2, 10))
 
 
 # ---------------------------------------------------------------------------

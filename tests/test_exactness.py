@@ -175,3 +175,36 @@ def test_sqdist_in_place_matches_expression():
         sq_b = (b * b).sum(axis=1)[None, :]
         expected = np.maximum(sq_a + sq_b - 2.0 * (a @ b.T), 0.0)
         assert same_bits(sqdist(a, b), expected), case
+
+
+def test_stacked_matvec_matches_per_user_rows():
+    """`evaluate` scores a block of users with one stacked matmul; numpy runs
+    it as one gemv per user, so each row keeps the bits of the mat-vec
+    `rank_topk` computes."""
+    rng = np.random.default_rng(8)
+    for width in (1, 4, 64):
+        for n_items in (1, 7, 200, 2001):
+            items = rng.standard_normal((n_items, width)) * 10.0 ** rng.integers(-6, 6, (n_items, 1))
+            users = rng.standard_normal((500, width)) * 10.0 ** rng.integers(-6, 6, (500, 1))
+            for n_users in (1, 2, 3, 17, 128, 444):
+                chunk = np.sort(rng.choice(500, n_users, replace=False))
+                rows = np.empty((n_users, n_items))
+                np.matmul(items, users[chunk][:, :, None], out=rows[:, :, None])
+                expected = np.stack([np.matmul(items, users[u]) for u in chunk])
+                assert same_bits(rows, expected), (width, n_items, n_users)
+
+
+def test_partition_threshold_matches_argpartition():
+    """The cut-th best score per row, with -inf entries and ties."""
+    rng = np.random.default_rng(9)
+    for case in range(300):
+        n_rows, n_items = int(rng.integers(1, 20)), int(rng.integers(1, 60))
+        rows = rng.integers(-3, 4, (n_rows, n_items)).astype(np.float64)  # ties
+        rows[rng.random((n_rows, n_items)) < 0.3] = -np.inf
+        rows[rng.random(n_rows) < 0.2] = -np.inf  # rows with nothing finite
+        rows[rng.random((n_rows, n_items)) < 0.1] = -0.0
+        cut = int(rng.integers(1, n_items + 1))
+        kth = np.argpartition(-rows, cut - 1, axis=1)[:, cut - 1]
+        expected = rows[np.arange(n_rows), kth]
+        got = np.partition(rows, n_items - cut, axis=1)[:, n_items - cut]
+        assert np.array_equal(got, expected), case  # -0.0 == 0.0 as a threshold
