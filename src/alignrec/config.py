@@ -8,6 +8,7 @@ written next to the run outputs so evaluation commands can reuse it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -71,8 +72,8 @@ def format_value(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "none"
-    if isinstance(value, str) and _parse_scalar(value) != value:
-        return f'"{value}"'  # a path such as "123" must read back as text
+    if isinstance(value, str) and (parse_value(value) != value or "#" in value):
+        return f'"{value}"'  # a path such as "123" or "r#1" must read back as text
     return str(value)
 
 
@@ -105,6 +106,11 @@ def parse_value(text: str):
     return _parse_scalar(text)
 
 
+# `key = "value"`: a value that opens with a double quote runs to the last
+# double quote of its line, so a `#` inside it is text, not a comment.
+_QUOTED = re.compile(r'([^#=]*=\s*".*")(.*)')
+
+
 def parse_config_file(path) -> dict:
     values = {}
     known = {f.name for f in fields(RunConfig)}
@@ -117,7 +123,9 @@ def parse_config_file(path) -> dict:
     except UnicodeDecodeError as err:
         raise ConfigError(f"config file {path} is not UTF-8: {err.reason}") from None
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
+        quoted = _QUOTED.match(line)
+        stripped = (quoted[1] + quoted[2].split("#", 1)[0] if quoted
+                    else line.split("#", 1)[0]).strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -17,6 +17,8 @@ from .model import (
     TripletBatch,
     bpr_loss,
     build_propagation_operator,
+    l2_penalty,
+    propagate,
 )
 from .tensor import Tensor, mul, sum_all
 
@@ -60,12 +62,17 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
     suite.append(("infonce", lambda: infonce(v2, t2, hp.temperature),
                   {"first": v2, "second": t2}))
 
-    # pairwise ranking loss on trainable representations
+    # pairwise ranking loss on trainable representations, their weight
+    # penalty, and the loss after graph smoothing over the batch's pairs
     users = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
     items = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
-    _, bpr_batch = _random_triples(rng, 5, 8, 2)
-    suite.append(("bpr_loss", lambda: bpr_loss(bpr_batch, users, items),
-                  {"user_repr": users, "item_repr": items}))
+    bpr_pairs, bpr_batch = _random_triples(rng, 5, 8, 2)
+    reprs = {"user_repr": users, "item_repr": items}
+    suite.append(("bpr_loss", lambda: bpr_loss(bpr_batch, users, items), reprs))
+    suite.append(("l2_penalty", lambda: l2_penalty([users, items]), reprs))
+    graph = build_propagation_operator(bpr_pairs, 5, 8)
+    suite.append(("propagate", lambda: bpr_loss(
+        bpr_batch, *propagate(users, items, graph, hp.graph_layers)), reprs))
 
     # the joint objective over a full model instance
     model_rng = np.random.default_rng(seed + 1)

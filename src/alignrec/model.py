@@ -18,19 +18,15 @@ from .tensor import (
     ParameterError,
     Tensor,
     UsageError,
+    _make_out,
+    _row_index,
+    _scatter_rows,
     add,
-    concat_rows,
     gather_rows,
     matmul,
-    mul,
     scale,
     slice_rows,
-    softplus,
-    spmm_const,
-    square,
-    sub,
-    sum_all,
-    sum_axis,
+    stable_sigmoid,
 )
 
 VISUAL = "visual"
@@ -54,6 +50,11 @@ def projection_param_count(visual_dim: int, text_dim: int, reduction: int) -> in
     return target_dim(visual_dim, text_dim, reduction) * (visual_dim + text_dim)
 
 
+# Largest width or reduction factor a config may ask for. Far wider arrays
+# fail in numpy's allocator instead of in the config check.
+MAX_WIDTH = 1 << 16
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Loss weights, dimensions and architecture knobs for one model.
@@ -75,6 +76,10 @@ class HyperParams:
     symmetric_infonce: bool = False
 
     def __post_init__(self):
+        for name in ("reduction", "id_dim", "branch_channels"):
+            if getattr(self, name) > MAX_WIDTH:
+                raise ConfigError(f"{name} must be <= {MAX_WIDTH}, "
+                                  f"got {getattr(self, name)}")
         if self.reduction < 1:
             raise ConfigError(f"reduction must be >= 1, got {self.reduction}")
         if self.id_dim < 1:
@@ -246,19 +251,41 @@ def build_propagation_operator(train_pairs: np.ndarray, n_users: int,
 
 def propagate(user_emb: Tensor, item_emb: Tensor, operator: sp.csr_matrix,
               layers: int) -> tuple[Tensor, Tensor]:
-    """Average the embeddings of 0..layers propagation hops; 0 layers is identity."""
+    """Average the embeddings of 0..layers propagation hops; 0 layers is identity.
+
+    The mean over the stacked user and item rows is one tape node, sliced
+    into the two outputs. Its backward replays the tape of the separate
+    stack, L x (sparse product, add) and scale nodes: every partial sum of
+    the hops gets the scaled gradient `t`, and from the last hop down, a hop
+    gets `t` after the transposed product of the hop above it.
+    """
     if layers < 0:
         raise ParameterError(f"layers must be >= 0, got {layers}")
     if layers == 0:
         return user_emb, item_emb
     n_users = user_emb.shape[0]
     n_items = item_emb.shape[0]
-    current = concat_rows(user_emb, item_emb)
-    total = current
+    weight = 1.0 / (layers + 1)
+    current = np.concatenate([user_emb.data, item_emb.data])
+    total = current.copy()
     for _ in range(layers):
-        current = spmm_const(operator, current)
-        total = add(total, current)
-    mean = scale(total, 1.0 / (layers + 1))
+        current = operator @ current
+        total += current
+    total *= weight
+
+    def backward(g):
+        # The transpose of a CSR matrix is a CSC view of the same arrays; its
+        # product adds each output's terms in the order the CSR transpose
+        # would, so nothing is converted.
+        t = g * weight  # every partial sum's gradient; like `g`, it holds no -0.0
+        hop = t
+        for _ in range(layers - 1):
+            hop = operator.T @ hop
+            hop += t
+        stacked = t + operator.T @ hop
+        return stacked[:n_users], stacked[n_users:]
+
+    mean = _make_out(total, (user_emb, item_emb), backward)
     return slice_rows(mean, 0, n_users), slice_rows(mean, n_users, n_users + n_items)
 
 
@@ -281,15 +308,53 @@ def fuse(user_out: Tensor, item_out: Tensor, h_visual: Tensor | None,
 
 
 def bpr_loss(batch: TripletBatch, user_repr: Tensor, item_repr: Tensor) -> Tensor:
-    """Pairwise ranking loss: sum of -log sigmoid(pos score - neg score)."""
+    """Pairwise ranking loss: sum of -log sigmoid(pos score - neg score).
+
+    One tape node. Its backward replays the tape of the separate gather,
+    product, row-sum, difference, negation, softplus and sum nodes: the
+    anchors get the negatives' term, then the positives'; `item_repr` gets
+    the negatives' scatter, then the positives', then `user_repr` the
+    anchors'.
+    """
     if len(batch) == 0:
         raise UsageError("bpr_loss: empty batch")
-    anchors = gather_rows(user_repr, batch.users)
-    pos = gather_rows(item_repr, batch.pos_items)
-    neg = gather_rows(item_repr, batch.neg_items)
-    margin = sub(sum_axis(mul(anchors, pos), axis=1),
-                 sum_axis(mul(anchors, neg), axis=1))
-    return sum_all(softplus(scale(margin, -1.0)))
+    n_users, n_items = user_repr.shape[0], item_repr.shape[0]
+    users = _row_index(batch.users, n_users, "bpr_loss")
+    pos_items = _row_index(batch.pos_items, n_items, "bpr_loss")
+    neg_items = _row_index(batch.neg_items, n_items, "bpr_loss")
+    anchors = user_repr.data[users]
+    pos = item_repr.data[pos_items]
+    neg = item_repr.data[neg_items]
+    x = -((anchors * pos).sum(axis=1) - (anchors * neg).sum(axis=1))
+
+    def backward(g):
+        # Each scatter sums from +0.0, so the sign of a zero term is lost
+        # there and the tape's `+ 0.0` steps can be left out.
+        g_pos_score = -(g * stable_sigmoid(x))
+        g_neg_score = -g_pos_score
+        g_anchors = g_neg_score[:, None] * neg
+        g_anchors += g_pos_score[:, None] * pos
+        return (_scatter_rows(neg_items, g_neg_score[:, None] * anchors, n_items),
+                _scatter_rows(pos_items, g_pos_score[:, None] * anchors, n_items),
+                _scatter_rows(users, g_anchors, n_users))
+
+    return _make_out(np.logaddexp(0.0, x).sum(), (item_repr, item_repr, user_repr),
+                     backward)
+
+
+def l2_penalty(tensors: list[Tensor]) -> Tensor:
+    """Sum of the squared entries of `tensors`, as one tape node: each term is
+    `(p * p).sum()`, added in list order, and its gradient is `g * 2.0 * p`."""
+    tensors = tuple(tensors)
+    total = None
+    for p in tensors:
+        term = (p.data * p.data).sum()
+        total = term if total is None else total + term
+
+    def backward(g):
+        return tuple(g * 2.0 * p.data if p.requires_grad else None for p in tensors)
+
+    return _make_out(total, tensors, backward)
 
 
 class Recommender:
@@ -369,10 +434,7 @@ class Recommender:
                 parts["infonce"] = nce.item()
                 loss = add(loss, scale(nce, self.lambda_cl))
         if self.hp.lambda_reg != 0.0:
-            reg = None
-            for p in self.params.regularized():
-                term = sum_all(square(p))
-                reg = term if reg is None else add(reg, term)
+            reg = l2_penalty(self.params.regularized())
             parts["reg"] = reg.item()
             loss = add(loss, scale(reg, self.hp.lambda_reg))
         return loss, parts

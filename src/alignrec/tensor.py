@@ -186,15 +186,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make_out(a.data + b.data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a.data, b.data, "sub")
-
-    def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make_out(a.data - b.data, (a, b), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; `b` may broadcast over one axis, e.g. (C,1) or (1,L)."""
     _check_broadcastable(a.data, b.data, "mul")
@@ -215,27 +206,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make_out(a.data * c, (a,), bw)
 
 
-def square(a: Tensor) -> Tensor:
-    ad = a.data
-
-    def bw(g):
-        return (g * 2.0 * ad,)
-
-    return _make_out(ad * ad, (a,), bw)
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), the numerically stable form of -log(sigmoid(-x))."""
-    x = a.data
-    out = np.logaddexp(0.0, x)
-    sig = stable_sigmoid(x)
-
-    def bw(g):
-        return (g * sig,)
-
-    return _make_out(out, (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # reductions and shape plumbing
 # ---------------------------------------------------------------------------
@@ -249,29 +219,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make_out(a.data.sum(), (a,), bw)
 
 
-def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    shape = a.data.shape
-
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make_out(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise DimensionError(
-            f"concat_rows: shapes {a.data.shape} and {b.data.shape} do not stack")
-    na = a.data.shape[0]
-
-    def bw(g):
-        return g[:na], g[na:]
-
-    return _make_out(np.concatenate([a.data, b.data], axis=0), (a, b), bw)
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     shape = a.data.shape
 
@@ -283,22 +230,31 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _make_out(a.data[start:stop].copy(), (a,), bw)
 
 
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows by integer index; backward scatter-adds into the source."""
+def _row_index(index, n_rows: int, op: str) -> np.ndarray:
+    """`index` as a 1-d int64 array of row numbers below `n_rows`."""
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
-        raise DimensionError(f"gather_rows expects a 1-d index, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise IndexError(
-            f"gather_rows: index out of range for {a.data.shape[0]} rows")
-    shape = a.data.shape
+        raise DimensionError(f"{op} expects a 1-d index, got shape {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"{op}: index out of range for {n_rows} rows")
+    return idx
+
+
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row `r` of the result sums the rows `g[j]` with `idx[j] == r`, in
+    index order from 0.0, the order `np.add.at` adds them in."""
+    m = idx.size  # one column per gathered row
+    scatter = sp.csr_matrix((np.ones(m), (idx, np.arange(m))), shape=(n_rows, m))
+    return scatter @ g
+
+
+def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
+    """Select rows by integer index; backward scatter-adds into the source."""
+    n_rows = a.data.shape[0]
+    idx = _row_index(index, n_rows, "gather_rows")
 
     def bw(g):
-        # One column per gathered row: each source row sums its gradients in
-        # index order from 0.0, the order `np.add.at` adds them in.
-        m = idx.size
-        scatter = sp.csr_matrix((np.ones(m), (idx, np.arange(m))), shape=(shape[0], m))
-        return (scatter @ g,)
+        return (_scatter_rows(idx, g, n_rows),)
 
     return _make_out(a.data[idx], (a,), bw)
 
@@ -317,20 +273,3 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 ad.T @ g if b.requires_grad else None)
 
     return _make_out(ad @ bd, (a, b), bw)
-
-
-def spmm_const(adjacency, x: Tensor) -> Tensor:
-    """Multiply by a constant sparse operator; backward applies its transpose.
-
-    The transpose of a CSR matrix is a CSC view of the same arrays, built
-    without a copy. Its product adds each output's terms in the order the
-    CSR transpose would, so nothing is converted.
-    """
-    if adjacency.shape[1] != x.data.shape[0]:
-        raise DimensionError(
-            f"spmm_const: operator shape {adjacency.shape} does not match rows {x.data.shape}")
-
-    def bw(g):
-        return (adjacency.T @ g,)
-
-    return _make_out(adjacency @ x.data, (x,), bw)

@@ -21,7 +21,6 @@ from alignrec.config import RunConfig
 from alignrec.data import SynthSpec, synth_generate
 from alignrec.diagnostics import align_stats, run_gradcheck
 from alignrec.errors import ConfigError
-from alignrec.evaluation import recall_ndcg_at_k
 from alignrec.model import (
     TripletBatch,
     bpr_loss,
@@ -33,7 +32,7 @@ from alignrec.tensor import Tensor
 from alignrec.train import restore_model, run_training
 
 from test_align import mmd_loop_oracle
-from test_evaluation import metrics_oracle
+from test_evaluation import metrics_oracle, recall_ndcg_at_k
 
 
 def announce(number: int, message: str, elapsed: float) -> None:
@@ -83,7 +82,7 @@ def test_c01_gradient_correctness():
     worst = max(r["worst_rel_error"] for r in results.values())
     assert passed, results
     assert set(results) == {"dream_forward", "mmd_squared", "infonce",
-                            "bpr_loss", "total_loss"}
+                            "bpr_loss", "l2_penalty", "propagate", "total_loss"}
     assert elapsed < 30.0
     announce(1, f"gradcheck worst rel error {worst:.2e} <= 1e-4", elapsed)
 
@@ -233,7 +232,7 @@ def test_c08_reduction_factor_accounting(tmp_path_factory):
 def test_c09_exact_ablation_code_paths():
     from test_model import tiny_model
     from alignrec.model import encode_items, reduce_modalities
-    from alignrec.tensor import add, scale, square, sum_all
+    from alignrec.tensor import add, mul, scale, sum_all
 
     started = time.perf_counter()
     model, batch, _ = tiny_model(variant="no-ga")
@@ -242,7 +241,7 @@ def test_c09_exact_ablation_code_paths():
     expected = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
     reg = None
     for p in model.params.regularized():
-        term = sum_all(square(p))
+        term = sum_all(mul(p, p))
         reg = term if reg is None else add(reg, term)
     expected = add(expected, scale(reg, model.hp.lambda_reg))
     assert loss.item() == expected.item()

@@ -89,6 +89,21 @@ def test_resolved_config_lines_round_trip(tmp_path):
     assert again.out == "123"
 
 
+@pytest.mark.parametrize("out", ["r#x", "a # b", 'a"#b', "[x]", " padded "])
+def test_resolved_config_round_trips_values_that_need_quotes(tmp_path, out):
+    cfg = RunConfig(out=out)
+    path = tmp_path / "resolved.cfg"
+    path.write_text("\n".join(cfg.lines()) + "\n")
+    assert resolve_config(str(path), {}).out == out
+
+
+def test_quoted_config_value_keeps_its_hash(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text('out = "r#x"  # the run directory\nseed = 4 # comment\n')
+    cfg = resolve_config(str(path), {})
+    assert (cfg.out, cfg.seed) == ("r#x", 4)
+
+
 def test_direct_construction_is_range_checked():
     with pytest.raises(ConfigError, match="batch_size"):
         RunConfig(batch_size=0)
@@ -354,6 +369,9 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     ([], "lambda_cl = nan\n"),
     (["--lambda-mmd", "inf"], None),
     ([], "temperature = inf\n"),
+    (["--id-dim", "100000000000000000000"], None),
+    ([], "branch_channels = 100000000000000000000\n"),
+    (["--reduction", "100000000000000000000"], None),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
@@ -364,7 +382,8 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
         "dilations-two-in-file",
         "variant-unknown-in-file", "branch-channels-zero", "seed-negative",
         "base-lr-int-past-float-range-in-file", "lambda-cl-nan-in-file",
-        "lambda-mmd-inf", "temperature-inf-in-file"])
+        "lambda-mmd-inf", "temperature-inf-in-file", "id-dim-1e20",
+        "branch-channels-1e20-in-file", "reduction-1e20"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
@@ -484,7 +503,8 @@ def test_gradcheck_passes_and_fault_injection_fails(capsys):
     report = json.loads(capsys.readouterr().out)
     assert rc == 0 and report["passed"]
     assert set(report["groups"]) == {"dream_forward", "mmd_squared", "infonce",
-                                     "bpr_loss", "total_loss"}
+                                     "bpr_loss", "l2_penalty", "propagate",
+                                     "total_loss"}
 
     rc = main(["gradcheck", "--inject-fault", "first"])
     report = json.loads(capsys.readouterr().out)

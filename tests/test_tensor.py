@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,19 +24,13 @@ from alignrec.tensor import (
     UsageError,
     add,
     backward,
-    concat_rows,
     gather_rows,
     matmul,
     mul,
     scale,
     slice_rows,
-    softplus,
-    spmm_const,
-    square,
     stable_sigmoid,
-    sub,
     sum_all,
-    sum_axis,
 )
 
 
@@ -61,6 +54,10 @@ def analytic_grad(f, t: Tensor) -> np.ndarray:
         loss = f()
     backward(loss, tape)
     return t.grad.copy()
+
+
+def sum_sq(t: Tensor) -> Tensor:
+    return sum_all(mul(t, t))
 
 
 def assert_grad_matches(f, t: Tensor, tol: float = 1e-5):
@@ -231,7 +228,7 @@ def test_backward_sum_gives_ones():
 def test_backward_half_squared_norm_gives_x():
     x = Tensor(np.random.default_rng(7).standard_normal((5,)), requires_grad=True)
     with Tape() as tape:
-        loss = scale(sum_all(square(x)), 0.5)
+        loss = scale(sum_sq(x), 0.5)
     backward(loss, tape)
     assert np.allclose(x.grad, x.data)
 
@@ -260,7 +257,7 @@ def test_backward_twice_on_one_tape_raises():
     """Closures may overwrite what their forward saved, so a tape replays once."""
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(square(x))
+        loss = sum_sq(x)
     backward(loss, tape)
     first = x.grad.copy()
     with pytest.raises(UsageError, match="already replayed"):
@@ -286,9 +283,9 @@ def test_composite_gradient_matches_finite_differences():
     v = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 
     def f():
-        a = softplus(matmul(x, w))  # `a` has two consumers
-        b = mul(square(a), v)
-        return sum_all(sum_axis(square(sub(b, scale(a, 0.5))), 1))
+        a = matmul(x, w)  # `a` has two consumers
+        b = mul(mul(a, a), v)
+        return sum_all(mul(add(b, scale(a, -0.5)), v))
 
     for t in (x, w, v):
         assert_grad_matches(f, t)
@@ -297,8 +294,8 @@ def test_composite_gradient_matches_finite_differences():
 def test_forward_is_deterministic():
     rng = np.random.default_rng(9)
     data = rng.standard_normal((4, 4))
-    a = softplus(Tensor(data)).data
-    b = softplus(Tensor(data)).data
+    a = matmul(Tensor(data), Tensor(data)).data
+    b = matmul(Tensor(data), Tensor(data)).data
     assert np.array_equal(a, b)
 
 
@@ -318,31 +315,19 @@ def _case(name, build):
     PRIMITIVE_CASES.append(pytest.param(build, id=name))
 
 
-_case("add_broadcast", lambda: (lambda a, b: sum_all(square(add(a, b))),
+_case("add_broadcast", lambda: (lambda a, b: sum_sq(add(a, b)),
                                 [_rand((3, 4), 1), _rand((3, 1), 2)]))
-_case("sub", lambda: (lambda a, b: sum_all(square(sub(a, b))),
-                      [_rand((3, 4), 3), _rand((1, 4), 4)]))
 _case("mul", lambda: (lambda a, b: sum_all(mul(a, b)),
                       [_rand((2, 5), 5), _rand((2, 1), 6)]))
 _case("scale", lambda: (lambda a: sum_all(scale(a, -1.7)), [_rand((4,), 7)]))
-_case("softplus", lambda: (lambda a: sum_all(square(softplus(a))), [_rand((6,), 14)]))
-_case("sum_axis", lambda: (lambda a: sum_all(square(sum_axis(a, 1))),
-                           [_rand((3, 4), 15)]))
-_case("concat_rows", lambda: (lambda a, b: sum_all(square(concat_rows(a, b))),
-                              [_rand((2, 3), 18), _rand((4, 3), 19)]))
-_case("slice_rows", lambda: (lambda a: sum_all(square(slice_rows(a, 1, 3))),
+_case("slice_rows", lambda: (lambda a: sum_sq(slice_rows(a, 1, 3)),
                              [_rand((4, 3), 20)]))
 _case("gather_rows",
-      lambda: (lambda a: sum_all(square(gather_rows(a, np.array([0, 2, 2, 1])))),
+      lambda: (lambda a: sum_sq(gather_rows(a, np.array([0, 2, 2, 1]))),
                [_rand((3, 4), 21)]))
-_case("matmul", lambda: (lambda a, b: sum_all(square(matmul(a, b))),
+_case("matmul", lambda: (lambda a, b: sum_sq(matmul(a, b)),
                          [_rand((3, 4), 25), _rand((4, 2), 26)]))
-_case("square", lambda: (lambda a: sum_all(square(a)), [_rand((2, 3), 22)]))
-_case("sum_all", lambda: (lambda a: square(sum_all(a)), [_rand((3, 2), 23)]))
-_case("spmm_const",
-      lambda: (lambda x: sum_all(square(spmm_const(
-          sp.csr_matrix(np.array([[0.0, 1.0], [0.5, 0.5]])), x))),
-               [_rand((2, 3), 44)]))
+_case("sum_all", lambda: (lambda a: sum_sq(sum_all(a)), [_rand((3, 2), 23)]))
 
 
 @pytest.mark.parametrize("build", PRIMITIVE_CASES)
@@ -377,7 +362,8 @@ def test_every_tape_node_has_a_gradient_check():
 
     fused = set().union(*(_make_out_callers(path) for path in package.glob("*.py")
                           if path.name != "tensor.py"))
-    assert {"dream_forward", "mmd_squared", "infonce"} <= fused
+    assert {"dream_forward", "mmd_squared", "infonce", "bpr_loss", "l2_penalty",
+            "propagate"} <= fused
     suite = {name for name, _, _ in build_suite(0)}
     assert fused <= suite, f"fused nodes outside the suite: {sorted(fused - suite)}"
 
@@ -425,7 +411,7 @@ def test_grad_check_passes_linear_composite():
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
-    report = grad_check(lambda: sum_all(square(matmul(x, w))),
+    report = grad_check(lambda: sum_sq(matmul(x, w)),
                         {"x": x, "w": w}, tol=1e-5)
     assert report.passed
     assert set(report.max_rel_error) == {"x", "w"}
@@ -439,7 +425,7 @@ def test_grad_check_passes_linear_composite():
 def test_grad_check_rejects_unusable_settings(settings):
     x = Tensor(np.ones(2), requires_grad=True)
     with pytest.raises(ParameterError):
-        grad_check(lambda: sum_all(square(x)), {"x": x}, **settings)
+        grad_check(lambda: sum_sq(x), {"x": x}, **settings)
 
 
 def test_grad_check_detects_broken_backward_rule():
@@ -448,7 +434,7 @@ def test_grad_check_detects_broken_backward_rule():
 
     gradcheck_mod.FAULT_NEGATE_GRADS.add("x")
     try:
-        report = grad_check(lambda: sum_all(square(x)), {"x": x})
+        report = grad_check(lambda: sum_sq(x), {"x": x})
     finally:
         gradcheck_mod.FAULT_NEGATE_GRADS.clear()
     assert not report.passed
@@ -457,4 +443,4 @@ def test_grad_check_detects_broken_backward_rule():
 def test_grad_check_reports_non_finite():
     x = Tensor(np.array([1e200]), requires_grad=True)
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        grad_check(lambda: sum_all(square(x)), {"x": x})
+        grad_check(lambda: sum_sq(x), {"x": x})
