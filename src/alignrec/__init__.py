@@ -1,6 +1,6 @@
 """Multimodal alignment recommender with a self-contained autodiff core."""
 
-from .align import AlignConfig, gaussian_kernel, infonce, mmd_squared
+from .align import gaussian_kernel, infonce, mmd_squared
 from .dream import DreamConfig, DreamParams, dream_forward
 from .model import (
     HyperParams,
@@ -15,7 +15,7 @@ from .tensor import Tape, Tensor, backward
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignConfig", "DreamConfig", "DreamParams", "HyperParams", "ModelParams",
+    "DreamConfig", "DreamParams", "HyperParams", "ModelParams",
     "Recommender", "Tape", "Tensor", "TripletBatch", "backward",
     "bpr_loss", "dream_forward", "gaussian_kernel", "infonce", "mmd_squared",
     "target_dim", "__version__",

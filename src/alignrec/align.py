@@ -7,8 +7,6 @@ gradients equal that tape's bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import DimensionError, ParameterError, Tensor, _make_out
@@ -16,19 +14,10 @@ from .tensor import DimensionError, ParameterError, Tensor, _make_out
 NORM_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class AlignConfig:
-    """Kernel bandwidths of the distribution distance.
-
-    Multiple bandwidths are averaged into a multi-kernel estimator; pass a
-    single-element tuple to use one Gaussian kernel.
-    """
-
-    bandwidths: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.bandwidths or not all(s > 0 for s in self.bandwidths):
-            raise ParameterError(f"bandwidths must be positive, got {self.bandwidths}")
+def check_bandwidths(bandwidths: tuple[float, ...]) -> None:
+    """Reject an empty tuple or one holding a value that is not > 0."""
+    if not bandwidths or not all(s > 0 for s in bandwidths):
+        raise ParameterError(f"bandwidths must be positive, got {bandwidths}")
 
 
 def gaussian_kernel(v: np.ndarray, t: np.ndarray, sigma: float) -> float:
@@ -78,12 +67,14 @@ def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.log(total) + m).reshape(-1), shifted / total
 
 
-def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
+def mmd_squared(first: Tensor, second: Tensor,
+                bandwidths: tuple[float, ...]) -> Tensor:
     """Biased kernel-form MMD^2 between two equally sized sample sets.
 
     (1/N^2) [sum k(v,v') + sum k(t,t') - 2 sum k(v,t)], averaged over the
-    configured bandwidths.
+    Gaussian kernels of `bandwidths`; a one-element tuple gives one kernel.
     """
+    check_bandwidths(bandwidths)
     if first.ndim != 2 or second.ndim != 2:
         raise DimensionError(
             f"mmd_squared expects matrices, got {first.shape} and {second.shape}")
@@ -99,7 +90,7 @@ def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
     dists = [sqdist(x, y) for x, y in pairs]
     kernels = []  # per bandwidth: its exponent coefficient and (ff, ss, fs) kernels
     total = None
-    for sigma in cfg.bandwidths:
+    for sigma in bandwidths:
         coef = -1.0 / (2.0 * sigma * sigma)
         k_ff, k_ss, k_fs = (coef * d for d in dists)
         for k in (k_ff, k_ss, k_fs):
@@ -113,7 +104,7 @@ def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
     def backward(g):
         # The kernels become their gradient pieces in place, so the tape
         # replays once.
-        g_term = g * (1.0 / len(cfg.bandwidths)) * (1.0 / (n * n))
+        g_term = g * (1.0 / len(bandwidths)) * (1.0 / (n * n))
         weights = (g_term, g_term, -g_term * 2.0)
         # each distance sums its kernels' pieces, last bandwidth first
         g_dists = [None] * len(pairs)
@@ -132,7 +123,7 @@ def mmd_squared(first: Tensor, second: Tensor, cfg: AlignConfig) -> Tensor:
                       2.0 * (g_d.sum(axis=0)[:, None] * y - g_d.T @ x)]
         return grads
 
-    return _make_out(total * (1.0 / len(cfg.bandwidths)),
+    return _make_out(total * (1.0 / len(bandwidths)),
                      (first, second, second, second, first, first), backward)
 
 

@@ -14,7 +14,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import gradcheck as gradcheck_mod
 from .config import RunConfig, parse_value, resolve_config
 from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
@@ -91,13 +90,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.inject_fault:
-        gradcheck_mod.FAULT_NEGATE_GRADS.add(args.inject_fault)
-    try:
-        results, passed = run_gradcheck(seed=args.seed or 0, tol=args.tol,
-                                        h=args.h)
-    finally:
-        gradcheck_mod.FAULT_NEGATE_GRADS.clear()
+    results, passed = run_gradcheck(seed=args.seed or 0, tol=args.tol, h=args.h)
     print(json.dumps({"tol": args.tol, "h": args.h, "passed": passed,
                       "groups": results}))
     if not passed:
@@ -155,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--tol", type=float, default=1e-4)
     p_grad.add_argument("--h", type=float, default=1e-6)
-    p_grad.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     p_grad.set_defaults(handler=cmd_gradcheck)
 
     p_stats = sub.add_parser("align-stats",

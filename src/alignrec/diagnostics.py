@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .align import AlignConfig, infonce, mmd_squared, normalize_rows
+from .align import infonce, mmd_squared, normalize_rows
 from .data import save_fmat
 from .dream import DreamParams, dream_forward
 from .errors import ConfigError
@@ -54,7 +54,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
     # distribution distance between two trainable sample sets
     v = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
     t = Tensor(rng.standard_normal((8, 16)) + 0.3, requires_grad=True)
-    suite.append(("mmd_squared", lambda: mmd_squared(v, t, hp.align_cfg),
+    suite.append(("mmd_squared", lambda: mmd_squared(v, t, hp.bandwidths),
                   {"first": v, "second": t}))
 
     v2 = Tensor(rng.standard_normal((8, 16)), requires_grad=True)
@@ -116,11 +116,9 @@ def align_stats(model: Recommender, export_path=None) -> dict:
     user_repr, item_repr, h_v, h_t = model.representations()
     if h_v is None or h_t is None:
         raise ConfigError("alignment stats require both modalities")
-    per_bandwidth = {}
-    for sigma in model.hp.bandwidths:
-        cfg = AlignConfig(bandwidths=(sigma,))
-        per_bandwidth[str(sigma)] = mmd_squared(h_v, h_t, cfg).item()
-    combined = mmd_squared(h_v, h_t, model.align_cfg)
+    per_bandwidth = {str(sigma): mmd_squared(h_v, h_t, (sigma,)).item()
+                     for sigma in model.hp.bandwidths}
+    combined = mmd_squared(h_v, h_t, model.hp.bandwidths)
 
     a, _ = normalize_rows(h_v.data)
     b, _ = normalize_rows(h_t.data)

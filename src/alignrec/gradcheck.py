@@ -10,10 +10,6 @@ import numpy as np
 from .errors import NumericalError
 from .tensor import ParameterError, Tape, Tensor, backward
 
-# Test-only fault hook: parameter names listed here get their analytic
-# gradient negated before comparison, simulating a broken backward rule.
-FAULT_NEGATE_GRADS: set[str] = set()
-
 
 @dataclass
 class GradCheckReport:
@@ -63,12 +59,8 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
     if not np.isfinite(loss.data):
         raise NumericalError("grad_check: non-finite loss evaluation")
     backward(loss, tape)
-    analytic = {}
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if name in FAULT_NEGATE_GRADS:
-            g = -g
-        analytic[name] = g.copy()
+    analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for name, p in params.items()}
 
     report = GradCheckReport(tol=tol, h=h)
     for name, p in params.items():

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .align import AlignConfig, infonce, mmd_squared
+from .align import check_bandwidths, infonce, mmd_squared
 from .data import atomic_open
 from .dream import DreamConfig, DreamParams, dream_forward, xavier_uniform
 from .errors import ConfigError, DataFormatError
@@ -31,6 +31,7 @@ from .tensor import (
 
 VISUAL = "visual"
 TEXT = "text"
+MODALITIES = (VISUAL, TEXT)
 
 
 def target_dim(visual_dim: int, text_dim: int, reduction: int) -> int:
@@ -50,8 +51,9 @@ def projection_param_count(visual_dim: int, text_dim: int, reduction: int) -> in
     return target_dim(visual_dim, text_dim, reduction) * (visual_dim + text_dim)
 
 
-# Largest width or reduction factor a config may ask for. Far wider arrays
-# fail in numpy's allocator instead of in the config check.
+# Largest width, reduction factor or propagation hop count a config may ask
+# for. Far wider arrays fail in numpy's allocator, and far more hops run
+# without end, instead of failing the config check.
 MAX_WIDTH = 1 << 16
 
 
@@ -59,8 +61,7 @@ MAX_WIDTH = 1 << 16
 class HyperParams:
     """Loss weights, dimensions and architecture knobs for one model.
 
-    Also carries `dream_cfg` and `align_cfg`, the refinement and alignment
-    configs built from these fields."""
+    Also carries `dream_cfg`, the refinement config built from these fields."""
 
     lambda_cl: float = 0.01
     lambda_mmd: float = 0.15
@@ -76,7 +77,7 @@ class HyperParams:
     symmetric_infonce: bool = False
 
     def __post_init__(self):
-        for name in ("reduction", "id_dim", "branch_channels"):
+        for name in ("reduction", "id_dim", "branch_channels", "graph_layers"):
             if getattr(self, name) > MAX_WIDTH:
                 raise ConfigError(f"{name} must be <= {MAX_WIDTH}, "
                                   f"got {getattr(self, name)}")
@@ -92,33 +93,39 @@ class HyperParams:
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be finite and > 0, "
                               f"got {self.temperature}")
-        # Built with the config, so their range checks run before data loads.
+        # Checked with the config, so a bad value fails before data loads.
         try:
             object.__setattr__(self, "dream_cfg", DreamConfig(
                 self.branch_channels, self.attention_reduction, self.dilations))
-            object.__setattr__(self, "align_cfg", AlignConfig(self.bandwidths))
+            check_bandwidths(self.bandwidths)
         except ParameterError as err:
             raise ConfigError(str(err)) from None
 
 
 @dataclass
+class Branch:
+    """One modality's weights: its reduction to the shared width d, its
+    refinement block, and its projection into the item embeddings."""
+
+    reduce: Tensor
+    dream: DreamParams
+    fuse: Tensor
+
+
+@dataclass
 class ModelParams:
-    """Every learnable tensor; absent modalities hold None."""
+    """Every learnable tensor: the id embeddings, and one branch per present
+    modality in MODALITIES order."""
 
     user_emb: Tensor
     item_emb: Tensor
     dream_cfg: DreamConfig
-    visual_reduce: Tensor | None = None
-    text_reduce: Tensor | None = None
-    dream_visual: DreamParams | None = None
-    dream_text: DreamParams | None = None
-    visual_fuse: Tensor | None = None
-    text_fuse: Tensor | None = None
+    branches: dict[str, Branch] = field(default_factory=dict)
 
     @classmethod
     def create(cls, n_users: int, n_items: int, visual_dim: int, text_dim: int,
                hp: HyperParams, rng: np.random.Generator,
-               modalities: tuple[str, ...] = (VISUAL, TEXT)) -> "ModelParams":
+               modalities: tuple[str, ...] = MODALITIES) -> "ModelParams":
         d = target_dim(visual_dim, text_dim, hp.reduction)
 
         def t(shape):
@@ -128,39 +135,30 @@ class ModelParams:
         params = cls(user_emb=t((n_users, hp.id_dim)),
                      item_emb=t((n_items, hp.id_dim)),
                      dream_cfg=hp.dream_cfg)
-        if VISUAL in modalities:
-            params.visual_reduce = t((visual_dim, d))
-            params.dream_visual = DreamParams.create(hp.dream_cfg, rng)
-            params.visual_fuse = t((d, hp.id_dim))
-        if TEXT in modalities:
-            params.text_reduce = t((text_dim, d))
-            params.dream_text = DreamParams.create(hp.dream_cfg, rng)
-            params.text_fuse = t((d, hp.id_dim))
+        for modality, dim in zip(MODALITIES, (visual_dim, text_dim)):
+            if modality in modalities:
+                params.branches[modality] = Branch(
+                    reduce=t((dim, d)),
+                    dream=DreamParams.create(hp.dream_cfg, rng),
+                    fuse=t((d, hp.id_dim)))
         return params
 
     def named(self) -> dict[str, Tensor]:
+        """Checkpoint names: ids, the reduces, the fuses, then each DREAM."""
         out = {"user_emb": self.user_emb, "item_emb": self.item_emb}
-        for name, tensor in (("visual_reduce", self.visual_reduce),
-                             ("text_reduce", self.text_reduce),
-                             ("visual_fuse", self.visual_fuse),
-                             ("text_fuse", self.text_fuse)):
-            if tensor is not None:
-                out[name] = tensor
-        if self.dream_visual is not None:
-            out.update(self.dream_visual.named("dream_visual"))
-        if self.dream_text is not None:
-            out.update(self.dream_text.named("dream_text"))
+        out.update({f"{m}_reduce": b.reduce for m, b in self.branches.items()})
+        out.update({f"{m}_fuse": b.fuse for m, b in self.branches.items()})
+        for m, b in self.branches.items():
+            out.update(b.dream.named(f"dream_{m}"))
         return out
 
     def regularized(self) -> list[Tensor]:
+        """The l2 penalty's terms, in the order it sums them."""
         out = [self.user_emb, self.item_emb]
-        for tensor in (self.visual_reduce, self.text_reduce,
-                       self.visual_fuse, self.text_fuse):
-            if tensor is not None:
-                out.append(tensor)
-        for dp in (self.dream_visual, self.dream_text):
-            if dp is not None:
-                out.extend(dp.regularized())
+        out += [b.reduce for b in self.branches.values()]
+        out += [b.fuse for b in self.branches.values()]
+        for b in self.branches.values():
+            out += b.dream.regularized()
         return out
 
     def zero_grads(self) -> None:
@@ -196,13 +194,10 @@ class TripletBatch:
 
 def reduce_modalities(x_visual: Tensor | None, x_text: Tensor | None,
                       params: ModelParams) -> tuple[Tensor | None, Tensor | None]:
-    """Project raw modality features into the shared width d."""
-    reduced_v = reduced_t = None
-    if params.visual_reduce is not None:
-        reduced_v = matmul(x_visual, params.visual_reduce)
-    if params.text_reduce is not None:
-        reduced_t = matmul(x_text, params.text_reduce)
-    return reduced_v, reduced_t
+    """Project raw modality features into the shared width d; an absent
+    branch gives None."""
+    return tuple(matmul(x, params.branches[m].reduce) if m in params.branches
+                 else None for m, x in zip(MODALITIES, (x_visual, x_text)))
 
 
 def encode_items(x_visual: Tensor | None, x_text: Tensor | None,
@@ -213,13 +208,12 @@ def encode_items(x_visual: Tensor | None, x_text: Tensor | None,
     With refine=False the refinement stage is bypassed entirely and the
     outputs are exactly the reduced features (the local-alignment ablation).
     """
-    h_v, h_t = reduce_modalities(x_visual, x_text, params)
-    if refine:
-        if h_v is not None:
-            h_v = dream_forward(h_v, params.dream_visual, params.dream_cfg)
-        if h_t is not None:
-            h_t = dream_forward(h_t, params.dream_text, params.dream_cfg)
-    return h_v, h_t
+    reduced = reduce_modalities(x_visual, x_text, params)
+    if not refine:
+        return reduced
+    return tuple(None if h is None
+                 else dream_forward(h, params.branches[m].dream, params.dream_cfg)
+                 for m, h in zip(MODALITIES, reduced))
 
 
 def build_propagation_operator(train_pairs: np.ndarray, n_users: int,
@@ -293,11 +287,8 @@ def fuse(user_out: Tensor, item_out: Tensor, h_visual: Tensor | None,
          h_text: Tensor | None, params: ModelParams) -> tuple[Tensor, Tensor]:
     """Additive fusion: items absorb projected modality encodings, users stay
     collaborative. Both modalities average; a single one enters with weight 1."""
-    terms = []
-    if h_visual is not None:
-        terms.append(matmul(h_visual, params.visual_fuse))
-    if h_text is not None:
-        terms.append(matmul(h_text, params.text_fuse))
+    terms = [matmul(h, params.branches[m].fuse)
+             for m, h in zip(MODALITIES, (h_visual, h_text)) if h is not None]
     if len(terms) == 2:
         item_repr = add(item_out, scale(add(terms[0], terms[1]), 0.5))
     elif len(terms) == 1:
@@ -381,7 +372,6 @@ class Recommender:
         self.operator = operator
         self.variant = variant
         self.refine = variant != "no-la"
-        self.align_cfg = hp.align_cfg
         if variant == "no-ga":
             self.lambda_mmd = 0.0
             self.lambda_cl = 0.0
@@ -398,7 +388,7 @@ class Recommender:
             return (TEXT,)
         if variant == "visual-only":
             return (VISUAL,)
-        return (VISUAL, TEXT)
+        return MODALITIES
 
     def representations(self) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
         """Forward pass to fused user/item representations (plus encodings)."""
@@ -425,7 +415,7 @@ class Recommender:
             hv_rows = gather_rows(h_v, unique_pos)
             ht_rows = gather_rows(h_t, unique_pos)
             if self.lambda_mmd != 0.0:
-                mmd = mmd_squared(hv_rows, ht_rows, self.align_cfg)
+                mmd = mmd_squared(hv_rows, ht_rows, self.hp.bandwidths)
                 parts["mmd"] = mmd.item()
                 loss = add(loss, scale(mmd, self.lambda_mmd))
             if self.lambda_cl != 0.0:

@@ -17,13 +17,13 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
     evaluate, lr_schedule, pair_keys, sample_negatives, split_811
 from .model import (
+    MODALITIES,
     TEXT,
     VISUAL,
     ModelParams,
     Recommender,
     TripletBatch,
     build_propagation_operator,
-    projection_param_count,
     save_checkpoint,
 )
 from .optim import AdamState, adam_step
@@ -42,49 +42,42 @@ def emit(record: dict, stream, copy_to=None) -> None:
         copy_to.write(line + "\n")
 
 
-def feature_dims(ds: Dataset) -> tuple[int, int]:
-    """Both raw dims are needed for the shared-width rule even when a variant
-    uses one modality; fall back to the present one if the other is absent."""
-    dv = ds.visual.shape[1] if ds.visual is not None else None
-    dt = ds.text.shape[1] if ds.text is not None else None
-    if dv is None and dt is None:
-        raise ConfigError("at least one feature matrix is required")
-    return dv if dv is not None else dt, dt if dt is not None else dv
-
-
 def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     """Load the features the variant uses, split 8:1:1 and build the model at
     its seeded initial parameters."""
     if cfg.interactions is None:
         raise ConfigError("no interactions path given")
     modalities = Recommender.modalities_for(cfg.variant)
-    use_visual, use_text = VISUAL in modalities, TEXT in modalities
-    ds = load_dataset(cfg.interactions,
-                      visual_path=cfg.visual if use_visual else None,
-                      text_path=cfg.text if use_text else None,
-                      kcore=cfg.kcore)
-    if use_visual and ds.visual is None:
-        raise ConfigError("variant requires --visual features")
-    if use_text and ds.text is None:
-        raise ConfigError("variant requires --text features")
+    # The config's and the dataset's feature fields are named after the
+    # modalities.
+    paths = {m: getattr(cfg, m) for m in modalities}
+    for m, path in paths.items():
+        if path is None:
+            raise ConfigError(f"variant requires --{m} features")
+    ds = load_dataset(cfg.interactions, visual_path=paths.get(VISUAL),
+                      text_path=paths.get(TEXT), kcore=cfg.kcore)
     split = split_811(ds.pairs, ds.n_users, ds.n_items, cfg.seed)
     log(f"dataset: {ds.n_users} users, {ds.n_items} items, "
         f"{len(ds.pairs)} interactions "
         f"(train {len(split.train)}, val {len(split.validation)}, "
         f"test {len(split.test)})")
 
-    dv, dt = feature_dims(ds)
+    features = {m: getattr(ds, m) for m in modalities}
+    # The shared width takes both modalities' dims; a single-modality
+    # variant passes its own for the absent one.
+    own = features[modalities[0]]
+    dv, dt = (features.get(m, own).shape[1] for m in MODALITIES)
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, cfg, rng,
                                 modalities=modalities)
     operator = build_propagation_operator(split.train, ds.n_users, ds.n_items)
-    model = Recommender(params, cfg, Tensor(ds.visual) if use_visual else None,
-                        Tensor(ds.text) if use_text else None, operator,
-                        cfg.variant)
+    model = Recommender(params, cfg, *(Tensor(features[m]) if m in features
+                                       else None for m in MODALITIES),
+                        operator, cfg.variant)
 
     total_params = sum(p.data.size for p in params.named().values())
-    log(f"params: total {total_params}, projection "
-        f"{projection_param_count(dv, dt, cfg.reduction)} at reduction "
+    projection = sum(b.reduce.data.size for b in params.branches.values())
+    log(f"params: total {total_params}, projection {projection} at reduction "
         f"{cfg.reduction}")
     return ds, split, model
 

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from alignrec.align import AlignConfig, gaussian_kernel, infonce, mmd_squared
+from alignrec.align import gaussian_kernel, infonce, mmd_squared
 from alignrec.config import RunConfig
 from alignrec.data import SynthSpec, synth_generate
 from alignrec.diagnostics import align_stats, run_gradcheck
@@ -89,19 +89,19 @@ def test_c01_gradient_correctness():
 
 def test_c02_mmd_oracle():
     started = time.perf_counter()
-    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
+    bandwidths = (1.0, 1.5, 2.0)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
         v = rng.standard_normal((16, 8))
         t = rng.standard_normal((16, 8)) + rng.uniform(-0.5, 0.5)
-        fast = mmd_squared(Tensor(v), Tensor(t), cfg).item()
-        slow = mmd_loop_oracle(v, t, cfg.bandwidths)
+        fast = mmd_squared(Tensor(v), Tensor(t), bandwidths).item()
+        slow = mmd_loop_oracle(v, t, bandwidths)
         worst = max(worst, abs(fast - slow))
         assert abs(fast - slow) <= 1e-10
-        flipped = mmd_squared(Tensor(t), Tensor(v), cfg).item()
+        flipped = mmd_squared(Tensor(t), Tensor(v), bandwidths).item()
         assert abs(fast - flipped) <= 1e-12
-        self_dist = mmd_squared(Tensor(v), Tensor(v.copy()), cfg).item()
+        self_dist = mmd_squared(Tensor(v), Tensor(v.copy()), bandwidths).item()
         assert -1e-12 <= self_dist <= 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0

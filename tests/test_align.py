@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alignrec.align import (
-    AlignConfig,
     gaussian_kernel,
     infonce,
     logsumexp_rows,
@@ -76,16 +75,16 @@ def test_kernel_symmetry_and_errors():
 
 def test_mmd_identical_sets_is_zero():
     v = np.random.default_rng(1).standard_normal((6, 3))
-    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
-    assert abs(mmd_squared(Tensor(v), Tensor(v.copy()), cfg).item()) <= 1e-12
+    bandwidths = (1.0, 1.5, 2.0)
+    assert abs(mmd_squared(Tensor(v), Tensor(v.copy()), bandwidths).item()) <= 1e-12
 
 
 def test_mmd_single_pair_closed_form():
     rng = np.random.default_rng(2)
     v, t = rng.standard_normal((1, 4)), rng.standard_normal((1, 4))
-    cfg = AlignConfig(bandwidths=(1.5,))
+    bandwidths = (1.5,)
     expected = 2.0 - 2.0 * gaussian_kernel(v[0], t[0], 1.5)
-    assert abs(mmd_squared(Tensor(v), Tensor(t), cfg).item() - expected) <= 1e-12
+    assert abs(mmd_squared(Tensor(v), Tensor(t), bandwidths).item() - expected) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -93,9 +92,9 @@ def test_mmd_matches_double_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((16, 8))
     t = rng.standard_normal((16, 8)) + 0.25
-    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
-    got = mmd_squared(Tensor(v), Tensor(t), cfg).item()
-    assert abs(got - mmd_loop_oracle(v, t, cfg.bandwidths)) <= 1e-10
+    bandwidths = (1.0, 1.5, 2.0)
+    got = mmd_squared(Tensor(v), Tensor(t), bandwidths).item()
+    assert abs(got - mmd_loop_oracle(v, t, bandwidths)) <= 1e-10
 
 
 @given(st.integers(0, 1000))
@@ -103,9 +102,9 @@ def test_mmd_symmetry_and_nonnegativity(seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((5, 3))
     t = rng.standard_normal((5, 3)) * 2.0
-    cfg = AlignConfig(bandwidths=(1.0, 2.0))
-    ab = mmd_squared(Tensor(v), Tensor(t), cfg).item()
-    ba = mmd_squared(Tensor(t), Tensor(v), cfg).item()
+    bandwidths = (1.0, 2.0)
+    ab = mmd_squared(Tensor(v), Tensor(t), bandwidths).item()
+    ba = mmd_squared(Tensor(t), Tensor(v), bandwidths).item()
     assert abs(ab - ba) <= 1e-12
     assert ab >= -1e-12
 
@@ -114,28 +113,29 @@ def test_mmd_decreases_as_sets_approach():
     rng = np.random.default_rng(3)
     v = rng.standard_normal((2, 4))
     t = v + 1.5
-    cfg = AlignConfig(bandwidths=(1.0,))
+    bandwidths = (1.0,)
     values = []
     for step in (0.0, 0.25, 0.5, 0.75):
         moved = t + step * (v - t)
-        values.append(mmd_squared(Tensor(v), Tensor(moved), cfg).item())
+        values.append(mmd_squared(Tensor(v), Tensor(moved), bandwidths).item())
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_mmd_errors():
-    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
+    bandwidths = (1.0, 1.5, 2.0)
     with pytest.raises(DimensionError):
-        mmd_squared(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))), cfg)
+        mmd_squared(Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2))), bandwidths)
     with pytest.raises(DimensionError):
-        mmd_squared(Tensor(np.empty((0, 2))), Tensor(np.empty((0, 2))), cfg)
+        mmd_squared(Tensor(np.empty((0, 2))), Tensor(np.empty((0, 2))), bandwidths)
 
 
 def test_mmd_gradient_check():
     rng = np.random.default_rng(4)
     v = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     t = Tensor(rng.standard_normal((6, 4)) + 0.5, requires_grad=True)
-    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
-    report = grad_check(lambda: mmd_squared(v, t, cfg), {"v": v, "t": t}, tol=1e-5)
+    bandwidths = (1.0, 1.5, 2.0)
+    report = grad_check(lambda: mmd_squared(v, t, bandwidths), {"v": v, "t": t},
+                        tol=1e-5)
     assert report.passed, report.max_rel_error
 
 
@@ -246,13 +246,11 @@ def test_sqdist_clamped_at_zero():
     assert np.allclose(d, loops, atol=1e-6)
 
 
-def test_align_config_validation():
-    with pytest.raises(ParameterError):
-        AlignConfig(bandwidths=())
-    with pytest.raises(ParameterError):
-        AlignConfig(bandwidths=(1.0, -2.0))
-    with pytest.raises(ParameterError):
-        AlignConfig(bandwidths=(float("nan"),))
+def test_mmd_rejects_bad_bandwidths():
+    v = Tensor(np.ones((2, 3)))
+    for bandwidths in [(), (1.0, -2.0), (float("nan"),)]:
+        with pytest.raises(ParameterError, match="bandwidths"):
+            mmd_squared(v, v, bandwidths)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,8 @@ def _taped(f, tensors):
 
 def test_mmd_bits_match_per_op_tape():
     v, t = _pair(30)
-    cfg = AlignConfig(bandwidths=(1.0, 1.5, 2.0))
-    assert _taped(lambda: mmd_squared(v, t, cfg), (v, t)) == MMD_DIGEST
+    bandwidths = (1.0, 1.5, 2.0)
+    assert _taped(lambda: mmd_squared(v, t, bandwidths), (v, t)) == MMD_DIGEST
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -328,7 +326,7 @@ def test_alignment_loss_records_one_tape_node(loss):
     v, t = _pair(32, n=6, d=4)
     with Tape() as tape:
         if loss == "mmd":
-            mmd_squared(v, t, AlignConfig(bandwidths=(1.0, 2.0)))
+            mmd_squared(v, t, (1.0, 2.0))
         else:
             infonce(v, t, 0.2, symmetric=loss == "infonce-symmetric")
     assert len(tape) == 1

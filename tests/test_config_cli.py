@@ -109,7 +109,7 @@ def test_direct_construction_is_range_checked():
         RunConfig(batch_size=0)
     with pytest.raises(ConfigError, match="branch_channels"):  # from DreamConfig
         RunConfig(branch_channels=0)
-    with pytest.raises(ConfigError, match="bandwidths"):  # from AlignConfig
+    with pytest.raises(ConfigError, match="bandwidths"):
         RunConfig(bandwidths=(-1.0,))
 
 
@@ -372,6 +372,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     (["--id-dim", "100000000000000000000"], None),
     ([], "branch_channels = 100000000000000000000\n"),
     (["--reduction", "100000000000000000000"], None),
+    (["--graph-layers", "100000000000000000000"], None),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
@@ -383,7 +384,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
         "variant-unknown-in-file", "branch-channels-zero", "seed-negative",
         "base-lr-int-past-float-range-in-file", "lambda-cl-nan-in-file",
         "lambda-mmd-inf", "temperature-inf-in-file", "id-dim-1e20",
-        "branch-channels-1e20-in-file", "reduction-1e20"])
+        "branch-channels-1e20-in-file", "reduction-1e20", "graph-layers-1e20"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
@@ -394,6 +395,21 @@ def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text
     assert "error:" in err
     assert "Traceback" not in err
     assert "dataset:" not in err  # rejected before any data is loaded
+    assert rc == 2
+
+
+@pytest.mark.parametrize("variant, given, missing", [
+    ("full", "--text", "--visual"), ("text-only", "--visual", "--text"),
+    ("visual-only", "--text", "--visual")])
+def test_missing_feature_path_exits_2_before_any_file_is_read(
+        demo, tmp_path, capsys, variant, given, missing):
+    """The interactions path does not exist, so reading it would exit 3."""
+    features = {"--visual": "visual.fmat", "--text": "text.fmat"}
+    rc = main(["ablate", "--variant", variant,
+               "--interactions", str(tmp_path / "absent.tsv"),
+               given, str(demo / features[given])])
+    err = capsys.readouterr().err
+    assert f"error: variant requires {missing} features" in err
     assert rc == 2
 
 
@@ -498,7 +514,21 @@ def test_ablate_text_only_runs_without_visual_losses(demo, capsys):
     assert all(r["variant"] == "text-only" for r in lines)
 
 
-def test_gradcheck_passes_and_fault_injection_fails(capsys):
+@pytest.mark.parametrize("variant, projection", [
+    ("full", 3 * (16 + 12)), ("text-only", 12 * 3), ("visual-only", 16 * 4)])
+def test_params_line_counts_the_present_projections(demo, capsys, variant,
+                                                     projection):
+    """On the demo's 16-wide visual and 12-wide text features at reduction 4,
+    a single-modality variant sizes d from its own features: 3 for text, 4
+    for visual, and 3 = min(16, 12) // 4 for both."""
+    rc = main(["ablate", "--variant", variant, *data_flags(demo),
+               "--max-epochs", "0", "--reduction", "4"])
+    err = capsys.readouterr().err
+    assert rc == 0
+    assert f", projection {projection} at reduction 4\n" in err
+
+
+def test_gradcheck_passes_and_fault_injection_fails(capsys, monkeypatch):
     rc = main(["gradcheck"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 0 and report["passed"]
@@ -506,9 +536,18 @@ def test_gradcheck_passes_and_fault_injection_fails(capsys):
                                      "bpr_loss", "l2_penalty", "propagate",
                                      "total_loss"}
 
-    rc = main(["gradcheck", "--inject-fault", "first"])
+    # a backward helper that is 5% off fails the groups that use it: InfoNCE
+    # and the joint objective, which holds an InfoNCE term
+    from alignrec import align
+    normalize_rows_grad = align._normalize_rows_grad
+    monkeypatch.setattr(align, "_normalize_rows_grad",
+                        lambda *args: normalize_rows_grad(*args) * 1.05)
+    rc = main(["gradcheck"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 4 and not report["passed"]
+    failed = {name for name, group in report["groups"].items()
+              if not group["passed"]}
+    assert failed == {"infonce", "total_loss"}
 
 
 def test_gradcheck_non_finite_evaluation_exits_4(capsys):
@@ -559,7 +598,7 @@ def test_align_stats_identical_modalities_mmd_zero():
     hp = HyperParams(reduction=2, id_dim=4, branch_channels=4)
     rng = np.random.default_rng(0)
     params = ModelParams.create(3, 5, 8, 8, hp, rng)
-    params.text_reduce.data = params.visual_reduce.data.copy()
+    params.branches["text"].reduce.data = params.branches["visual"].reduce.data.copy()
     pairs = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64)
     operator = build_propagation_operator(pairs, 3, 5)
     features = Tensor(rng.standard_normal((5, 8)))

@@ -105,10 +105,10 @@ def test_reduce_modalities_zero_and_identity():
     hp = HyperParams(reduction=1, id_dim=4, branch_channels=4)
     params = ModelParams.create(3, 4, 6, 6, hp, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((4, 6)))
-    params.visual_reduce.data = np.eye(6)
+    params.branches["visual"].reduce.data = np.eye(6)
     v, t = reduce_modalities(x, x, params)
     assert np.array_equal(v.data, x.data)
-    params.text_reduce.data[:] = 0.0
+    params.branches["text"].reduce.data[:] = 0.0
     _, t = reduce_modalities(x, x, params)
     assert np.array_equal(t.data, np.zeros((4, 6)))
 
@@ -135,8 +135,8 @@ def test_encode_items_shapes_and_gradients_flow():
         loss = sum_all(h_v) if h_t is None else sum_all(h_v)
     assert h_v.shape == (8, 16) and h_t.shape == (8, 16)
     backward(loss, tape)
-    assert np.any(model.params.visual_reduce.grad != 0.0)
-    assert np.any(model.params.dream_visual.point_kernel.grad != 0.0)
+    assert np.any(model.params.branches["visual"].reduce.grad != 0.0)
+    assert np.any(model.params.branches["visual"].dream.point_kernel.grad != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +185,8 @@ def test_propagation_degree_zero_guard():
 
 def test_fuse_zero_projections_gives_collaborative_items():
     model, _, _ = tiny_model()
-    model.params.visual_fuse.data[:] = 0.0
-    model.params.text_fuse.data[:] = 0.0
+    model.params.branches["visual"].fuse.data[:] = 0.0
+    model.params.branches["text"].fuse.data[:] = 0.0
     _, item_repr, _, _ = model.representations()
     p_star, q_star = propagate(model.params.user_emb, model.params.item_emb,
                                model.operator, model.hp.graph_layers)
@@ -212,7 +212,7 @@ def test_fuse_text_only_term():
     p_star, q_star = propagate(model.params.user_emb, model.params.item_emb,
                                model.operator, 2)
     _, item_repr = fuse(p_star, q_star, None, h_t, model.params)
-    expected = q_star.data + h_t.data @ model.params.text_fuse.data
+    expected = q_star.data + h_t.data @ model.params.branches["text"].fuse.data
     assert np.max(np.abs(item_repr.data - expected)) <= 1e-12
 
 
@@ -290,7 +290,7 @@ def test_total_loss_zero_params_zero_regularizer():
 
 
 def test_total_loss_is_weighted_sum_of_independent_terms():
-    from alignrec.align import AlignConfig, infonce, mmd_squared
+    from alignrec.align import infonce, mmd_squared
     # default weights, then a single alignment term (the other is skipped)
     for weights in ({}, {"lambda_mmd": 0.4, "lambda_cl": 0.0}):
         model, batch, _ = tiny_model(**weights)
@@ -302,7 +302,7 @@ def test_total_loss_is_weighted_sum_of_independent_terms():
         unique_pos = np.unique(batch.pos_items)
         hv = Tensor(h_v.data[unique_pos])
         ht = Tensor(h_t.data[unique_pos])
-        expected += hp.lambda_mmd * mmd_squared(hv, ht, AlignConfig(hp.bandwidths)).item()
+        expected += hp.lambda_mmd * mmd_squared(hv, ht, hp.bandwidths).item()
         expected += hp.lambda_cl * infonce(hv, ht, hp.temperature).item()
         expected += hp.lambda_reg * sum(float((p.data ** 2).sum())
                                         for p in model.params.regularized())
@@ -346,8 +346,8 @@ def test_reduces_to_matrix_factorization_bpr():
     from alignrec.tensor import scale
     model, batch, _ = tiny_model(lambda_cl=0.0, lambda_mmd=0.0, lambda_reg=0.0,
                                  graph_layers=0)
-    model.params.visual_fuse.data[:] = 0.0
-    model.params.text_fuse.data[:] = 0.0
+    model.params.branches["visual"].fuse.data[:] = 0.0
+    model.params.branches["text"].fuse.data[:] = 0.0
     loss, _ = model.total_loss(batch)
     plain = bpr_loss(batch, model.params.user_emb, model.params.item_emb)
     assert loss.item() == scale(plain, 1.0 / len(batch)).item()
@@ -483,6 +483,70 @@ def test_checkpoint_round_trip(tmp_path):
     clone.params.load_state(arrays)
     for name, tensor in clone.params.named().items():
         assert np.array_equal(tensor.data, model.params.named()[name].data)
+
+
+# `ModelParams.named()` of `tiny_model` per variant, recorded before the
+# modality branches became one table. The keys are the checkpoint's
+# parameter names, so a checkpoint saved earlier must still load.
+_DREAM_NAMED = [
+    ("point_kernel", (4, 1)), ("pool_kernel", (4, 1)),
+    ("squeeze_weight", (20, 5)), ("restore_weight", (5, 20)),
+    ("spatial_kernel", (1, 1)), ("spatial_bias", (1, 1)), ("out_kernel", (1, 20)),
+    ("dilated_kernel_0", (4, 1, 3)), ("dilated_kernel_1", (4, 1, 3)),
+    ("dilated_kernel_2", (4, 1, 3)),
+]
+NAMED_SHAPES = {
+    "full": [
+        ("user_emb", (5, 8)), ("item_emb", (8, 8)),
+        ("visual_reduce", (32, 16)), ("text_reduce", (32, 16)),
+        ("visual_fuse", (16, 8)), ("text_fuse", (16, 8)),
+        *((f"dream_visual.{name}", shape) for name, shape in _DREAM_NAMED),
+        *((f"dream_text.{name}", shape) for name, shape in _DREAM_NAMED),
+    ],
+    "text-only": [
+        ("user_emb", (5, 8)), ("item_emb", (8, 8)),
+        ("text_reduce", (32, 16)), ("text_fuse", (16, 8)),
+        *((f"dream_text.{name}", shape) for name, shape in _DREAM_NAMED),
+    ],
+    "visual-only": [
+        ("user_emb", (5, 8)), ("item_emb", (8, 8)),
+        ("visual_reduce", (32, 16)), ("visual_fuse", (16, 8)),
+        *((f"dream_visual.{name}", shape) for name, shape in _DREAM_NAMED),
+    ],
+}
+
+# `ModelParams.regularized()` by name, recorded with NAMED_SHAPES: the order
+# the l2 penalty sums its terms in.
+_DREAM_REGULARIZED = ["point_kernel", "dilated_kernel_0", "dilated_kernel_1",
+                      "dilated_kernel_2", "pool_kernel", "squeeze_weight",
+                      "restore_weight", "spatial_kernel", "out_kernel"]
+REGULARIZED_NAMES = {
+    "full": ["user_emb", "item_emb", "visual_reduce", "text_reduce",
+             "visual_fuse", "text_fuse",
+             *(f"dream_visual.{name}" for name in _DREAM_REGULARIZED),
+             *(f"dream_text.{name}" for name in _DREAM_REGULARIZED)],
+    "text-only": ["user_emb", "item_emb", "text_reduce", "text_fuse",
+                  *(f"dream_text.{name}" for name in _DREAM_REGULARIZED)],
+    "visual-only": ["user_emb", "item_emb", "visual_reduce", "visual_fuse",
+                    *(f"dream_visual.{name}" for name in _DREAM_REGULARIZED)],
+}
+
+
+@pytest.mark.parametrize("variant", ["full", "text-only", "visual-only"])
+def test_named_parameters_keep_their_keys_order_and_shapes(variant):
+    model, _, _ = tiny_model(variant=variant)
+    named = [(name, t.shape) for name, t in model.params.named().items()]
+    assert named == NAMED_SHAPES[variant]
+
+
+@pytest.mark.parametrize("variant", ["full", "text-only", "visual-only"])
+def test_regularized_parameters_keep_their_order(variant):
+    model, _, _ = tiny_model(variant=variant)
+    named = model.params.named()
+    regularized = model.params.regularized()
+    assert len(regularized) == len(REGULARIZED_NAMES[variant])
+    for tensor, name in zip(regularized, REGULARIZED_NAMES[variant]):
+        assert tensor is named[name], name
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):
