@@ -1,7 +1,7 @@
 """Multimodal alignment recommender with a self-contained autodiff core."""
 
 from .align import gaussian_kernel, infonce, mmd_squared
-from .dream import DreamConfig, DreamParams, dream_forward
+from .dream import DreamParams, dream_forward
 from .model import (
     HyperParams,
     ModelParams,
@@ -15,8 +15,7 @@ from .tensor import Tape, Tensor, backward
 __version__ = "0.1.0"
 
 __all__ = [
-    "DreamConfig", "DreamParams", "HyperParams", "ModelParams",
-    "Recommender", "Tape", "Tensor", "TripletBatch", "backward",
-    "bpr_loss", "dream_forward", "gaussian_kernel", "infonce", "mmd_squared",
-    "target_dim", "__version__",
+    "DreamParams", "HyperParams", "ModelParams", "Recommender", "Tape",
+    "Tensor", "TripletBatch", "backward", "bpr_loss", "dream_forward",
+    "gaussian_kernel", "infonce", "mmd_squared", "target_dim", "__version__",
 ]

@@ -15,15 +15,14 @@ NORM_EPS = 1e-12
 
 
 def check_bandwidths(bandwidths: tuple[float, ...]) -> None:
-    """Reject an empty tuple or one holding a value that is not > 0."""
-    if not bandwidths or not all(s > 0 for s in bandwidths):
-        raise ParameterError(f"bandwidths must be positive, got {bandwidths}")
+    """Reject an empty tuple or one holding a value that is not finite and > 0."""
+    if not bandwidths or not all(0 < s < np.inf for s in bandwidths):
+        raise ParameterError(f"bandwidths must be finite and > 0, got {bandwidths}")
 
 
 def gaussian_kernel(v: np.ndarray, t: np.ndarray, sigma: float) -> float:
     """exp(-|v - t|^2 / (2 sigma^2)) for a single vector pair."""
-    if sigma <= 0:
-        raise ParameterError(f"kernel bandwidth must be positive, got {sigma}")
+    check_bandwidths((sigma,))
     v = np.asarray(v, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if v.shape != t.shape:

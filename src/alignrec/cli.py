@@ -78,8 +78,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args)
-    if cfg.checkpoint is None:
-        raise ConfigError("evaluate requires --checkpoint")
     arrays = load_checkpoint(cfg.checkpoint)
     model, split, _ = restore_model(cfg, arrays)
     user_repr, item_repr, _, _ = model.representations()
@@ -100,8 +98,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_align_stats(args) -> int:
     cfg = _resolve(args)
-    if cfg.checkpoint is None:
-        raise ConfigError("align-stats requires --checkpoint")
     arrays = load_checkpoint(cfg.checkpoint)
     model, _, _ = restore_model(cfg, arrays)
     export = args.export

@@ -8,7 +8,7 @@ from .align import infonce, mmd_squared, normalize_rows
 from .data import save_fmat
 from .dream import DreamParams, dream_forward
 from .errors import ConfigError
-from .evaluation import pair_keys, sample_negatives
+from .evaluation import pair_mask, sample_negatives
 from .gradcheck import GradCheckReport, check_settings, grad_check
 from .model import (
     HyperParams,
@@ -29,7 +29,7 @@ def _random_triples(rng: np.random.Generator, n_users: int, n_items: int,
     items = np.concatenate([rng.choice(n_items, size=per_user, replace=False)
                             for _ in range(n_users)])
     pairs = np.stack([users, items], axis=1)
-    negs = sample_negatives(users, pair_keys(pairs, n_items), n_items, rng)
+    negs = sample_negatives(users, pair_mask(pairs, n_users, n_items), rng)
     return pairs, TripletBatch(users=users, pos_items=items, neg_items=negs)
 
 
@@ -41,13 +41,13 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
     hp = HyperParams(reduction=2, id_dim=8, branch_channels=4, graph_layers=2)
 
     # dilated refinement block end to end
-    dream = DreamParams.create(hp.dream_cfg, rng)
+    dream = DreamParams.create(hp, rng)
     x = Tensor(rng.standard_normal((3, 16)), requires_grad=True)
     probe = Tensor(rng.standard_normal((3, 16)))
     dream_params = {"input": x, **dream.named("dream")}
 
     def dream_loss():
-        return sum_all(mul(dream_forward(x, dream, hp.dream_cfg), probe))
+        return sum_all(mul(dream_forward(x, dream), probe))
 
     suite.append(("dream_forward", dream_loss, dream_params))
 

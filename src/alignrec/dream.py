@@ -12,41 +12,17 @@ The stages below are plain numpy on maps of shape (..., channels, length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import ParameterError, Tensor, _make_out, _unbroadcast, stable_sigmoid
+from .tensor import Tensor, _make_out, _unbroadcast, stable_sigmoid
+
+if TYPE_CHECKING:
+    from .model import HyperParams
 
 BRANCHES = 5
-
-
-@dataclass(frozen=True)
-class DreamConfig:
-    branch_channels: int
-    attention_reduction: int
-    dilations: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.branch_channels < 1:
-            raise ParameterError(
-                f"branch_channels must be >= 1, got {self.branch_channels}")
-        if self.attention_reduction < 1:
-            raise ParameterError(
-                f"attention_reduction must be >= 1, got {self.attention_reduction}")
-        if self.fused_channels % self.attention_reduction != 0:
-            raise ParameterError(
-                f"fused channel count {self.fused_channels} is not divisible by "
-                f"attention_reduction {self.attention_reduction}")
-        if len(self.dilations) != BRANCHES - 2 or any(d < 1 for d in self.dilations) \
-                or list(self.dilations) != sorted(set(self.dilations)):
-            raise ParameterError(
-                f"dilations must be {BRANCHES - 2} strictly increasing positive ints, "
-                f"got {self.dilations}")
-
-    @property
-    def fused_channels(self) -> int:
-        return BRANCHES * self.branch_channels
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -57,22 +33,26 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 @dataclass
 class DreamParams:
-    """Learnable weights of one refinement instance; shapes fixed by config."""
+    """Learnable weights of one refinement instance, whose shapes fix every
+    width of the block, and the dilation of each dilated branch."""
 
-    point_kernel: Tensor        # (C_b, 1) branch-1 pointwise conv
-    dilated_kernels: list[Tensor] = field(default_factory=list)  # each (C_b, 1, 3)
-    pool_kernel: Tensor = None  # (C_b, 1) conv after global pooling
-    squeeze_weight: Tensor = None   # (5C_b, 5C_b/rho)
-    restore_weight: Tensor = None   # (5C_b/rho, 5C_b)
-    spatial_kernel: Tensor = None   # (1, 1)
-    spatial_bias: Tensor = None     # (1, 1)
-    out_kernel: Tensor = None       # (1, 5C_b) residual projection
+    point_kernel: Tensor            # (C_b, 1) branch-1 pointwise conv
+    dilated_kernels: list[Tensor]   # each (C_b, 1, 3)
+    pool_kernel: Tensor             # (C_b, 1) conv after global pooling
+    squeeze_weight: Tensor          # (5C_b, 5C_b/rho)
+    restore_weight: Tensor          # (5C_b/rho, 5C_b)
+    spatial_kernel: Tensor          # (1, 1)
+    spatial_bias: Tensor            # (1, 1)
+    out_kernel: Tensor              # (1, 5C_b) residual projection
+    dilations: tuple[int, ...]
 
     @classmethod
-    def create(cls, cfg: DreamConfig, rng: np.random.Generator) -> "DreamParams":
-        cb = cfg.branch_channels
-        fused = cfg.fused_channels
-        hidden = fused // cfg.attention_reduction
+    def create(cls, hp: HyperParams, rng: np.random.Generator) -> "DreamParams":
+        """Draw the weights for the branch channels, attention reduction and
+        dilations of `hp`, which checked them when it was built."""
+        cb = hp.branch_channels
+        fused = BRANCHES * cb
+        hidden = fused // hp.attention_reduction
 
         def t(arr):
             return Tensor(arr, requires_grad=True)
@@ -80,13 +60,14 @@ class DreamParams:
         return cls(
             point_kernel=t(xavier_uniform(rng, (cb, 1), 1, cb)),
             dilated_kernels=[t(xavier_uniform(rng, (cb, 1, 3), 3, 3 * cb))
-                             for _ in cfg.dilations],
+                             for _ in hp.dilations],
             pool_kernel=t(xavier_uniform(rng, (cb, 1), 1, cb)),
             squeeze_weight=t(xavier_uniform(rng, (fused, hidden), fused, hidden)),
             restore_weight=t(xavier_uniform(rng, (hidden, fused), hidden, fused)),
             spatial_kernel=t(xavier_uniform(rng, (1, 1), 1, 1)),
             spatial_bias=t(np.zeros((1, 1))),
             out_kernel=t(xavier_uniform(rng, (1, fused), fused, 1)),
+            dilations=hp.dilations,
         )
 
     def named(self, prefix: str) -> dict[str, Tensor]:
@@ -174,19 +155,19 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def multi_scale(x: np.ndarray, params: DreamParams, cfg: DreamConfig):
+def multi_scale(x: np.ndarray, params: DreamParams):
     """Concatenate the five branch outputs, each ReLU-activated.
 
     `x` is a single-channel map (1, d), or (N, 1, d) for a batch of rows.
     Returns the (..., 5C_b, d) map, then the taps of each dilated branch and
     the pooled input, which the backward pass reads.
     """
-    cb = cfg.branch_channels
-    fused = np.empty(x.shape[:-2] + (cfg.fused_channels, x.shape[-1]))
+    cb = params.point_kernel.shape[0]
+    fused = np.empty(x.shape[:-2] + (BRANCHES * cb, x.shape[-1]))
     branch = [fused[..., i * cb:(i + 1) * cb, :] for i in range(BRANCHES)]
     pointwise_conv(params.point_kernel.data, x, out=branch[0])
     taps = []
-    for j, (kernel, dilation) in enumerate(zip(params.dilated_kernels, cfg.dilations)):
+    for j, (kernel, dilation) in enumerate(zip(params.dilated_kernels, params.dilations)):
         taps.append(dilated_conv(kernel.data, x, dilation, out=branch[1 + j])[1])
     pooled = x.mean(axis=-1, keepdims=True)
     branch[-1][...] = pointwise_conv(params.pool_kernel.data, pooled)
@@ -231,7 +212,7 @@ def attention_fuse(channel_out: np.ndarray, spatial_out: np.ndarray, out=None):
     return np.maximum(channel_out, spatial_out, out=out), take_channel
 
 
-def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor:
+def dream_forward(rows: Tensor, params: DreamParams) -> Tensor:
     """Refine (N, d) rows in place of their maps; output is input + projection.
 
     The block is one tape node. Its backward replays each stage's rule in
@@ -241,7 +222,7 @@ def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor
     """
     n, d = rows.shape
     x = rows.data.reshape(n, 1, d)
-    fused, taps, pooled_x = multi_scale(x, params, cfg)
+    fused, taps, pooled_x = multi_scale(x, params)
     channel_gate, channel_out, pooled_channels, hidden = channel_attention(fused, params)
     spatial_gate, spatial_out, pooled_positions = spatial_attention(fused, params)
     refined, take_channel = attention_fuse(channel_out, spatial_out, out=channel_out)
@@ -284,7 +265,7 @@ def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor
         # output is > 0 exactly where its input was, so `fused` gives the masks.
         # Each branch's gradient is its own contiguous array: einsum may sum
         # in another order over a strided view.
-        cb = cfg.branch_channels
+        cb = params.point_kernel.shape[0]
         g_branches = [g_fused[..., i * cb:(i + 1) * cb, :]
                       * (fused[..., i * cb:(i + 1) * cb, :] > 0.0)
                       for i in range(BRANCHES)]
@@ -292,11 +273,11 @@ def dream_forward(rows: Tensor, params: DreamParams, cfg: DreamConfig) -> Tensor
             params.pool_kernel.data, pooled_x,
             g_branches[-1].sum(axis=-1, keepdims=True))
         g_x = np.broadcast_to(g_pooled / d, x.shape)
-        g_dilated = [None] * len(cfg.dilations)
-        for j in reversed(range(len(cfg.dilations))):
+        g_dilated = [None] * len(params.dilations)
+        for j in reversed(range(len(params.dilations))):
             g_in, g_dilated[j] = _dilated_grads(
                 params.dilated_kernels[j].data, taps[j], g_branches[1 + j],
-                cfg.dilations[j])
+                params.dilations[j])
             g_x = g_x + g_in
         g_in, g_point_kernel = _pointwise_grads(params.point_kernel.data, x,
                                                 g_branches[0])

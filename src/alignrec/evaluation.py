@@ -52,26 +52,28 @@ def pair_keys(pairs: np.ndarray, n_items: int) -> np.ndarray:
     return np.unique(pairs[:, 0] * n_items + pairs[:, 1])
 
 
-def sample_negatives(users: np.ndarray, positive_keys: np.ndarray, n_items: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Per user, a uniform draw over the items not among its `pair_keys`,
-    equal draw for draw to the loop where each user in turn calls
-    `rng.integers(0, n_items)` until the item is not a positive, or after 100
-    rejections picks from its complement. A block holds one candidate per
-    user still without a negative, so the loop would draw all of them.
+def pair_mask(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
+    """(n_users, n_items) byte mask, True at each (user, item) of `pairs`."""
+    mask = np.zeros((n_users, n_items), dtype=bool)
+    mask[pairs[:, 0], pairs[:, 1]] = True
+    return mask
 
-    Membership is read from a byte mask of the positive pairs, built once
-    per call over the range of `users`: one byte per (user, item) pair of
-    that range, about 6 MB for 3000 users and 2000 items."""
+
+def sample_negatives(users: np.ndarray, positive: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Per user, a uniform draw over the items not marked in its row of the
+    `pair_mask` `positive`, equal draw for draw to the loop where each user
+    in turn calls `rng.integers(0, n_items)` until the item is not a
+    positive, or after 100 rejections picks from its complement. A block
+    holds one candidate per user still without a negative, so the loop
+    would draw all of them.
+
+    Training builds the mask once per run from its training pairs: one byte
+    per (user, item) pair, about 6 MB for 3000 users and 2000 items."""
+    n_items = positive.shape[1]
+    flat = positive.reshape(-1)
+    rows = users * n_items  # each user's offset into the flat mask
     out = np.empty(len(users), dtype=np.int64)
-    if len(users) == 0:
-        return out
-    first, stop = int(users.min()), int(users.max()) + 1
-    base = first * n_items
-    lo, hi = positive_keys.searchsorted([base, stop * n_items])
-    positive = np.zeros((stop - first) * n_items, dtype=bool)
-    positive[positive_keys[lo:hi] - base] = True
-    rows = users * n_items - base  # each user's offset into the mask
     t = tries = 0  # first user without a negative, and its rejections
     while t < len(users):
         saved = rng.bit_generator.state
@@ -79,7 +81,7 @@ def sample_negatives(users: np.ndarray, positive_keys: np.ndarray, n_items: int,
         c = 0  # candidates of the block used so far
         while c < len(block):
             w = min(64, len(block) - c)  # candidates checked per step
-            rejected = positive[rows[t:t + w] + block[c:c + w]]
+            rejected = flat[rows[t:t + w] + block[c:c + w]]
             r = int(rejected.argmax()) if rejected.any() else w
             out[t:t + r] = block[c:c + r]
             if r == w:
@@ -89,7 +91,7 @@ def sample_negatives(users: np.ndarray, positive_keys: np.ndarray, n_items: int,
             if tries == 100:
                 rng.bit_generator.state = saved
                 rng.integers(0, n_items, size=c)
-                complement = np.flatnonzero(~positive[rows[t]:rows[t] + n_items])
+                complement = np.flatnonzero(~positive[users[t]])
                 if len(complement) == 0:
                     raise UsageError(f"user {users[t]} interacted with every item")
                 out[t] = complement[rng.integers(0, len(complement))]

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from .align import check_bandwidths, infonce, mmd_squared
 from .data import atomic_open
-from .dream import DreamConfig, DreamParams, dream_forward, xavier_uniform
+from .dream import BRANCHES, DreamParams, dream_forward, xavier_uniform
 from .errors import ConfigError, DataFormatError
 from .tensor import (
     ParameterError,
@@ -59,9 +59,7 @@ MAX_WIDTH = 1 << 16
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Loss weights, dimensions and architecture knobs for one model.
-
-    Also carries `dream_cfg`, the refinement config built from these fields."""
+    """Loss weights, dimensions and architecture knobs for one model."""
 
     lambda_cl: float = 0.01
     lambda_mmd: float = 0.15
@@ -81,22 +79,30 @@ class HyperParams:
             if getattr(self, name) > MAX_WIDTH:
                 raise ConfigError(f"{name} must be <= {MAX_WIDTH}, "
                                   f"got {getattr(self, name)}")
-        if self.reduction < 1:
-            raise ConfigError(f"reduction must be >= 1, got {self.reduction}")
-        if self.id_dim < 1:
-            raise ConfigError(f"id_dim must be >= 1, got {self.id_dim}")
+        for name in ("reduction", "id_dim", "branch_channels", "attention_reduction"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.graph_layers < 0:
             raise ConfigError(f"graph_layers must be >= 0, got {self.graph_layers}")
+        fused = BRANCHES * self.branch_channels
+        if fused % self.attention_reduction != 0:
+            raise ConfigError(
+                f"fused channel count {fused} is not divisible by "
+                f"attention_reduction {self.attention_reduction}")
+        if len(self.dilations) != BRANCHES - 2 or any(d < 1 for d in self.dilations) \
+                or list(self.dilations) != sorted(set(self.dilations)):
+            raise ConfigError(
+                f"dilations must be {BRANCHES - 2} strictly increasing positive ints, "
+                f"got {self.dilations}")
         if not all(math.isfinite(w) and w >= 0
                    for w in (self.lambda_cl, self.lambda_mmd, self.lambda_reg)):
             raise ConfigError("loss weights must be finite and non-negative")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be finite and > 0, "
                               f"got {self.temperature}")
-        # Checked with the config, so a bad value fails before data loads.
+        # `mmd_squared` checks its tuple too; checked with the config, a bad
+        # value fails before data loads.
         try:
-            object.__setattr__(self, "dream_cfg", DreamConfig(
-                self.branch_channels, self.attention_reduction, self.dilations))
             check_bandwidths(self.bandwidths)
         except ParameterError as err:
             raise ConfigError(str(err)) from None
@@ -119,7 +125,6 @@ class ModelParams:
 
     user_emb: Tensor
     item_emb: Tensor
-    dream_cfg: DreamConfig
     branches: dict[str, Branch] = field(default_factory=dict)
 
     @classmethod
@@ -133,13 +138,12 @@ class ModelParams:
                           requires_grad=True)
 
         params = cls(user_emb=t((n_users, hp.id_dim)),
-                     item_emb=t((n_items, hp.id_dim)),
-                     dream_cfg=hp.dream_cfg)
+                     item_emb=t((n_items, hp.id_dim)))
         for modality, dim in zip(MODALITIES, (visual_dim, text_dim)):
             if modality in modalities:
                 params.branches[modality] = Branch(
                     reduce=t((dim, d)),
-                    dream=DreamParams.create(hp.dream_cfg, rng),
+                    dream=DreamParams.create(hp, rng),
                     fuse=t((d, hp.id_dim)))
         return params
 
@@ -211,8 +215,7 @@ def encode_items(x_visual: Tensor | None, x_text: Tensor | None,
     reduced = reduce_modalities(x_visual, x_text, params)
     if not refine:
         return reduced
-    return tuple(None if h is None
-                 else dream_forward(h, params.branches[m].dream, params.dream_cfg)
+    return tuple(None if h is None else dream_forward(h, params.branches[m].dream)
                  for m, h in zip(MODALITIES, reduced))
 
 

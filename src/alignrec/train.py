@@ -15,7 +15,7 @@ from .config import RunConfig
 from .data import Dataset, atomic_open, load_dataset, save_mapping
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
-    evaluate, lr_schedule, pair_keys, sample_negatives, split_811
+    evaluate, lr_schedule, pair_mask, sample_negatives, split_811
 from .model import (
     MODALITIES,
     TEXT,
@@ -82,13 +82,14 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     return ds, split, model
 
 
-def iterate_batches(train_pairs: np.ndarray, n_items: int, batch_size: int,
+def iterate_batches(train_pairs: np.ndarray, positive: np.ndarray, batch_size: int,
                     rng: np.random.Generator):
-    positive_keys = pair_keys(train_pairs, n_items)
+    """Shuffled triples of `train_pairs`, each with a negative drawn outside
+    `positive`, the `pair_mask` of the training pairs."""
     shuffled = train_pairs[rng.permutation(len(train_pairs))]
     for start in range(0, len(shuffled), batch_size):
         users, items = shuffled[start:start + batch_size].T.copy()
-        negatives = sample_negatives(users, positive_keys, n_items, rng)
+        negatives = sample_negatives(users, positive, rng)
         yield TripletBatch(users=users, pos_items=items, neg_items=negatives)
 
 
@@ -114,6 +115,7 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
         save_mapping(out_dir / "items.tsv", ds.item_tokens)
 
     rng = np.random.default_rng(cfg.seed)
+    positive = pair_mask(split.train, ds.n_users, ds.n_items)
     adam = AdamState(lr=cfg.base_lr)
     stopper = EarlyStopState(patience=cfg.patience)
     best_state = {name: p.data.copy() for name, p in named.items()}
@@ -130,7 +132,7 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
             loss_sums = {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}
             n_batches = 0
             for step, batch in enumerate(iterate_batches(
-                    split.train, ds.n_items, cfg.batch_size, rng), start=1):
+                    split.train, positive, cfg.batch_size, rng), start=1):
                 params.zero_grads()
                 with Tape() as tape:
                     loss, parts = model.total_loss(batch)

@@ -15,7 +15,7 @@ from alignrec.align import (
     mmd_squared,
     sqdist,
 )
-from alignrec.evaluation import pair_keys, sample_negatives
+from alignrec.evaluation import pair_mask, sample_negatives
 from alignrec.gradcheck import grad_check
 from alignrec.model import (
     HyperParams,
@@ -63,8 +63,9 @@ def test_kernel_symmetry_and_errors():
     rng = np.random.default_rng(0)
     v, t = rng.standard_normal(4), rng.standard_normal(4)
     assert gaussian_kernel(v, t, 2.0) == gaussian_kernel(t, v, 2.0)
-    with pytest.raises(ParameterError):
-        gaussian_kernel(v, t, 0.0)
+    for sigma in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            gaussian_kernel(v, t, sigma)
     with pytest.raises(DimensionError):
         gaussian_kernel(v, t[:3], 1.0)
 
@@ -248,7 +249,7 @@ def test_sqdist_clamped_at_zero():
 
 def test_mmd_rejects_bad_bandwidths():
     v = Tensor(np.ones((2, 3)))
-    for bandwidths in [(), (1.0, -2.0), (float("nan"),)]:
+    for bandwidths in [(), (1.0, -2.0), (float("nan"),), (1.0, float("inf"))]:
         with pytest.raises(ParameterError, match="bandwidths"):
             mmd_squared(v, v, bandwidths)
 
@@ -310,7 +311,7 @@ def test_total_loss_bits_match_per_op_tape():
     items = np.concatenate([rng.choice(n_items, size=4, replace=False)
                             for _ in range(n_users)])
     pairs = np.stack([users, items], axis=1)
-    negs = sample_negatives(users, pair_keys(pairs, n_items), n_items, rng)
+    negs = sample_negatives(users, pair_mask(pairs, n_users, n_items), rng)
     batch = TripletBatch(users=users, pos_items=items, neg_items=negs)
     model = Recommender(params, hp, Tensor(rng.standard_normal((n_items, 48))),
                         Tensor(rng.standard_normal((n_items, 40))),

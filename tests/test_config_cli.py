@@ -19,6 +19,7 @@ from alignrec.cli import main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
 from alignrec.data import load_fmat, save_fmat
 from alignrec.errors import ConfigError
+from alignrec.model import HyperParams
 
 METRIC_KEYS = {"epoch", "split", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
                "losses", "wall_ms"}
@@ -107,10 +108,17 @@ def test_quoted_config_value_keeps_its_hash(tmp_path):
 def test_direct_construction_is_range_checked():
     with pytest.raises(ConfigError, match="batch_size"):
         RunConfig(batch_size=0)
-    with pytest.raises(ConfigError, match="branch_channels"):  # from DreamConfig
+    with pytest.raises(ConfigError, match="branch_channels"):
         RunConfig(branch_channels=0)
     with pytest.raises(ConfigError, match="bandwidths"):
         RunConfig(bandwidths=(-1.0,))
+
+
+@pytest.mark.parametrize("cls", [HyperParams, RunConfig], ids=lambda c: c.__name__)
+def test_config_instances_hold_only_their_fields(cls):
+    # A value derived from the fields and stored on the frozen instance would
+    # be a second copy of the settings, out of reach of `fields()`.
+    assert set(vars(cls())) == {f.name for f in fields(cls)}
 
 
 _SCALARS = st.one_of(
@@ -373,6 +381,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     ([], "branch_channels = 100000000000000000000\n"),
     (["--reduction", "100000000000000000000"], None),
     (["--graph-layers", "100000000000000000000"], None),
+    (["--bandwidths", "inf"], None),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
@@ -384,7 +393,8 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
         "variant-unknown-in-file", "branch-channels-zero", "seed-negative",
         "base-lr-int-past-float-range-in-file", "lambda-cl-nan-in-file",
         "lambda-mmd-inf", "temperature-inf-in-file", "id-dim-1e20",
-        "branch-channels-1e20-in-file", "reduction-1e20", "graph-layers-1e20"])
+        "branch-channels-1e20-in-file", "reduction-1e20", "graph-layers-1e20",
+        "bandwidth-inf"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alignrec.dream import (
-    DreamConfig,
+    BRANCHES,
     DreamParams,
     attention_fuse,
     channel_attention,
@@ -14,9 +14,10 @@ from alignrec.dream import (
     multi_scale,
     spatial_attention,
 )
+from alignrec.errors import ConfigError
 from alignrec.gradcheck import grad_check
+from alignrec.model import HyperParams
 from alignrec.tensor import (
-    ParameterError,
     Tape,
     Tensor,
     UsageError,
@@ -27,12 +28,17 @@ from alignrec.tensor import (
 
 
 D = 12  # width of the maps `make` refines
+FUSED = BRANCHES * 4  # channels of the fused map of a `make()` block
 
 
 def make(seed=0, cb=4):
-    cfg = DreamConfig(branch_channels=cb, attention_reduction=4, dilations=(1, 2, 3))
-    params = DreamParams.create(cfg, np.random.default_rng(seed))
-    return cfg, params
+    hp = HyperParams(branch_channels=cb, attention_reduction=4, dilations=(1, 2, 3))
+    return hp, DreamParams.create(hp, np.random.default_rng(seed))
+
+
+def create(seed, **settings):
+    """Weights drawn for the DREAM settings of a `HyperParams`."""
+    return DreamParams.create(HyperParams(**settings), np.random.default_rng(seed))
 
 
 def sigmoid(x):
@@ -40,51 +46,51 @@ def sigmoid(x):
 
 
 def test_config_invariants():
-    with pytest.raises(ParameterError):
-        DreamConfig(branch_channels=3, attention_reduction=4, dilations=(6, 12, 18))
-    with pytest.raises(ParameterError):
-        DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 6, 12))
-    with pytest.raises(ParameterError):  # one dilated branch per dilation, three
-        DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 12))
-    with pytest.raises(ParameterError):
-        DreamConfig(branch_channels=0, attention_reduction=4, dilations=(6, 12, 18))
-    with pytest.raises(ParameterError):
-        DreamConfig(branch_channels=8, attention_reduction=0, dilations=(6, 12, 18))
-    with pytest.raises(ParameterError):
-        DreamConfig(branch_channels=8, attention_reduction=4, dilations=(0, 6, 12))
+    with pytest.raises(ConfigError, match="not divisible"):
+        HyperParams(branch_channels=3, attention_reduction=4, dilations=(6, 12, 18))
+    with pytest.raises(ConfigError, match="dilations"):
+        HyperParams(branch_channels=8, attention_reduction=4, dilations=(6, 6, 12))
+    with pytest.raises(ConfigError, match="dilations"):  # one dilated branch each
+        HyperParams(branch_channels=8, attention_reduction=4, dilations=(6, 12))
+    with pytest.raises(ConfigError, match="branch_channels"):
+        HyperParams(branch_channels=0, attention_reduction=4, dilations=(6, 12, 18))
+    with pytest.raises(ConfigError, match="attention_reduction"):
+        HyperParams(branch_channels=8, attention_reduction=0, dilations=(6, 12, 18))
+    with pytest.raises(ConfigError, match="dilations"):
+        HyperParams(branch_channels=8, attention_reduction=4, dilations=(0, 6, 12))
 
 
 def test_multi_scale_zero_input_gives_zero_map():
-    cfg, params = make()
-    out, _, _ = multi_scale(np.zeros((1, D)), params, cfg)
-    assert out.shape == (cfg.fused_channels, D)
+    hp, params = make()
+    out, _, _ = multi_scale(np.zeros((1, D)), params)
+    assert out.shape == (BRANCHES * hp.branch_channels, D)
     assert np.array_equal(out, np.zeros_like(out))
 
 
 def test_multi_scale_channel_count():
-    cfg, params = make(cb=8)
-    out, _, _ = multi_scale(np.ones((1, D)), params, cfg)
+    _, params = make(cb=8)
+    out, _, _ = multi_scale(np.ones((1, D)), params)
     assert out.shape[0] == 5 * 8
 
 
 def test_multi_scale_pool_branch_constant_for_constant_input():
-    cfg, params = make()
-    out, _, _ = multi_scale(np.full((1, D), 0.7), params, cfg)
-    pooled_rows = out[4 * cfg.branch_channels:]
+    hp, params = make()
+    out, _, _ = multi_scale(np.full((1, D), 0.7), params)
+    pooled_rows = out[4 * hp.branch_channels:]
     assert np.allclose(pooled_rows, pooled_rows[:, :1])
 
 
 def test_multi_scale_matches_per_branch_oracles():
-    cfg, params = make(seed=3)
+    hp, params = make(seed=3)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, D))
-    out, _, _ = multi_scale(x, params, cfg)
-    cb = cfg.branch_channels
+    out, _, _ = multi_scale(x, params)
+    cb = hp.branch_channels
 
     point = np.maximum(params.point_kernel.data @ x, 0.0)
     assert np.max(np.abs(out[:cb] - point)) <= 1e-12
 
-    for j, dilation in enumerate(cfg.dilations):
+    for j, dilation in enumerate(hp.dilations):
         kernel = params.dilated_kernels[j].data
         expected = np.zeros((cb, D))
         for o in range(cb):
@@ -102,19 +108,19 @@ def test_multi_scale_matches_per_branch_oracles():
 
 
 def test_channel_attention_zero_weights_halve_map():
-    cfg, params = make()
+    _, params = make()
     params.squeeze_weight.data[:] = 0.0
     params.restore_weight.data[:] = 0.0
-    fused = np.random.default_rng(1).standard_normal((cfg.fused_channels, D))
+    fused = np.random.default_rng(1).standard_normal((FUSED, D))
     gate, recalibrated, _, _ = channel_attention(fused, params)
     assert np.allclose(gate, 0.5)
     assert np.allclose(recalibrated, 0.5 * fused)
 
 
 def test_channel_attention_matches_formula_oracle():
-    cfg, params = make(seed=5)
+    _, params = make(seed=5)
     rng = np.random.default_rng(2)
-    fused = rng.standard_normal((cfg.fused_channels, D))
+    fused = rng.standard_normal((FUSED, D))
     gate, recalibrated, _, _ = channel_attention(fused, params)
 
     pooled = fused.mean(axis=1)
@@ -126,19 +132,19 @@ def test_channel_attention_matches_formula_oracle():
 
 
 def test_spatial_attention_zero_weights_halve_map():
-    cfg, params = make()
+    _, params = make()
     params.spatial_kernel.data[:] = 0.0
     params.spatial_bias.data[:] = 0.0
-    fused = np.random.default_rng(3).standard_normal((cfg.fused_channels, D))
+    fused = np.random.default_rng(3).standard_normal((FUSED, D))
     gate, highlighted, _ = spatial_attention(fused, params)
     assert np.allclose(gate, 0.5)
     assert np.allclose(highlighted, 0.5 * fused)
 
 
 def test_spatial_attention_matches_formula_oracle():
-    cfg, params = make(seed=6)
+    _, params = make(seed=6)
     rng = np.random.default_rng(4)
-    fused = rng.standard_normal((cfg.fused_channels, D))
+    fused = rng.standard_normal((FUSED, D))
     gate, highlighted, _ = spatial_attention(fused, params)
 
     pooled = fused.mean(axis=0, keepdims=True)
@@ -149,8 +155,8 @@ def test_spatial_attention_matches_formula_oracle():
 
 
 def test_spatial_pool_of_constant_map_is_constant():
-    cfg, params = make()
-    fused = np.full((cfg.fused_channels, D), 1.3)
+    _, params = make()
+    fused = np.full((FUSED, D), 1.3)
     gate, _, _ = spatial_attention(fused, params)
     assert np.allclose(gate, gate[0, 0])
 
@@ -170,47 +176,46 @@ def test_attention_fuse_rules():
 
 
 def test_dream_forward_zero_projection_is_identity():
-    cfg, params = make(seed=7)
+    _, params = make(seed=7)
     params.out_kernel.data[:] = 0.0
     rows = np.random.default_rng(6).standard_normal((5, D))
-    out = dream_forward(Tensor(rows), params, cfg)
+    out = dream_forward(Tensor(rows), params)
     assert np.array_equal(out.data, rows)
 
 
 def test_dream_forward_zero_input_fixpoint():
-    cfg, params = make(seed=8)  # biases are zero-initialized
-    out = dream_forward(Tensor(np.zeros((4, D))), params, cfg)
+    _, params = make(seed=8)  # biases are zero-initialized
+    out = dream_forward(Tensor(np.zeros((4, D))), params)
     assert np.array_equal(out.data, np.zeros((4, D)))
 
 
 @pytest.mark.parametrize("n,d,cb", [(1, 4, 4), (3, 16, 4), (2, 40, 8)])
 def test_dream_forward_shape_contract(n, d, cb):
-    cfg = DreamConfig(branch_channels=cb, attention_reduction=4,
-                      dilations=(6, 12, 18))
-    params = DreamParams.create(cfg, np.random.default_rng(9))
+    params = create(9, branch_channels=cb, attention_reduction=4,
+                    dilations=(6, 12, 18))
     out = dream_forward(Tensor(np.random.default_rng(10).standard_normal((n, d))),
-                        params, cfg)
+                        params)
     assert out.shape == (n, d)
 
 
 def test_dream_forward_gradient_check():
-    cfg = DreamConfig(branch_channels=4, attention_reduction=4, dilations=(6, 12, 18))
-    params = DreamParams.create(cfg, np.random.default_rng(11))
+    params = create(11, branch_channels=4, attention_reduction=4,
+                    dilations=(6, 12, 18))
     rows = Tensor(np.random.default_rng(12).standard_normal((3, 16)),
                   requires_grad=True)
     probe = Tensor(np.random.default_rng(13).standard_normal((3, 16)))
 
     def f():
-        return sum_all(mul(dream_forward(rows, params, cfg), probe))
+        return sum_all(mul(dream_forward(rows, params), probe))
 
     report = grad_check(f, {"rows": rows, **params.named("p")}, tol=1e-5)
     assert report.passed, report.max_rel_error
 
 
-def dream_oracle(rows, params, cfg):
+def dream_oracle(rows, params, hp):
     """The block written out with scalar loops, one row at a time."""
-    cb = cfg.branch_channels
-    channels = cfg.fused_channels
+    cb = hp.branch_channels
+    channels = BRANCHES * cb
     squeeze = params.squeeze_weight.data
     restore = params.restore_weight.data
     hidden_width = squeeze.shape[1]
@@ -221,7 +226,7 @@ def dream_oracle(rows, params, cfg):
         for o in range(cb):
             fused.append([max(params.point_kernel.data[o, 0] * v[l], 0.0)
                           for l in range(d)])
-        for kernel, dilation in zip(params.dilated_kernels, cfg.dilations):
+        for kernel, dilation in zip(params.dilated_kernels, hp.dilations):
             for o in range(cb):
                 row = []
                 for l in range(d):
@@ -261,24 +266,24 @@ def dream_oracle(rows, params, cfg):
     (2, 9, 8, 8, (2, 3, 5)),
 ], ids=["one-row-one-channel", "d-below-dilations", "eight-channels"])
 def test_dream_forward_matches_loop_oracle(n, d, cb, reduction, dilations):
-    cfg = DreamConfig(branch_channels=cb, attention_reduction=reduction,
-                      dilations=dilations)
-    params = DreamParams.create(cfg, np.random.default_rng(14))
+    hp = HyperParams(branch_channels=cb, attention_reduction=reduction,
+                     dilations=dilations)
+    params = DreamParams.create(hp, np.random.default_rng(14))
     params.spatial_bias.data[:] = 0.3
     rows = np.random.default_rng(15).standard_normal((n, d))
-    out = dream_forward(Tensor(rows), params, cfg)
-    assert np.max(np.abs(out.data - dream_oracle(rows, params, cfg))) <= 1e-12
+    out = dream_forward(Tensor(rows), params)
+    assert np.max(np.abs(out.data - dream_oracle(rows, params, hp))) <= 1e-12
 
 
 def test_dream_forward_ties_route_gradient_to_channel_attention():
-    cfg, params = make(seed=16)
+    _, params = make(seed=16)
     params.restore_weight.data[:] = 0.0   # channel gate exactly 0.5
     params.spatial_kernel.data[:] = 0.0   # spatial gate exactly 0.5
     params.spatial_bias.data[:] = 0.0
     rows = Tensor(np.random.default_rng(17).standard_normal((3, D)))
     probe = Tensor(np.random.default_rng(18).standard_normal((3, D)))
     with Tape() as tape:
-        loss = sum_all(mul(dream_forward(rows, params, cfg), probe))
+        loss = sum_all(mul(dream_forward(rows, params), probe))
     backward(loss, tape)
     # every entry ties, so the spatial branch receives no gradient at all
     assert np.array_equal(params.spatial_kernel.grad, np.zeros((1, 1)))
@@ -287,11 +292,11 @@ def test_dream_forward_ties_route_gradient_to_channel_attention():
 
 
 def test_dream_forward_records_one_tape_node():
-    cfg, params = make(seed=19)
+    _, params = make(seed=19)
     rows = Tensor(np.random.default_rng(20).standard_normal((4, D)),
                   requires_grad=True)
     with Tape() as tape:
-        dream_forward(rows, params, cfg)
+        dream_forward(rows, params)
     assert len(tape) == 1
 
 
@@ -309,15 +314,15 @@ DEAD_TAP_DIGEST = "194de03dfc7b9e045905eec00ebe3abdbe1c1849109626ecd2772d460b17b
 
 def taped_digest(n, d, param_seed, data_seed, unread=None):
     """sha256 over the output and every input and parameter gradient."""
-    cfg = DreamConfig(branch_channels=8, attention_reduction=4, dilations=(6, 12, 18))
-    params = DreamParams.create(cfg, np.random.default_rng(param_seed))
+    params = create(param_seed, branch_channels=8, attention_reduction=4,
+                    dilations=(6, 12, 18))
     rng = np.random.default_rng(data_seed)
     rows = Tensor(rng.standard_normal((n, d)), requires_grad=True)
     probe = rng.standard_normal((n, d))
     if unread is not None:
         probe[unread] = 0.0
     with Tape() as tape:
-        out = dream_forward(rows, params, cfg)
+        out = dream_forward(rows, params)
         loss = sum_all(mul(out, Tensor(probe)))
     backward(loss, tape)
     digest = hashlib.sha256(out.data.tobytes() + rows.grad.tobytes())
@@ -335,10 +340,10 @@ def test_dream_forward_bits_with_dead_taps_and_unread_rows():
 
 
 def test_dream_backward_replays_once():
-    cfg, params = make(seed=25)
+    _, params = make(seed=25)
     rows = Tensor(np.random.default_rng(26).standard_normal((4, D)), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(dream_forward(rows, params, cfg))
+        loss = sum_all(dream_forward(rows, params))
     backward(loss, tape)
     with pytest.raises(UsageError, match="already replayed"):
         backward(loss, tape)

@@ -17,7 +17,7 @@ from alignrec.evaluation import (
     early_stop_update,
     evaluate,
     lr_schedule,
-    pair_keys,
+    pair_mask,
     sample_negatives,
     split_811,
 )
@@ -149,9 +149,9 @@ def sample_negative_reference(user, positives, n_items, rng):
 
 def draw_negatives(positives, n_items, draws, seed, user=0):
     """`draws` negatives for one user whose positives are the given items."""
-    keys = pair_keys(np.array([(user, i) for i in positives],
-                              dtype=np.int64).reshape(-1, 2), n_items)
-    return sample_negatives(np.full(draws, user), keys, n_items,
+    positive = pair_mask(np.array([(user, i) for i in positives],
+                                  dtype=np.int64).reshape(-1, 2), user + 1, n_items)
+    return sample_negatives(np.full(draws, user), positive,
                             np.random.default_rng(seed))
 
 
@@ -211,7 +211,7 @@ def assert_matches_scalar_loop(n_items, positives, users, seed):
     pairs = np.array([(u, i) for u, items in enumerate(positives) for i in items],
                      dtype=np.int64).reshape(-1, 2)
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_negatives(users, pair_keys(pairs, n_items), n_items, rng)
+    got = sample_negatives(users, pair_mask(pairs, len(positives), n_items), rng)
     want = [sample_negative_reference(int(u), positives[u], n_items, reference_rng)
             for u in users]
     assert got.tolist() == want
@@ -236,9 +236,9 @@ def test_sample_negatives_fallback_mid_batch_matches_scalar_loop():
 def test_sample_negatives_exhausted_user_errors_like_scalar_loop():
     positives = [{0}, {0, 1, 2}]
     users = np.array([0, 0, 1, 0])
-    keys = pair_keys(np.array([(0, 0), (1, 0), (1, 1), (1, 2)]), 3)
+    positive = pair_mask(np.array([(0, 0), (1, 0), (1, 1), (1, 2)]), 2, 3)
     with pytest.raises(UsageError, match="user 1"):
-        sample_negatives(users, keys, 3, np.random.default_rng(6))
+        sample_negatives(users, positive, np.random.default_rng(6))
     with pytest.raises(UsageError, match="user 1"):
         rng = np.random.default_rng(6)
         for u in users:
