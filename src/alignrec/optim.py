@@ -28,12 +28,19 @@ class AdamState:
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place. Missing grads are skipped."""
+    """One bias-corrected Adam update, in place. Missing grads are skipped.
+
+    Every product and quotient runs in the order of the textbook expression
+    `p -= lr * (m / corr1) / (sqrt(v / corr2) + eps)`, through two scratch
+    buffers shared by all parameters, so the update is bit for bit that
+    expression without its temporaries."""
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
+    size = max((p.data.size for p in params.values()), default=0)
+    scratch = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -47,10 +54,16 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        step, denom = (buf[:g.size].reshape(g.shape) for buf in scratch)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / corr1
-        v_hat = v / corr2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - b2, out=step)
+        np.divide(m, corr1, out=step)
+        step *= state.lr
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p.data -= step

@@ -3,6 +3,7 @@ per-epoch validation, early stopping on Recall@20, best-checkpoint saving."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import sys
 import time
@@ -40,6 +41,31 @@ def emit(record: dict, stream, copy_to=None) -> None:
     stream.flush()
     if copy_to is not None:
         copy_to.write(line + "\n")
+
+
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory(libc=None) -> None:
+    """Let glibc keep the training step's freed arrays for the next step.
+
+    By default glibc maps each large array on its own or trims the top of
+    its heap once the step's temporaries are freed, and the next step faults
+    the same pages in again. Arrays up to 64 MiB come from the heap and up to
+    512 MiB of free heap top is kept. The trim threshold is raised only once
+    the mmap threshold is accepted: set alone, it freezes glibc's adaptive
+    mmap threshold at 128 KiB. A libc without `mallopt` is left as it is.
+    `libc` is the C library to call, the running process's by default."""
+    try:
+        mallopt = (libc if libc is not None else ctypes.CDLL(None)).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 64 << 20) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 512 << 20)
 
 
 def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
@@ -96,8 +122,13 @@ def iterate_batches(train_pairs: np.ndarray, positive: np.ndarray, batch_size: i
 def run_training(cfg: RunConfig, stdout=None) -> dict:
     """Train per the resolved config; returns a summary with the best epoch,
     test metrics and output paths. Emits one metrics JSON line per epoch
-    (validation) plus a final test line at the restored best parameters."""
+    (validation) plus a final test line at the restored best parameters.
+
+    On glibc the process keeps the memory training frees for reuse (see
+    `_keep_freed_memory`), so its resident size stays near its high-water
+    mark after the run."""
     stdout = stdout if stdout is not None else sys.stdout
+    _keep_freed_memory()
     out_dir = Path(cfg.out) if cfg.out else None
     if out_dir is not None:
         try:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alignrec import train
 from alignrec.cli import main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
 from alignrec.data import load_fmat, save_fmat
@@ -312,6 +314,81 @@ def test_train_stream_matches_golden_record(demo, capsys, command, golden):
     assert [json.dumps(record) for record in lines] == golden
 
 
+# ---------------------------------------------------------------------------
+# allocator settings
+# ---------------------------------------------------------------------------
+
+def fresh_interpreter_env():
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
+class FakeLibc:
+    """Records `mallopt` calls and answers each with `accepts`."""
+
+    def __init__(self, accepts):
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so it takes `argtypes`
+            self.calls.append((param, value))
+            return accepts
+
+        self.mallopt = mallopt
+
+
+# Three of a planted-large step's array sizes: a DREAM map, an MMD kernel
+# and a propagated embedding table.
+ALLOC_CYCLES = """
+import resource
+import numpy as np
+from alignrec.train import _keep_freed_memory
+_keep_freed_memory()
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones((2000, 40, 12)), np.ones((1300, 1300)), np.ones((5000, 64))]
+    del arrays
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_freed_step_arrays_are_reused_without_page_faults():
+    """Set before any large allocation, as `run_training` does; trimming or
+    mapping these sizes anew faults ~1.7k pages or more per cycle."""
+    result = subprocess.run([sys.executable, "-c", ALLOC_CYCLES],
+                            capture_output=True, text=True,
+                            env=fresh_interpreter_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    faults = json.loads(result.stdout)
+    assert faults[1] < 100 and faults[2] < 100, faults
+
+
+def test_keep_freed_memory_without_mallopt_is_a_no_op():
+    train._keep_freed_memory(libc=object())
+
+
+@pytest.mark.parametrize("accepts, expected", [
+    (1, [(-3, 64 << 20), (-1, 512 << 20)]),
+    (0, [(-3, 64 << 20)]),
+], ids=["accepted", "refused"])
+def test_trim_threshold_is_raised_only_after_the_mmap_threshold(accepts, expected):
+    libc = FakeLibc(accepts)
+    train._keep_freed_memory(libc=libc)
+    assert libc.calls == expected
+
+
+def test_refused_mmap_threshold_keeps_the_golden_stream(demo, capsys, monkeypatch):
+    libc = FakeLibc(0)
+    keep = train._keep_freed_memory
+    monkeypatch.setattr(train, "_keep_freed_memory", lambda: keep(libc=libc))
+    test_train_stream_matches_golden_record(demo, capsys, ["train"],
+                                            GOLDEN_SEED3_LINES)
+    assert libc.calls == [(-3, 64 << 20)]
+
+
 def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
     lines, _ = train_lines(capsys, demo, ["--max-epochs", "2",
                                           "--out", str(tmp_path / "run")])
@@ -571,12 +648,9 @@ def test_gradcheck_non_finite_evaluation_exits_4(capsys):
 def test_gradcheck_overflow_prints_only_the_error_line():
     """In a fresh interpreter, so that a numpy RuntimeWarning would reach
     stderr instead of pytest's warning capture."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-W", "default", "-m", "alignrec", "gradcheck", "--h", "1e300"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=fresh_interpreter_env(), timeout=120)
     assert result.returncode == 4
     assert result.stdout == ""
     lines = result.stderr.splitlines()

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from alignrec.align import sqdist
 from alignrec.dream import _dilated_grads, _relu, attention_fuse, dilated_conv
 from alignrec.model import propagate
+from alignrec.optim import AdamState, adam_step
 from alignrec.tensor import Tape, Tensor, add, backward, gather_rows, mul, sum_all
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -217,3 +218,34 @@ def test_partition_threshold_matches_argpartition():
         expected = rows[np.arange(n_rows), kth]
         got = np.partition(rows, n_items - cut, axis=1)[:, n_items - cut]
         assert np.array_equal(got, expected), case  # -0.0 == 0.0 as a threshold
+
+
+def test_adam_in_place_matches_expressions():
+    """All parameters share the scratch buffers, and each gradient is a view
+    shifted by one element."""
+    rng = np.random.default_rng(10)
+    shapes = [(1,), (7,), (70, 3), (2, 33, 5), (4097,)]
+    for steps in (1, 2, 40, 300):
+        params = {f"p{i}": Tensor(rng.standard_normal(shape)) for i, shape in enumerate(shapes)}
+        ref = {name: p.data.copy() for name, p in params.items()}
+        ref_m = {name: np.zeros_like(r) for name, r in ref.items()}
+        ref_v = {name: np.zeros_like(r) for name, r in ref.items()}
+        state = AdamState(lr=0.01)
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 / 0 and NaN inputs
+            for t in range(1, steps + 1):
+                grads = {name: mixed(rng, p.data.shape, offset=1) for name, p in params.items()}
+                for g in grads.values():
+                    g *= 1e-150  # most squares stay finite
+                adam_step(params, grads, state)
+                corr1, corr2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
+                for name, g in grads.items():
+                    m, v = ref_m[name], ref_v[name]
+                    m *= state.beta1
+                    m += (1.0 - state.beta1) * g
+                    v *= state.beta2
+                    v += (1.0 - state.beta2) * (g * g)
+                    ref[name] -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        for name, p in params.items():
+            assert same_bits(p.data, ref[name]), (steps, name)
+            assert same_bits(state.m[name], ref_m[name]), (steps, name)
+            assert same_bits(state.v[name], ref_v[name]), (steps, name)
