@@ -3,18 +3,20 @@
 Subcommands: train, evaluate, ablate, gradcheck, align-stats, synth.
 Metrics and results are JSON lines on stdout; logs go to stderr.
 Exit codes: 0 success, 2 usage or config error, 3 data or format error,
-4 numerical failure.
+4 numerical failure, 128 + the signal number when SIGINT (130) or SIGTERM
+(143) stops a command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .config import RunConfig, parse_value, resolve_config
+from .config import RunConfig, format_value, parse_value, resolve_config
 from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
 from .errors import ConfigError, DataFormatError, NumericalError
@@ -29,66 +31,67 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+# Flags not spelled `--<field-name-with-dashes>`; `None` marks a field that
+# only the subcommand owning it takes.
+_SPELLINGS = {"eval_ks": "--ks", "checkpoint": None, "variant": None}
+
+
+def _read_config_flag(annotation: str):
+    """A config flag's text is read as a config-file value, except that text
+    fields keep it raw and a list is given without brackets;
+    `resolve_config` checks the type."""
+    if annotation.startswith("tuple["):
+        return lambda text: parse_value(f"[{text}]")
+    return str if annotation.startswith("str") else parse_value
+
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls, read) -> None:
+    """One flag per field of the dataclass `cls`, its text read by
+    `read(annotation)`. A flag not given sets no attribute."""
+    for f in fields(cls):
+        flag = _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
+        if flag is not None:
+            listed = ", comma-separated" if f.type.startswith("tuple[") else ""
+            parser.add_argument(
+                flag, dest=f.name, type=read(f.type), default=argparse.SUPPRESS,
+                help=f"{f.type}{listed}, default {format_value(f.default)}")
+
+
+def _given(args: argparse.Namespace, cls) -> dict:
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
+def _config_command(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
+    """A subcommand that resolves a `RunConfig` from `--config` and flags."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--interactions", help="interaction TSV path")
-    parser.add_argument("--visual", help="visual feature FMAT path")
-    parser.add_argument("--text", help="text feature FMAT path")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--kcore", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int)
-    parser.add_argument("--base-lr", dest="base_lr", type=float)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--id-dim", dest="id_dim", type=int)
-    parser.add_argument("--reduction", type=int)
-    parser.add_argument("--graph-layers", dest="graph_layers", type=int)
-    parser.add_argument("--branch-channels", dest="branch_channels", type=int)
-    parser.add_argument("--lambda-cl", dest="lambda_cl", type=float)
-    parser.add_argument("--lambda-mmd", dest="lambda_mmd", type=float)
-    parser.add_argument("--lambda-reg", dest="lambda_reg", type=float)
-    parser.add_argument("--temperature", type=float)
-    parser.add_argument("--bandwidths", help="comma-separated, e.g. 1.0,1.5,2.0")
-    parser.add_argument("--ks", dest="eval_ks", help="comma-separated cutoffs")
-
-
-def _flag_values(args: argparse.Namespace) -> dict:
-    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    # Lists take the config-file syntax; resolve_config checks their types.
-    for key in ("bandwidths", "eval_ks"):
-        if values[key] is not None:
-            values[key] = parse_value(f"[{values[key]}]")
-    return values
+    _add_field_flags(parser, RunConfig, _read_config_flag)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = resolve_config(getattr(args, "config", None), _flag_values(args))
-    log("resolved configuration:")
-    for line in cfg.lines():
-        log(f"  {line}")
+    cfg = resolve_config(args.config, _given(args, RunConfig))
+    log("\n  ".join(["resolved configuration:", *cfg.lines()]))
     return cfg
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    run_training(cfg)
+    run_training(_resolve(args))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve(args)
-    arrays = load_checkpoint(cfg.checkpoint)
-    model, split, _ = restore_model(cfg, arrays)
+    model, split, _ = restore_model(cfg, load_checkpoint(cfg.checkpoint))
     user_repr, item_repr, _, _ = model.representations()
     metrics = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
-    record = {"split": "test", **{k: metrics[k] for k in sorted(metrics)}}
-    print(json.dumps(record))
+    print(json.dumps({"split": "test", **{k: metrics[k] for k in sorted(metrics)}}))
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    results, passed = run_gradcheck(seed=args.seed or 0, tol=args.tol, h=args.h)
+    results, passed = run_gradcheck(seed=args.seed, tol=args.tol, h=args.h)
     print(json.dumps({"tol": args.tol, "h": args.h, "passed": passed,
                       "groups": results}))
     if not passed:
@@ -98,8 +101,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_align_stats(args) -> int:
     cfg = _resolve(args)
-    arrays = load_checkpoint(cfg.checkpoint)
-    model, _, _ = restore_model(cfg, arrays)
+    model, _, _ = restore_model(cfg, load_checkpoint(cfg.checkpoint))
     export = args.export
     if export is None and cfg.out:
         export = str(Path(cfg.out) / "item_repr.fmat")
@@ -108,13 +110,7 @@ def cmd_align_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(users=args.users, items=args.items,
-                     latent_dim=args.latent_dim,
-                     interactions_per_user=args.interactions_per_user,
-                     visual_dim=args.visual_dim, text_dim=args.text_dim,
-                     noise=args.noise, seed=args.seed)
-    result = synth_generate(spec, args.out)
-    print(json.dumps(result))
+    print(json.dumps(synth_generate(SynthSpec(**_given(args, SynthSpec)), args.out)))
     return EXIT_OK
 
 
@@ -124,20 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="multimodal alignment recommender: train, evaluate, ablate")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train and save the best checkpoint")
-    _add_config_flags(p_train)
-    p_train.set_defaults(handler=cmd_train)
-
-    p_ablate = sub.add_parser("ablate", help="train one ablation variant")
-    _add_config_flags(p_ablate)
-    p_ablate.add_argument("--variant", required=True,
-                          choices=Recommender.VARIANTS)
-    p_ablate.set_defaults(handler=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="test-split metrics for a checkpoint")
-    _add_config_flags(p_eval)
+    _config_command(sub, "train", "train and save the best checkpoint", cmd_train)
+    p_ablate = _config_command(sub, "ablate", "train one ablation variant", cmd_train)
+    p_ablate.add_argument("--variant", required=True, choices=Recommender.VARIANTS)
+    p_eval = _config_command(sub, "evaluate", "test-split metrics for a checkpoint",
+                             cmd_evaluate)
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.set_defaults(handler=cmd_evaluate)
 
     p_grad = sub.add_parser("gradcheck",
                             help="verify analytic gradients on a seeded instance")
@@ -146,35 +134,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--h", type=float, default=1e-6)
     p_grad.set_defaults(handler=cmd_gradcheck)
 
-    p_stats = sub.add_parser("align-stats",
-                             help="modality distribution diagnostics for a checkpoint")
-    _add_config_flags(p_stats)
+    p_stats = _config_command(sub, "align-stats",
+                              "modality distribution diagnostics for a checkpoint",
+                              cmd_align_stats)
     p_stats.add_argument("--checkpoint", required=True)
     p_stats.add_argument("--export", default=None,
                          help="FMAT path for fused item representations")
-    p_stats.set_defaults(handler=cmd_align_stats)
 
     p_synth = sub.add_parser("synth", help="generate a planted-factor dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--users", type=int, default=300)
-    p_synth.add_argument("--items", type=int, default=200)
-    p_synth.add_argument("--latent-dim", dest="latent_dim", type=int, default=8)
-    p_synth.add_argument("--interactions-per-user", dest="interactions_per_user",
-                         type=int, default=20)
-    p_synth.add_argument("--visual-dim", dest="visual_dim", type=int, default=128)
-    p_synth.add_argument("--text-dim", dest="text_dim", type=int, default=96)
-    p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p_synth, SynthSpec, {"int": int, "float": float}.get)
     p_synth.set_defaults(handler=cmd_synth)
 
     return parser
 
 
+class Interrupted(BaseException):
+    """A signal stopped the command; outputs close as on any error."""
+
+
+def _interrupt(signum, frame):
+    raise Interrupted(signal.Signals(signum))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+    for s in previous:
+        if previous[s] is not signal.SIG_IGN:  # an ignored signal stays ignored
+            signal.signal(s, _interrupt)
     try:
         return args.handler(args)
+    except Interrupted as stop:
+        log(f"error: interrupted by {stop.args[0].name}")
+        return 128 + stop.args[0]
     except (ConfigError, ParameterError, UsageError) as err:
         log(f"error: {err}")
         return EXIT_USAGE
@@ -184,6 +178,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         log(f"error: {err}")
         return EXIT_NUMERIC
+    finally:
+        for s, handler in previous.items():
+            signal.signal(s, handler)
 
 
 if __name__ == "__main__":

@@ -58,11 +58,8 @@ class RunConfig(HyperParams):
         Recommender.modalities_for(self.variant)  # rejects an unknown variant
 
     def lines(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out.append(f"{f.name} = {format_value(value)}")
-        return out
+        return [f"{f.name} = {format_value(getattr(self, f.name))}"
+                for f in fields(self)]
 
 
 def format_value(value) -> str:
@@ -139,11 +136,11 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(config_path: str | None, flag_values: dict) -> RunConfig:
-    """Layer config-file entries over defaults, then non-None flags on top;
+    """Layer config-file entries over defaults, then the given flags on top;
     every value is checked against its field type, then `RunConfig` checks
     its ranges."""
     values = parse_config_file(config_path) if config_path is not None else {}
-    values.update((k, v) for k, v in flag_values.items() if v is not None)
+    values.update(flag_values)
     types = {f.name: f.type for f in fields(RunConfig)}
     for key, value in values.items():
         try:

@@ -33,7 +33,7 @@ def _random_triples(rng: np.random.Generator, n_users: int, n_items: int,
     return pairs, TripletBatch(users=users, pos_items=items, neg_items=negs)
 
 
-def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
+def build_suite(seed: int) -> list[tuple[str, object, dict]]:
     """Named scalar functions with their parameter dicts, all on one seeded
     (5 users, 8 items, width 16, 4 branch channels) instance."""
     rng = np.random.default_rng(seed)
@@ -87,7 +87,7 @@ def build_suite(seed: int = 0) -> list[tuple[str, object, dict]]:
     return suite
 
 
-def run_gradcheck(seed: int = 0, tol: float = 1e-4, h: float = 1e-6,
+def run_gradcheck(seed: int, tol: float, h: float,
                   max_coords: int = 8) -> tuple[dict, bool]:
     """Run every suite entry; returns (report dict, all passed)."""
     check_settings(h, tol, seed)

@@ -32,6 +32,8 @@ from .tensor import (
 VISUAL = "visual"
 TEXT = "text"
 MODALITIES = (VISUAL, TEXT)
+# The joint objective's terms, in the order they are reported.
+LOSS_TERMS = ("bpr", "mmd", "infonce", "reg")
 
 
 def target_dim(visual_dim: int, text_dim: int, reduction: int) -> int:
@@ -411,7 +413,7 @@ class Recommender:
         bit-identical to their reduced objective."""
         user_repr, item_repr, h_v, h_t = self.representations()
         loss = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
-        parts = {"bpr": loss.item(), "mmd": 0.0, "infonce": 0.0, "reg": 0.0}
+        parts = {**dict.fromkeys(LOSS_TERMS, 0.0), "bpr": loss.item()}
         if h_v is not None and h_t is not None and (
                 self.lambda_mmd != 0.0 or self.lambda_cl != 0.0):
             unique_pos = np.unique(batch.pos_items)

@@ -18,6 +18,7 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
     evaluate, lr_schedule, pair_mask, sample_negatives, split_811
 from .model import (
+    LOSS_TERMS,
     MODALITIES,
     TEXT,
     VISUAL,
@@ -37,10 +38,12 @@ def log(message: str) -> None:
 
 def emit(record: dict, stream, copy_to=None) -> None:
     line = json.dumps(record)
-    print(line, file=stream)
-    stream.flush()
+    # Copied first, so that the copy holds every printed line when a signal
+    # stops the run.
     if copy_to is not None:
         copy_to.write(line + "\n")
+    print(line, file=stream)
+    stream.flush()
 
 
 # glibc's mallopt parameters (malloc.h).
@@ -160,7 +163,7 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
         for epoch in range(1, cfg.max_epochs + 1):
             started = time.perf_counter()
             adam.lr = lr_schedule(epoch - 1, cfg.base_lr)
-            loss_sums = {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0}
+            loss_sums = dict.fromkeys(LOSS_TERMS, 0.0)
             n_batches = 0
             for step, batch in enumerate(iterate_batches(
                     split.train, positive, cfg.batch_size, rng), start=1):
@@ -206,7 +209,7 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
         wall_ms = int(round((time.perf_counter() - started) * 1000))
         record = {"epoch": best_epoch, "split": "test", **tag,
                   **{k: test[k] for k in sorted(test)},
-                  "losses": {"bpr": 0.0, "mmd": 0.0, "infonce": 0.0, "reg": 0.0},
+                  "losses": dict.fromkeys(LOSS_TERMS, 0.0),
                   "wall_ms": wall_ms}
         emit(record, stdout, metrics_file)
 

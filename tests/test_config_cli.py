@@ -1,10 +1,12 @@
 """Config precedence and end-to-end CLI behavior on tiny datasets."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -17,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alignrec import train
-from alignrec.cli import main
+from alignrec.cli import build_parser, main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
-from alignrec.data import load_fmat, save_fmat
+from alignrec.data import SynthSpec, load_fmat, save_fmat
 from alignrec.errors import ConfigError
 from alignrec.model import HyperParams
 
@@ -105,6 +107,53 @@ def test_quoted_config_value_keeps_its_hash(tmp_path):
     path.write_text('out = "r#x"  # the run directory\nseed = 4 # comment\n')
     cfg = resolve_config(str(path), {})
     assert (cfg.out, cfg.seed) == ("r#x", 4)
+
+
+def subcommand_flags(command: str) -> dict[str, list[str]]:
+    """Each destination of `command`'s options with their spellings."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for action in sub.choices[command]._actions:
+        flags.setdefault(action.dest, []).extend(action.option_strings)
+    return flags
+
+
+def test_every_field_has_exactly_one_flag():
+    """Spelled `--<field-name-with-dashes>`, but `--ks` for `eval_ks`;
+    `checkpoint` and `variant` belong to the subcommands that take them."""
+    own = {"checkpoint": ["evaluate", "align-stats"], "variant": ["ablate"]}
+    for cls, command, extra in [(RunConfig, "train", {"help", "config"}),
+                                (SynthSpec, "synth", {"help", "out"})]:
+        flags = subcommand_flags(command)
+        assert set(flags) - extra == {f.name for f in fields(cls)} - set(own)
+        for f in fields(cls):
+            if f.name not in own:
+                spelling = "--ks" if f.name == "eval_ks" else \
+                    "--" + f.name.replace("_", "-")
+                assert flags[f.name] == [spelling]
+    for name, commands in own.items():
+        for command in commands:
+            assert subcommand_flags(command)[name] == ["--" + name]
+
+
+def test_flags_and_config_file_resolve_alike(demo, tmp_path, capsys):
+    """The refinement and InfoNCE settings set from flags write the same
+    resolved_config.txt as when set from a file."""
+    run = tmp_path / "run"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("attention_reduction = 2\ndilations = [4, 8, 16]\n"
+                        "symmetric_infonce = true\n")
+    resolved = []
+    for extra in (["--config", str(cfg_file)],
+                  ["--attention-reduction", "2", "--dilations", "4,8,16",
+                   "--symmetric-infonce", "true"]):
+        train_lines(capsys, demo, ["--max-epochs", "0", "--out", str(run), *extra])
+        resolved.append((run / "resolved_config.txt").read_bytes())
+    assert resolved[0] == resolved[1]
+    for line in (b"attention_reduction = 2\n", b"dilations = [4, 8, 16]\n",
+                 b"symmetric_infonce = true\n"):
+        assert line in resolved[0]
 
 
 def test_direct_construction_is_range_checked():
@@ -459,6 +508,9 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     (["--reduction", "100000000000000000000"], None),
     (["--graph-layers", "100000000000000000000"], None),
     (["--bandwidths", "inf"], None),
+    (["--seed", "none"], None),
+    (["--seed", "abc"], None),
+    (["--symmetric-infonce", "maybe"], None),
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
@@ -471,7 +523,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
         "base-lr-int-past-float-range-in-file", "lambda-cl-nan-in-file",
         "lambda-mmd-inf", "temperature-inf-in-file", "id-dim-1e20",
         "branch-channels-1e20-in-file", "reduction-1e20", "graph-layers-1e20",
-        "bandwidth-inf"])
+        "bandwidth-inf", "seed-none", "seed-text", "symmetric-infonce-maybe"])
 def test_invalid_config_value_exits_2(demo, tmp_path, capsys, flags, config_text):
     if config_text is not None:
         path = tmp_path / "run.cfg"
@@ -656,6 +708,45 @@ def test_gradcheck_overflow_prints_only_the_error_line():
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert "non-finite" in lines[0]
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                         ids=["sigterm", "sigint"])
+def test_signal_stops_train_with_whole_outputs(demo, tmp_path, signum):
+    """A signal after the first epoch line ends `train` with one error line
+    and exit 128 + the signal number; metrics.jsonl holds every line that
+    was printed (and at most the one being printed) and no temp file is
+    left."""
+    run = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "alignrec", "train", *data_flags(demo),
+         "--batch-size", "64", "--max-epochs", "100000", "--patience", "100000",
+         "--out", str(run)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=fresh_interpreter_env())
+    try:
+        first = proc.stdout.readline()
+        assert first.startswith('{"epoch": 1, '), proc.stderr.read()
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 128 + signum
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == f"error: interrupted by {signal.Signals(signum).name}"
+    printed = (first + out).split("\n")[:-1]  # whole lines only
+    written = (run / "metrics.jsonl").read_text().splitlines()
+    assert written[:len(printed)] == printed and len(written) - len(printed) <= 1
+    assert all(json.loads(line)["split"] == "validation" for line in written)
+    assert not list(run.glob(".*.tmp"))
+
+
+def test_main_restores_signal_handlers(capsys):
+    before = [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)]
+    assert main(["gradcheck", "--h", "0"]) == 2
+    capsys.readouterr()
+    assert [signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)] == before
 
 
 def test_align_stats_reports_and_exports(demo, tmp_path, capsys):
