@@ -4,13 +4,14 @@ Subcommands: train, evaluate, ablate, gradcheck, align-stats, synth.
 Metrics and results are JSON lines on stdout; logs go to stderr.
 Exit codes: 0 success, 2 usage or config error, 3 data or format error,
 4 numerical failure, 128 + the signal number when SIGINT (130) or SIGTERM
-(143) stops a command.
+(143) stops a command, 141 when the reader of stdout closes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 from dataclasses import fields
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command SIGPIPE killed
 
 
 # Flags not spelled `--<field-name-with-dashes>`; `None` marks a field that
@@ -169,6 +171,12 @@ def main(argv=None) -> int:
     except Interrupted as stop:
         log(f"error: interrupted by {stop.args[0].name}")
         return 128 + stop.args[0]
+    except BrokenPipeError:
+        # Stdout now leads nowhere, so the interpreter's flush at exit
+        # has nothing to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        log("error: stdout was closed by its reader")
+        return EXIT_PIPE
     except (ConfigError, ParameterError, UsageError) as err:
         log(f"error: {err}")
         return EXIT_USAGE

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
+from .evaluation import _SCORE_BLOCK_ENTRIES, top_k
 from .tensor import ParameterError
 
 FMAT_MAGIC = b"FMAT"
@@ -258,7 +259,8 @@ class SynthSpec:
 def synth_generate(spec: SynthSpec, out_dir) -> dict:
     """Write interactions.tsv, visual.fmat, text.fmat and latents.fmat.
 
-    Users interact with their top items by latent dot product. latents.fmat
+    Users interact with their top items by latent dot product, ranked by
+    `top_k` in row blocks of `_SCORE_BLOCK_ENTRIES` scores. latents.fmat
     stacks user latents (first `users` rows) over item latents. Item tokens
     are the feature row indices.
     """
@@ -282,12 +284,14 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     visual = modality(visual_span, spec.visual_dim)
     text = modality(text_span, spec.text_dim)
 
+    per_user = spec.interactions_per_user
+    block = max(1, _SCORE_BLOCK_ENTRIES // spec.items)
+    top = np.concatenate([top_k(affinity[start:start + block], per_user)
+                          for start in range(0, spec.users, block)])
+    users = np.repeat(np.arange(spec.users), per_user)
     interactions_path = out / "interactions.tsv"
     with atomic_open(interactions_path) as fh:
-        for u in range(spec.users):
-            top = np.argsort(-affinity[u], kind="stable")[:spec.interactions_per_user]
-            for item in top:
-                fh.write(f"u{u}\t{int(item)}\n")
+        fh.write("".join(map("u{}\t{}\n".format, users.tolist(), top.ravel().tolist())))
 
     save_fmat(out / "visual.fmat", visual)
     save_fmat(out / "text.fmat", text)

@@ -710,6 +710,27 @@ def test_gradcheck_overflow_prints_only_the_error_line():
     assert "non-finite" in lines[0]
 
 
+def start_endless_train(demo, run):
+    """`train` in a fresh interpreter, with epoch and patience budgets it
+    does not reach, writing its outputs to `run`."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "alignrec", "train", *data_flags(demo),
+         "--batch-size", "64", "--max-epochs", "100000", "--patience", "100000",
+         "--out", str(run)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=fresh_interpreter_env())
+
+
+def stopped_run(proc, err, printed, run):
+    """The lines a stopped `train` wrote to metrics.jsonl, and a summary of
+    the run for assertion messages."""
+    path = run / "metrics.jsonl"
+    written = path.read_text().splitlines() if path.exists() else []
+    return written, (f"exit {proc.returncode}, {len(printed)} lines printed, "
+                     f"{len(written)} written ({'present' if path.exists() else 'no file'}); "
+                     f"stderr ends {err[-600:]!r}")
+
+
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
                          ids=["sigterm", "sigint"])
 def test_signal_stops_train_with_whole_outputs(demo, tmp_path, signum):
@@ -718,12 +739,7 @@ def test_signal_stops_train_with_whole_outputs(demo, tmp_path, signum):
     was printed (and at most the one being printed) and no temp file is
     left."""
     run = tmp_path / "run"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "alignrec", "train", *data_flags(demo),
-         "--batch-size", "64", "--max-epochs", "100000", "--patience", "100000",
-         "--out", str(run)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=fresh_interpreter_env())
+    proc = start_endless_train(demo, run)
     try:
         first = proc.stdout.readline()
         assert first.startswith('{"epoch": 1, '), proc.stderr.read()
@@ -732,14 +748,41 @@ def test_signal_stops_train_with_whole_outputs(demo, tmp_path, signum):
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 128 + signum
-    assert "Traceback" not in err
-    assert err.splitlines()[-1] == f"error: interrupted by {signal.Signals(signum).name}"
     printed = (first + out).split("\n")[:-1]  # whole lines only
-    written = (run / "metrics.jsonl").read_text().splitlines()
-    assert written[:len(printed)] == printed and len(written) - len(printed) <= 1
-    assert all(json.loads(line)["split"] == "validation" for line in written)
-    assert not list(run.glob(".*.tmp"))
+    written, why = stopped_run(proc, err, printed, run)
+    assert proc.returncode == 128 + signum, why
+    assert "Traceback" not in err, why
+    assert err.splitlines()[-1:] == [
+        f"error: interrupted by {signal.Signals(signum).name}"], why
+    assert written[:len(printed)] == printed, why
+    assert len(written) - len(printed) <= 1, why
+    assert all(json.loads(line)["split"] == "validation" for line in written), why
+    assert not list(run.glob(".*.tmp")), why
+
+
+def test_closed_stdout_stops_train_with_exit_141(demo, tmp_path):
+    """A reader that closes stdout after the first epoch line ends `train`
+    with one error line and exit 141 (128 + SIGPIPE), not the data-error
+    code; metrics.jsonl holds whole lines, starting with the one read."""
+    run = tmp_path / "run"
+    proc = start_endless_train(demo, run)
+    try:
+        first = proc.stdout.readline()
+        assert first.startswith('{"epoch": 1, '), proc.stderr.read()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    written, why = stopped_run(proc, err, [first], run)
+    assert proc.returncode == 141, why
+    assert "Traceback" not in err, why
+    # one error line, and nothing after it from the interpreter's exit flush
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: stdout was closed by its reader"] == err.splitlines()[-1:], why
+    assert written[:1] == [first.rstrip("\n")], why
+    assert all(json.loads(line)["split"] == "validation" for line in written), why
+    assert not list(run.glob(".*.tmp")), why
 
 
 def test_main_restores_signal_handlers(capsys):

@@ -1,5 +1,7 @@
 """Data layer: parsing, k-core peeling, binary feature files, synth generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -228,6 +230,24 @@ def test_synth_deterministic_bytes(tmp_path):
     for key in ("interactions", "visual", "text", "latents"):
         with open(a[key], "rb") as fa, open(b[key], "rb") as fb:
             assert fa.read() == fb.read()
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (SynthSpec(), "d296b9290aeac89db86582ae1a2106720cb4c400eeeb4b51d6c35f08d5cb1616"),
+    (SynthSpec(users=3000, items=2000, seed=1),
+     "885941cdb5cd7062901dc2e0cd88d709eb9a4a77977f5b0bfb05bfeab6919f2d"),
+    (SynthSpec(users=40, items=30, latent_dim=2),
+     "271f055a002431ecdff40acc35a07b8e39f9e731bd03f247bf6b6a3ea81c3e89"),
+], ids=["default", "3000x2000-seed1", "40x30-latent2"])
+def test_synth_files_keep_their_bytes(tmp_path, spec, digest):
+    """The sha256 of the four files, recorded from the generator that ranked
+    each user by a full `np.argsort(-affinity[u], kind="stable")`; the same
+    at 1, 2 and 4 OpenBLAS threads."""
+    synth_generate(spec, tmp_path)
+    sha = hashlib.sha256()
+    for name in ("interactions.tsv", "visual.fmat", "text.fmat", "latents.fmat"):
+        sha.update((tmp_path / name).read_bytes())
+    assert sha.hexdigest() == digest
 
 
 def test_synth_noiseless_features_are_exact_latent_images(tmp_path):

@@ -20,6 +20,7 @@ from alignrec.evaluation import (
     pair_mask,
     sample_negatives,
     split_811,
+    top_k,
 )
 from alignrec.tensor import ParameterError, UsageError
 
@@ -233,6 +234,17 @@ def test_sample_negatives_fallback_mid_batch_matches_scalar_loop():
         assert_matches_scalar_loop(500, positives, users, seed)
 
 
+def test_sample_negatives_dense_users_match_scalar_loop():
+    # Users 1 and 2 have 3 and 1 free items in 60, so their rejections turn
+    # the window steps dense; user 2's runs often reach the 100-rejection
+    # fallback inside a dense step and mid-block, and runs of both cross
+    # block ends. User 0 keeps ordinary steps between them.
+    positives = [set(range(0, 60, 9)), set(range(60)) - {7, 30, 44}, set(range(59))]
+    users = np.random.default_rng(7).integers(0, 3, size=600)
+    for seed in range(3):
+        assert_matches_scalar_loop(60, positives, users, seed)
+
+
 def test_sample_negatives_exhausted_user_errors_like_scalar_loop():
     positives = [{0}, {0, 1, 2}]
     users = np.array([0, 0, 1, 0])
@@ -322,6 +334,37 @@ def test_rank_topk_masks_never_leak():
 def test_rank_topk_k_validation():
     with pytest.raises(ParameterError):
         rank_topk(np.ones((1, 2)), np.ones((3, 2)), 0, set(), 0)
+
+
+@st.composite
+def score_rows(draw):
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    # few distinct values, so that ties and ties at the cut are common
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+    rows = np.array(draw(st.lists(st.lists(value | st.floats(-3, 3), min_size=n_cols,
+                                           max_size=n_cols),
+                                  min_size=n_rows, max_size=n_rows)))
+    cut = draw(st.sampled_from([1, n_cols]) | st.integers(1, n_cols))
+    return rows, cut
+
+
+@given(score_rows())
+@settings(max_examples=300)
+def test_top_k_is_the_stable_argsort_of_finite_scores(case):
+    rows, cut = case
+    before = rows.tobytes()
+    ranked = top_k(rows, cut)
+    assert rows.tobytes() == before
+    for row, got in zip(rows, ranked.tolist()):
+        want = [int(i) for i in np.argsort(-row, kind="stable") if np.isfinite(row[i])]
+        want = want[:cut] + [-1] * max(0, cut - len(want))
+        assert got == want
+
+
+def test_top_k_cut_validation():
+    for cut in (0, 4):
+        with pytest.raises(ParameterError):
+            top_k(np.zeros((2, 3)), cut)
 
 
 # ---------------------------------------------------------------------------
