@@ -172,10 +172,15 @@ def main(argv=None) -> int:
         log(f"error: interrupted by {stop.args[0].name}")
         return 128 + stop.args[0]
     except BrokenPipeError:
-        # Stdout now leads nowhere, so the interpreter's flush at exit
-        # has nothing to fail on.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        log("error: stdout was closed by its reader")
+        # Stdout, and stderr when it was on the same pipe, now lead nowhere,
+        # so the interpreter's flush at exit has nothing to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            log("error: stdout was closed by its reader")
+        except BrokenPipeError:
+            os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
         return EXIT_PIPE
     except (ConfigError, ParameterError, UsageError) as err:
         log(f"error: {err}")

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .evaluation import _SCORE_BLOCK_ENTRIES, top_k
+from .evaluation import top_k
 from .tensor import ParameterError
 
 FMAT_MAGIC = b"FMAT"
@@ -260,9 +260,8 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     """Write interactions.tsv, visual.fmat, text.fmat and latents.fmat.
 
     Users interact with their top items by latent dot product, ranked by
-    `top_k` in row blocks of `_SCORE_BLOCK_ENTRIES` scores. latents.fmat
-    stacks user latents (first `users` rows) over item latents. Item tokens
-    are the feature row indices.
+    `top_k`. latents.fmat stacks user latents (first `users` rows) over item
+    latents. Item tokens are the feature row indices.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,11 +283,8 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     visual = modality(visual_span, spec.visual_dim)
     text = modality(text_span, spec.text_dim)
 
-    per_user = spec.interactions_per_user
-    block = max(1, _SCORE_BLOCK_ENTRIES // spec.items)
-    top = np.concatenate([top_k(affinity[start:start + block], per_user)
-                          for start in range(0, spec.users, block)])
-    users = np.repeat(np.arange(spec.users), per_user)
+    top = top_k(affinity, spec.interactions_per_user)
+    users = np.repeat(np.arange(spec.users), spec.interactions_per_user)
     interactions_path = out / "interactions.tsv"
     with atomic_open(interactions_path) as fh:
         fh.write("".join(map("u{}\t{}\n".format, users.tolist(), top.ravel().tolist())))

@@ -59,8 +59,8 @@ def pair_mask(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
     return mask
 
 
-# Candidates judged per window step (one 64-bit word of a dense step's row),
-# and the rejections one dense step resolves.
+# Candidates judged per step (one 64-bit word of a step's row), and the
+# rejections one step resolves.
 _WINDOW, _SHIFTS = 64, 16
 
 
@@ -73,26 +73,24 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
     holds one candidate per user still without a negative, so the loop
     would draw all of them.
 
-    A window step judges each candidate by the next user and stops at the
-    first rejection. After a rejection at the window's first position, the
-    next step is dense: it judges the window under each of `_SHIFTS` shifts
-    in one gather and walks its first `_SHIFTS` rejections, so a user that
-    rejects often costs one step per `_SHIFTS` rejections, not one per
-    rejection. Steps stay dense while they use every shift.
+    A step judges a window of `_WINDOW` candidates under each of `_SHIFTS`
+    shifts in one gather (shift s: every candidate s users back, where it
+    lands after s rejections) and walks its first `_SHIFTS` rejections, so a
+    user that rejects often costs one step per `_SHIFTS` rejections, not one
+    per rejection.
 
     Training builds the mask once per run from its training pairs: one byte
     per (user, item) pair, about 6 MB for 3000 users and 2000 items."""
     n_items = positive.shape[1]
     flat = positive.reshape(-1)
     rows = users * n_items  # each user's offset into the flat mask
-    # shifted[i, s] is the offset of user i - s: a dense step's row s judges
+    # shifted[i, s] is the offset of user i - s: a step's row s judges
     # window position j by user t + j - s, the user that candidate reaches
     # after s rejections in the window. Offsets below user t are never read.
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((np.zeros(_SHIFTS, dtype=np.int64), rows)), _SHIFTS)[1:, ::-1]
     out = np.empty(len(users), dtype=np.int64)
     t = tries = 0  # first user without a negative, and its rejections
-    dense = False
     grid = np.empty((_SHIFTS, _WINDOW), dtype=bool)
     while t < len(users):
         saved = rng.bit_generator.state
@@ -100,39 +98,28 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
         c = 0  # candidates of the block used so far
         while c < len(block):
             w = min(_WINDOW, len(block) - c)
-            if not dense:
-                rejected = flat[rows[t:t + w] + block[c:c + w]]
-                r = int(rejected.argmax()) if rejected.any() else w
-                out[t:t + r] = block[c:c + r]
-                if r == w:
-                    t, c, tries = t + w, c + w, 0
-                else:  # user t + r rejected candidate c + r
-                    t, c, tries = t + r, c + r + 1, tries + 1 if r == 0 else 1
-                dense = r == 0
-            else:
-                grid[:, :w] = flat[shifted[t:t + w].T + block[c:c + w]]
-                grid[:, w:] = False
-                # Row s as an int whose bit j is set where position j is rejected.
-                masks = np.packbits(grid, axis=1, bitorder="little").view("<u8")
-                rejections = []  # window positions rejected, in order
-                e = 0  # first window position not yet judged
-                for mask in masks.ravel().tolist():
-                    x = mask >> e
-                    if not x:  # every candidate from e on is accepted
-                        end, tries = w, tries if e == w else 0
-                        break
-                    p = e + (x & -x).bit_length() - 1
-                    tries = tries + 1 if p == e else 1  # p == e: the same user
-                    rejections.append(p)
-                    e = end = p + 1
-                    if tries == 100:
-                        break
-                kept = np.ones(end, dtype=bool)
-                kept[rejections] = False
-                n = end - len(rejections)
-                out[t:t + n] = block[c:c + end][kept]
-                t, c = t + n, c + end
-                dense = len(rejections) == _SHIFTS
+            grid[:, :w] = flat[shifted[t:t + w].T + block[c:c + w]]
+            grid[:, w:] = False
+            # Row s as an int whose bit j is set where position j is rejected.
+            masks = np.packbits(grid, axis=1, bitorder="little").view("<u8")
+            rejections = []  # window positions rejected, in order
+            e = 0  # first window position not yet judged
+            for mask in masks.ravel().tolist():
+                x = mask >> e
+                if not x:  # every candidate from e on is accepted
+                    end, tries = w, tries if e == w else 0
+                    break
+                p = e + (x & -x).bit_length() - 1
+                tries = tries + 1 if p == e else 1  # p == e: the same user
+                rejections.append(p)
+                e = end = p + 1
+                if tries == 100:
+                    break
+            run = 0  # start of the accepted run before each rejection
+            for p in rejections + [end]:
+                out[t:t + p - run] = block[c + run:c + p]
+                t, run = t + p - run, p + 1
+            c += end
             if tries == 100:
                 rng.bit_generator.state = saved
                 rng.integers(0, n_items, size=c)
@@ -149,26 +136,42 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
 _SCORE_BLOCK_ENTRIES = 1 << 19
 
 
+def _block_rows(n_cols: int) -> int:
+    """Rows of `n_cols` scores in one ranking block."""
+    return max(1, _SCORE_BLOCK_ENTRIES // n_cols)
+
+
 def top_k(rows: np.ndarray, cut: int) -> np.ndarray:
     """Each row's `cut` best columns, best first: the first `cut` finite
     entries of `np.argsort(-row, kind="stable")`, so ties go to the lower
     column. Non-finite scores are never ranked; a row with fewer than `cut`
     finite scores fills its remaining slots with -1.
 
-    The row's cut-th best score is found by one partition. Rows with exactly
-    `cut` finite scores at or above it are ranked by one stable sort over
-    their candidate matrix; a row with a tie at the cut or fewer finite
-    scores than the cut is ranked on its own."""
+    Rows are ranked in blocks of at most `_SCORE_BLOCK_ENTRIES` scores, so
+    a tall matrix adds no temporary of its own size. In a block, one
+    partition finds each row's cut-th best score. Rows with exactly `cut`
+    finite scores at or above it are ranked by one stable sort over their
+    candidate matrix; a row with a tie at the cut or fewer finite scores
+    than the cut is ranked on its own."""
     n_cols = rows.shape[1]
     if not 1 <= cut <= n_cols:
         raise ParameterError(f"cut must be in 1..{n_cols}, got {cut}")
+    ranked = np.full((len(rows), cut), -1, dtype=np.int64)
+    block = _block_rows(n_cols)
+    for start in range(0, len(rows), block):
+        _rank_block(rows[start:start + block], ranked[start:start + block])
+    return ranked
+
+
+def _rank_block(rows: np.ndarray, ranked: np.ndarray) -> None:
+    """`top_k` of one block of rows, written into `ranked` (filled with -1)."""
+    n_cols, cut = rows.shape[1], ranked.shape[1]
     below_inf = rows < np.inf  # False at NaN and +inf
     if not below_inf.all():
         rows = np.where(below_inf, rows, -np.inf)
     threshold = np.partition(rows, n_cols - cut, axis=1)[:, n_cols - cut]
     above = rows >= threshold[:, None]
     full = (np.count_nonzero(above, axis=1) == cut) & (threshold > -np.inf)
-    ranked = np.full((len(rows), cut), -1, dtype=np.int64)
     candidates = np.flatnonzero(above[full]).reshape(-1, cut) % n_cols
     order = np.argsort(-rows[np.flatnonzero(full)[:, None], candidates],
                        axis=1, kind="stable")
@@ -178,7 +181,6 @@ def top_k(rows: np.ndarray, cut: int) -> np.ndarray:
         candidates = np.flatnonzero(above[row] & (line > -np.inf))
         top = candidates[np.argsort(-line[candidates], kind="stable")[:cut]]
         ranked[row, :len(top)] = top
-    return ranked
 
 
 def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
@@ -188,8 +190,8 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     Each user's scores are the mat-vec `item_repr @ user_repr[user]`, the
     user's training pairs in `split.train` are masked, items with a
     non-finite score are never ranked, and ties go to the lower item index.
-    Users are ranked by `top_k` in blocks whose score matrix holds at most
-    `_SCORE_BLOCK_ENTRIES` entries, and the per-user metrics are summed in
+    Users are scored and ranked by `top_k` in blocks whose score matrix
+    holds at most `_SCORE_BLOCK_ENTRIES` entries, and the per-user metrics are summed in
     ascending user order.
 
     Recall is the integer hit count over the relevant count, and DCG and
@@ -212,7 +214,7 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     if k_max < 1:
         raise ParameterError(f"k must be >= 1, got {k_max}")
     cut = min(k_max, n_items)
-    block = max(1, _SCORE_BLOCK_ENTRIES // n_items)
+    block = _block_rows(n_items)
     starts = np.append(starts, len(keys))
 
     train_users, train_items = split.train[:, 0], split.train[:, 1]

@@ -710,14 +710,14 @@ def test_gradcheck_overflow_prints_only_the_error_line():
     assert "non-finite" in lines[0]
 
 
-def start_endless_train(demo, run):
+def start_endless_train(demo, run, stderr=subprocess.PIPE):
     """`train` in a fresh interpreter, with epoch and patience budgets it
     does not reach, writing its outputs to `run`."""
     return subprocess.Popen(
         [sys.executable, "-m", "alignrec", "train", *data_flags(demo),
          "--batch-size", "64", "--max-epochs", "100000", "--patience", "100000",
          "--out", str(run)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=stderr, text=True,
         env=fresh_interpreter_env())
 
 
@@ -760,26 +760,32 @@ def test_signal_stops_train_with_whole_outputs(demo, tmp_path, signum):
     assert not list(run.glob(".*.tmp")), why
 
 
-def test_closed_stdout_stops_train_with_exit_141(demo, tmp_path):
+@pytest.mark.parametrize("shared", [False, True], ids=["own-stderr", "shared-pipe"])
+def test_closed_stdout_stops_train_with_exit_141(demo, tmp_path, shared):
     """A reader that closes stdout after the first epoch line ends `train`
     with one error line and exit 141 (128 + SIGPIPE), not the data-error
-    code; metrics.jsonl holds whole lines, starting with the one read."""
+    code; metrics.jsonl holds whole lines, starting with the one read.
+    With stderr on the same pipe (`2>&1 | head -1`) the error line goes
+    nowhere, and the exit code is still 141."""
     run = tmp_path / "run"
-    proc = start_endless_train(demo, run)
+    proc = start_endless_train(demo, run, subprocess.STDOUT if shared else subprocess.PIPE)
     try:
         first = proc.stdout.readline()
-        assert first.startswith('{"epoch": 1, '), proc.stderr.read()
+        while shared and first and not first.startswith("{"):  # log lines
+            first = proc.stdout.readline()
+        assert first.startswith('{"epoch": 1, '), first + (proc.stderr or proc.stdout).read()
         proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
+        err = proc.communicate(timeout=120)[1] or ""
     finally:
         proc.kill()
         proc.wait()
     written, why = stopped_run(proc, err, [first], run)
     assert proc.returncode == 141, why
-    assert "Traceback" not in err, why
-    # one error line, and nothing after it from the interpreter's exit flush
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: stdout was closed by its reader"] == err.splitlines()[-1:], why
+    if not shared:
+        assert "Traceback" not in err, why
+        # one error line, and nothing after it from the interpreter's exit flush
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: stdout was closed by its reader"] == err.splitlines()[-1:], why
     assert written[:1] == [first.rstrip("\n")], why
     assert all(json.loads(line)["split"] == "validation" for line in written), why
     assert not list(run.glob(".*.tmp")), why

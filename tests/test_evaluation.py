@@ -348,12 +348,13 @@ def score_rows(draw):
     return rows, cut
 
 
-@given(score_rows())
+@given(score_rows(), st.sampled_from([evaluation._SCORE_BLOCK_ENTRIES]) | st.integers(1, 24))
 @settings(max_examples=300)
-def test_top_k_is_the_stable_argsort_of_finite_scores(case):
+def test_top_k_is_the_stable_argsort_of_finite_scores(case, block_entries):
     rows, cut = case
     before = rows.tobytes()
-    ranked = top_k(rows, cut)
+    with mock.patch.object(evaluation, "_SCORE_BLOCK_ENTRIES", block_entries):
+        ranked = top_k(rows, cut)  # small blocks split the rows over several
     assert rows.tobytes() == before
     for row, got in zip(rows, ranked.tolist()):
         want = [int(i) for i in np.argsort(-row, kind="stable") if np.isfinite(row[i])]
