@@ -61,9 +61,19 @@ def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log(sum(exp(x))) with max-shift stabilization, (N, D) -> (N,),
     and the row softmax that is its gradient."""
     m = x.max(axis=1, keepdims=True)
-    shifted = np.exp(x - m)
-    total = shifted.sum(axis=1, keepdims=True)
-    return (np.log(total) + m).reshape(-1), shifted / total
+    softmax = np.subtract(x, m)
+    np.exp(softmax, out=softmax)
+    total = softmax.sum(axis=1, keepdims=True)
+    softmax /= total
+    return (np.log(total) + m).reshape(-1), softmax
+
+
+def _gaussian_kernels(dist: np.ndarray, coefs: list[float]) -> list[np.ndarray]:
+    """exp(coef * dist) for each exponent coefficient."""
+    kernels = [coef * dist for coef in coefs]
+    for k in kernels:
+        np.exp(k, out=k)
+    return kernels
 
 
 def mmd_squared(first: Tensor, second: Tensor,
@@ -86,38 +96,36 @@ def mmd_squared(first: Tensor, second: Tensor,
 
     a, b = first.data, second.data
     pairs = ((a, a), (b, b), (a, b))
-    dists = [sqdist(x, y) for x, y in pairs]
-    kernels = []  # per bandwidth: its exponent coefficient and (ff, ss, fs) kernels
+    coefs = [-1.0 / (2.0 * sigma * sigma) for sigma in bandwidths]
+    # per pair (ff, ss, fs): one kernel per bandwidth, made from the pair's
+    # distance, which is dropped once they are made
+    kernels = [_gaussian_kernels(sqdist(x, y), coefs) for x, y in pairs]
+    sums = [[k.sum() for k in ks] for ks in kernels]
     total = None
-    for sigma in bandwidths:
-        coef = -1.0 / (2.0 * sigma * sigma)
-        k_ff, k_ss, k_fs = (coef * d for d in dists)
-        for k in (k_ff, k_ss, k_fs):
-            np.exp(k, out=k)
-        within = k_ff.sum() + k_ss.sum()
-        cross = k_fs.sum() * 2.0
+    for sum_ff, sum_ss, sum_fs in zip(*sums):
+        within = sum_ff + sum_ss
+        cross = sum_fs * 2.0
         term = (within - cross) * (1.0 / (n * n))
         total = term if total is None else total + term
-        kernels.append((coef, (k_ff, k_ss, k_fs)))
 
     def backward(g):
         # The kernels become their gradient pieces in place, so the tape
         # replays once.
         g_term = g * (1.0 / len(bandwidths)) * (1.0 / (n * n))
         weights = (g_term, g_term, -g_term * 2.0)
-        # each distance sums its kernels' pieces, last bandwidth first
-        g_dists = [None] * len(pairs)
-        for coef, ks in reversed(kernels):
-            for j, (w, k) in enumerate(zip(weights, ks)):
+        # last-made distance first: fs, ss, ff; each pair's kernels are
+        # dropped once its gradients are made
+        grads = []
+        for (x, y), w in reversed(list(zip(pairs, weights))):
+            g_d = None
+            # the distance sums its kernels' pieces, last bandwidth first
+            for coef, k in reversed(list(zip(coefs, kernels.pop()))):
                 k *= w
                 k *= coef
-                if g_dists[j] is None:
-                    g_dists[j] = k
+                if g_d is None:
+                    g_d = k
                 else:
-                    g_dists[j] += k
-        # last-made distance first: fs, ss, ff
-        grads = []
-        for (x, y), g_d in reversed(list(zip(pairs, g_dists))):
+                    g_d += k
             grads += [2.0 * (g_d.sum(axis=1, keepdims=True) * x - g_d @ y),
                       2.0 * (g_d.sum(axis=0)[:, None] * y - g_d.T @ x)]
         return grads
@@ -146,12 +154,11 @@ def infonce(first: Tensor, second: Tensor, temperature: float,
     # row sums can round differently, which would change the loss's bits.
     second_nt = second_n.T.copy()
     sim = (first_n @ second_nt) * (1.0 / temperature)
-    eye = np.eye(n)
 
     def direction(logits):
         lse, softmax = logsumexp_rows(logits)
-        matched = (logits * eye).sum(axis=1)
-        return (lse - matched).sum() * (1.0 / n), softmax
+        # `lse` is never -0.0, so a matched logit of -0.0 counts as +0.0 does
+        return (lse - logits.diagonal()).sum() * (1.0 / n), softmax
 
     loss, softmax = direction(sim)
     if symmetric:
@@ -162,7 +169,8 @@ def infonce(first: Tensor, second: Tensor, temperature: float,
         # the matched (diagonal) term, then the log-sum-exp
         c = g_loss * (1.0 / n)
         g_sim.flat[::n + 1] -= c
-        g_sim += softmax * c
+        softmax *= c
+        g_sim += softmax
         return g_sim
 
     def backward(g):
@@ -171,7 +179,8 @@ def infonce(first: Tensor, second: Tensor, temperature: float,
             g_sim = direction_grad(np.zeros((n, n)), softmax_t, g).T.copy()
         else:
             g_sim = np.zeros((n, n))
-        g_sim = direction_grad(g_sim, softmax, g) * (1.0 / temperature)
+        g_sim = direction_grad(g_sim, softmax, g)
+        g_sim *= 1.0 / temperature
         g_first_n = g_sim @ second_nt.T
         g_second_n = (first_n.T @ g_sim).T.copy()
         return (_normalize_rows_grad(first_n, first_denom, g_first_n),

@@ -13,6 +13,7 @@ The stages below are plain numpy on maps of shape (..., channels, length).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -155,6 +156,19 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _channel_sum(*maps: np.ndarray) -> np.ndarray:
+    """Sum over the channel axis of the maps' product, (..., C, L) ->
+    (..., L), without building the product map.
+
+    Bit for bit `(a * b).sum(axis=-2)`: over the strided channel axis,
+    einsum adds the channels in order from +0.0, as numpy's reduce does. At
+    length 1 the channel axis is contiguous and the two sum it in different
+    orders, so such maps take numpy's reduce."""
+    if maps[0].shape[-1] == 1:
+        return reduce(np.multiply, maps).sum(axis=-2)
+    return np.einsum(",".join(["...cl"] * len(maps)) + "->...l", *maps)
+
+
 def multi_scale(x: np.ndarray, params: DreamParams):
     """Concatenate the five branch outputs, each ReLU-activated.
 
@@ -171,7 +185,9 @@ def multi_scale(x: np.ndarray, params: DreamParams):
         taps.append(dilated_conv(kernel.data, x, dilation, out=branch[1 + j])[1])
     pooled = x.mean(axis=-1, keepdims=True)
     branch[-1][...] = pointwise_conv(params.pool_kernel.data, pooled)
-    return _relu(fused), taps, pooled
+    # Every branch is an einsum, whose sums start from +0.0, so the map holds
+    # no -0.0 and `fmax` alone is the ReLU (see `_relu`).
+    return np.fmax(fused, 0.0, out=fused), taps, pooled
 
 
 def channel_attention(fused: np.ndarray, params: DreamParams):
@@ -192,7 +208,7 @@ def spatial_attention(fused: np.ndarray, params: DreamParams):
     Returns the gate (..., 1, d) and the gated map, then the channel mean,
     which the backward pass reads.
     """
-    pooled = fused.mean(axis=-2, keepdims=True)
+    pooled = (_channel_sum(fused) / fused.shape[-2])[..., None, :]
     gate = stable_sigmoid(pointwise_conv(params.spatial_kernel.data, pooled)
                           + params.spatial_bias.data)
     return gate, fused * gate, pooled
@@ -241,7 +257,7 @@ def dream_forward(rows: Tensor, params: DreamParams) -> Tensor:
         g_channel = np.multiply(g_refined, take_channel, out=g_refined)
 
         # spatial attention: the gated product, then the channel mean
-        g_gate = _unbroadcast(g_spatial * fused, spatial_gate.shape)
+        g_gate = _channel_sum(g_spatial, fused)[:, None, :]
         g_fused = np.multiply(g_spatial, spatial_gate, out=g_spatial)
         g_logit = g_gate * spatial_gate * (1.0 - spatial_gate)
         g_spatial_bias = _unbroadcast(g_logit, params.spatial_bias.shape)

@@ -5,7 +5,8 @@ row-major numpy float64 array. Operations are plain functions; when a `Tape`
 is active and an input requires a gradient, the op appends a backward closure
 to the tape. `backward(loss, tape)` replays the tape in exact reverse
 execution order and accumulates gradients into the `.grad` buffers of every
-reachable tensor that requires one.
+reachable tensor that requires one. It drops each node as it replays it, so
+what that node saved for its backward is freed before the next node runs.
 
 Conventions:
   - Elementwise binary ops allow the second operand to broadcast over a
@@ -14,11 +15,17 @@ Conventions:
     with a backward closure that returns one gradient per input.
   - Tapes are eager, single-use and thread-confined. Tensors themselves are
     value-semantic and safe to share once no tape references them.
+  - The OpenBLAS that numpy bundles runs on one thread (`_pin_blas_threads`).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 
@@ -32,6 +39,35 @@ class ParameterError(ValueError):
 
 class UsageError(RuntimeError):
     """An operation was called outside its contract (e.g. non-scalar loss)."""
+
+
+# The OpenBLAS builds bundled in the numpy and scipy wheels, and the name of
+# each one's thread-count setter.
+_BUNDLED_BLAS = ((np, "scipy_openblas_set_num_threads64_"),
+                 (scipy, "scipy_openblas_set_num_threads"))
+
+
+def _pin_blas_threads() -> None:
+    """Run the OpenBLAS that numpy and scipy bundle on one thread.
+
+    OpenBLAS rounds some products differently with one thread than with
+    several, so with the host's thread count a run's bits would depend on
+    the host. Only a library already loaded is pinned, so that no library
+    and no thread pool is added; the package calls no BLAS through scipy.
+    Where a package bundles no OpenBLAS, or it lacks the setter, nothing is
+    done."""
+    for package, setter in _BUNDLED_BLAS:
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in libs.glob("libscipy_openblas*.so*"):
+            try:
+                set_threads = getattr(ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD), setter)
+            except (AttributeError, OSError):
+                continue
+            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+            set_threads(1)
+
+
+_pin_blas_threads()
 
 
 def _as_f64(values) -> np.ndarray:
@@ -79,7 +115,8 @@ class Tape:
     """Ordered record of executed primitives, replayed backward once.
 
     Backward closures may overwrite what their forward saved, so a second
-    replay raises `UsageError`.
+    replay raises `UsageError`. The replay drops each node, leaving the tape
+    empty.
     """
 
     def __init__(self):
@@ -140,13 +177,21 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise UsageError("backward: this tape was already replayed; record a new one")
     tape.replayed = True
     loss.accumulate_grad(np.ones((), dtype=np.float64))
-    for out, inputs, backward_fn in reversed(tape._nodes):
-        if out.grad is None:
-            continue  # node not on the path from the loss
-        grads = backward_fn(out.grad)
-        for t, g in zip(inputs, grads):
-            if g is None or not t.requires_grad:
-                continue
+    nodes = tape._nodes
+    while nodes:
+        # Popped, so that the node's closure and the arrays it saved are freed
+        # before the next node runs, and with them its output and gradient
+        # once no caller holds that output.
+        out, inputs, backward_fn = nodes.pop()
+        if out.grad is not None:  # else not on the path from the loss
+            _accumulate(inputs, backward_fn(out.grad))
+
+
+def _accumulate(inputs: tuple[Tensor, ...], grads) -> None:
+    """Add each gradient into its input; a separate frame, so that no
+    gradient outlives the node that made it."""
+    for t, g in zip(inputs, grads):
+        if g is not None and t.requires_grad:
             t.accumulate_grad(g)
 
 

@@ -13,8 +13,10 @@ hypothesis.settings.load_profile("default")
 
 
 def _openblas_threads() -> str:
-    """Threads of the OpenBLAS bundled with numpy, read through its own
-    getter; `unknown` where numpy links another BLAS."""
+    """Threads of the OpenBLAS bundled with numpy once the package has
+    pinned it, read through its own getter; `unknown` where numpy links
+    another BLAS."""
+    import alignrec  # noqa: F401  (pins OpenBLAS on import)
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in libs.glob("libscipy_openblas*.so*"):
         try:
@@ -31,6 +33,6 @@ def _openblas_threads() -> str:
 
 
 def pytest_report_header(config):
-    # Some recorded digests hold only at the BLAS thread count they were
-    # recorded at (OpenBLAS rounds products differently with one thread).
+    # The recorded digests hold at one BLAS thread (OpenBLAS rounds products
+    # differently with one thread than with several).
     return f"numpy OpenBLAS threads: {_openblas_threads()}"

@@ -262,7 +262,10 @@ def test_mmd_rejects_bad_bandwidths():
 # log-sum-exp and transpose nodes) that each loss used to record
 # (x86-64, numpy 2.4, OpenBLAS). The golden metric streams do not notice the
 # last-bit change a reordered gradient sum makes; these digests do.
-MMD_DIGEST = "314b0d1aad1f45c8c0b901fcd163722bca6a5fc77b452dbadee1e60eca19d1e0"
+# The package runs OpenBLAS on one thread, which rounds the MMD's products
+# differently than two or more threads at this shape; MMD_DIGEST is the
+# separate-operation tape's value at one thread.
+MMD_DIGEST = "0e17f5f15504ab6dc4030910471c1b08232d1ae31ed433743f4cfc53f8938a84"
 INFONCE_DIGESTS = {
     False: "88906485496bd141bda27f6cbcb1e298c4a469d122e973f24b02b9e85f66dc8b",
     True: "0a0c674c014d843671c13892f1fe71eab55b990094b100eb9fb37f8659804e49",

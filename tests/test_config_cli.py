@@ -438,6 +438,29 @@ def test_refused_mmap_threshold_keeps_the_golden_stream(demo, capsys, monkeypatc
     assert libc.calls == [(-3, 64 << 20)]
 
 
+def test_train_stream_does_not_depend_on_blas_threads(tmp_path, capsys):
+    """The package runs OpenBLAS on one thread whatever the environment asks.
+    Unpinned, this run's last MMD loss differs in its last bits between one
+    thread and four."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--users", "600", "--items", "400"]) == 0
+    capsys.readouterr()
+    streams = []
+    for threads in ("1", "4"):
+        result = subprocess.run(
+            [sys.executable, "-m", "alignrec", "train", *data_flags(data),
+             "--max-epochs", "4"],
+            capture_output=True, text=True, timeout=120,
+            env={**fresh_interpreter_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        records = [json.loads(line) for line in result.stdout.splitlines()]
+        for record in records:
+            del record["wall_ms"]
+        streams.append(records)
+    assert len(streams[0]) == 5
+    assert streams[0] == streams[1]
+
+
 def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
     lines, _ = train_lines(capsys, demo, ["--max-epochs", "2",
                                           "--out", str(tmp_path / "run")])

@@ -10,11 +10,18 @@ of the data are exercised.
 import numpy as np
 import scipy.sparse as sp
 
-from alignrec.align import sqdist
-from alignrec.dream import _dilated_grads, _relu, attention_fuse, dilated_conv
+from alignrec.align import logsumexp_rows, mmd_squared, sqdist
+from alignrec.dream import (
+    _channel_sum,
+    _dilated_grads,
+    _relu,
+    attention_fuse,
+    dilated_conv,
+    pointwise_conv,
+)
 from alignrec.model import propagate
 from alignrec.optim import AdamState, adam_step
-from alignrec.tensor import Tape, Tensor, add, backward, gather_rows, mul, sum_all
+from alignrec.tensor import Tape, Tensor, _make_out, add, backward, gather_rows, mul, sum_all
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                     2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1.7e308, -1.7e308])
@@ -249,3 +256,148 @@ def test_adam_in_place_matches_expressions():
             assert same_bits(p.data, ref[name]), (steps, name)
             assert same_bits(state.m[name], ref_m[name]), (steps, name)
             assert same_bits(state.v[name], ref_v[name]), (steps, name)
+
+
+FINITE = SPECIAL[np.isfinite(SPECIAL)]
+MAP_SHAPES = [(n, c, length) for n in (1, 3) for c in (1, 2, 5, 9, 40)
+              for length in (1, 2, 3, 7, 12, 33)]
+
+
+def relu_map(rng, shape, offset=0):
+    """A ReLU output (no -0.0, no NaN) of `mixed` values in a view shifted by
+    `offset`, or at offset 0 of normal values, whose sums show a changed
+    summation order."""
+    m = mixed(rng, shape, offset)
+    if not offset:
+        m[...] = rng.standard_normal(shape)
+    m[...] = np.where(m > 0.0, m, 0.0)
+    return m
+
+
+def test_channel_sum_pool_matches_reduce_on_relu_maps():
+    """The spatial pool, as a sum and as the mean it divides into."""
+    rng = np.random.default_rng(11)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shape in MAP_SHAPES + [(40, 12), (40, 1), (1, 1)]:
+            for offset in (0, 1):
+                m = relu_map(rng, shape, offset)
+                got = _channel_sum(m)
+                assert same_bits(got, m.sum(axis=-2)), (shape, offset)
+                assert same_bits((got / m.shape[-2])[..., None, :],
+                                 m.mean(axis=-2, keepdims=True)), (shape, offset)
+
+
+def test_channel_sum_of_products_matches_product_sum():
+    """The spatial gate's gradient: a finite gradient with signed zeros and
+    subnormals against a ReLU map. Sums whose terms are all zero are +0.0
+    in both forms."""
+    rng = np.random.default_rng(12)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shape in MAP_SHAPES:
+            for offset in (0, 1):
+                g = mixed(rng, shape, offset, FINITE)
+                if offset:
+                    g[...] = rng.standard_normal(shape)
+                m = relu_map(rng, shape, 1 - offset)
+                assert same_bits(_channel_sum(g, m), (g * m).sum(axis=-2)), (shape, offset)
+    zeros = np.full((2, 4, 3), -0.0)
+    assert not np.signbit(_channel_sum(zeros, np.ones((2, 4, 3)))).any()
+    assert not np.signbit((zeros * np.ones((2, 4, 3))).sum(axis=-2)).any()
+
+
+def test_fmax_relu_matches_where_on_einsum_maps():
+    """The branch map is filled by einsum, whose sums start from +0.0, so it
+    holds no -0.0 and `fmax` alone gives `np.where(a > 0, a, 0.0)`."""
+    rng = np.random.default_rng(13)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, cb, length in [(1, 1, 1), (3, 2, 5), (8, 4, 12), (2, 8, 33)]:
+            for offset in (0, 1):
+                x = mixed(rng, (n, 1, length), offset)
+                maps = [pointwise_conv(mixed(rng, (cb, 1)), x)]
+                for dilation in (1, 2, length):
+                    maps.append(dilated_conv(mixed(rng, (cb, 1, 3)), x, dilation)[0])
+                maps.append(pointwise_conv(mixed(rng, (cb, 1)),
+                                           x.mean(axis=-1, keepdims=True)))
+                for a in maps:
+                    assert not (np.signbit(a) & (a == 0.0)).any()
+                    assert same_bits(np.fmax(a, 0.0), np.where(a > 0.0, a, 0.0))
+
+
+def test_matched_logits_match_eye_product():
+    """The diagonal and the row sums of `logits * eye` differ only where a
+    matched logit is -0.0; `lse - matched` is the same either way."""
+    rng = np.random.default_rng(14)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (*range(1, 20), 64, 150):
+            for offset in (0, 1):
+                logits = mixed(rng, (n, n), offset, FINITE)
+                lse, _ = logsumexp_rows(logits)
+                eye_sums = (logits * np.eye(n)).sum(axis=1)
+                diagonal = logits.diagonal()
+                assert np.array_equal(diagonal, eye_sums)
+                assert same_bits(lse - diagonal, lse - eye_sums), (n, offset)
+
+
+def test_logsumexp_in_place_matches_expression():
+    rng = np.random.default_rng(15)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in (1, 3):
+            for length in LENGTHS[:40] + [150, 1000]:
+                for offset in (0, 1):
+                    x = mixed(rng, (rows, length), offset)
+                    m = x.max(axis=1, keepdims=True)
+                    shifted = np.exp(x - m)
+                    total = shifted.sum(axis=1, keepdims=True)
+                    lse, softmax = logsumexp_rows(x)
+                    assert same_bits(lse, (np.log(total) + m).reshape(-1))
+                    assert same_bits(softmax, shifted / total), (rows, length)
+
+
+def _mmd_by_bandwidth(first, second, bandwidths):
+    """MMD^2 with every distance made first and the kernels made and summed
+    one bandwidth at a time, the form `mmd_squared` replaces."""
+    n = first.shape[0]
+    a, b = first.data, second.data
+    pairs = ((a, a), (b, b), (a, b))
+    dists = [sqdist(x, y) for x, y in pairs]
+    kernels, total = [], None
+    for sigma in bandwidths:
+        coef = -1.0 / (2.0 * sigma * sigma)
+        ks = [np.exp(coef * d) for d in dists]
+        term = ((ks[0].sum() + ks[1].sum()) - ks[2].sum() * 2.0) * (1.0 / (n * n))
+        total = term if total is None else total + term
+        kernels.append((coef, ks))
+
+    def backward(g):
+        g_term = g * (1.0 / len(bandwidths)) * (1.0 / (n * n))
+        weights = (g_term, g_term, -g_term * 2.0)
+        g_dists = [None] * 3
+        for coef, ks in reversed(kernels):
+            for j, (w, k) in enumerate(zip(weights, ks)):
+                piece = k * w * coef
+                g_dists[j] = piece if g_dists[j] is None else g_dists[j] + piece
+        grads = []
+        for (x, y), g_d in reversed(list(zip(pairs, g_dists))):
+            grads += [2.0 * (g_d.sum(axis=1, keepdims=True) * x - g_d @ y),
+                      2.0 * (g_d.sum(axis=0)[:, None] * y - g_d.T @ x)]
+        return grads
+
+    return _make_out(total * (1.0 / len(bandwidths)),
+                     (first, second, second, second, first, first), backward)
+
+
+def test_mmd_pair_ordered_matches_bandwidth_ordered():
+    rng = np.random.default_rng(16)
+    for n, d in [(1, 1), (2, 3), (17, 5), (150, 24), (300, 12)]:
+        for bandwidths in [(1.0,), (0.5, 2.0), (1.0, 1.5, 2.0), (0.1, 1.0, 3.0, 10.0)]:
+            a = rng.standard_normal((n, d))
+            b = rng.standard_normal((n, d)) * 0.8 + 0.3
+            results = []
+            for mmd in (mmd_squared, _mmd_by_bandwidth):
+                first, second = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+                with Tape() as tape:
+                    loss = mmd(first, second, bandwidths)
+                backward(loss, tape)
+                results.append((loss.data, first.grad, second.grad))
+            for got, expected in zip(*results):
+                assert same_bits(got, expected), (n, d, bandwidths)

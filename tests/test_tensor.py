@@ -1,6 +1,7 @@
 """Tensor engine: forward contracts, gradients vs finite differences, Adam."""
 
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,24 @@ def test_backward_twice_on_one_tape_raises():
     with pytest.raises(UsageError, match="already replayed"):
         backward(loss, tape)
     assert np.array_equal(x.grad, first)
+
+
+def test_backward_drops_every_node_and_what_it_saved():
+    """The replay pops each node, so what a node saved dies before the step
+    ends, and the tape stays single-use."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    factor = np.full(3, 2.0)  # saved by the `mul` node alone
+    saved = weakref.ref(factor)
+    with Tape() as tape:
+        loss = sum_all(mul(x, Tensor(factor)))
+    del factor
+    assert saved() is not None and len(tape) == 2
+    backward(loss, tape)
+    assert len(tape) == 0
+    assert saved() is None
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+    with pytest.raises(UsageError, match="already replayed"):
+        backward(loss, tape)
 
 
 def test_matmul_backward_skips_constant_operand():
