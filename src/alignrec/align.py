@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DimensionError, ParameterError, Tensor, _make_out
+from .tensor import DimensionError, ParameterError, Tensor, _make_out, recorded
 
 NORM_EPS = 1e-12
 
@@ -76,12 +76,35 @@ def _gaussian_kernels(dist: np.ndarray, coefs: list[float]) -> list[np.ndarray]:
     return kernels
 
 
-def mmd_squared(first: Tensor, second: Tensor,
-                bandwidths: tuple[float, ...]) -> Tensor:
+def _pair_grads(x: np.ndarray, y: np.ndarray, kernels: list[np.ndarray],
+                coefs: list[float], w) -> list[np.ndarray]:
+    """Gradients for `x` and `y` of `w` times the sum of `kernels`, the
+    kernels of their distance. The kernels become the distance's gradient
+    in place, summed last bandwidth first."""
+    g_d = None
+    for coef, k in reversed(list(zip(coefs, kernels))):
+        k *= w
+        k *= coef
+        if g_d is None:
+            g_d = k
+        else:
+            g_d += k
+    return [2.0 * (g_d.sum(axis=1, keepdims=True) * x - g_d @ y),
+            2.0 * (g_d.sum(axis=0)[:, None] * y - g_d.T @ x)]
+
+
+def mmd_squared(first: Tensor, second: Tensor, bandwidths: tuple[float, ...],
+                expect: float = 1.0) -> Tensor:
     """Biased kernel-form MMD^2 between two equally sized sample sets.
 
     (1/N^2) [sum k(v,v') + sum k(t,t') - 2 sum k(v,t)], averaged over the
     Gaussian kernels of `bandwidths`; a one-element tuple gives one kernel.
+
+    `expect` is the gradient the result will receive, 1.0 for a loss that is
+    differentiated directly. When the node is recorded, the input gradients
+    for it are made in the forward pass, one pair of sample sets at a time,
+    so that no kernel outlives its pair. A backward that receives another
+    gradient makes the kernels again.
     """
     check_bandwidths(bandwidths)
     if first.ndim != 2 or second.ndim != 2:
@@ -97,10 +120,25 @@ def mmd_squared(first: Tensor, second: Tensor,
     a, b = first.data, second.data
     pairs = ((a, a), (b, b), (a, b))
     coefs = [-1.0 / (2.0 * sigma * sigma) for sigma in bandwidths]
-    # per pair (ff, ss, fs): one kernel per bandwidth, made from the pair's
-    # distance, which is dropped once they are made
-    kernels = [_gaussian_kernels(sqdist(x, y), coefs) for x, y in pairs]
-    sums = [[k.sum() for k in ks] for ks in kernels]
+
+    def weights(g):
+        # the gradient each pair's kernel sum receives: ff, ss, fs
+        g_term = g * (1.0 / len(bandwidths)) * (1.0 / (n * n))
+        return g_term, g_term, -g_term * 2.0
+
+    inputs = (first, second, second, second, first, first)
+    expected = np.float64(expect)
+    eager = recorded(inputs)
+    sums, pieces = [], []
+    for (x, y), w in zip(pairs, weights(expected)):
+        # one kernel per bandwidth, made from the pair's distance, which is
+        # dropped once they are made; the kernels are freed before the next
+        # pair's are made
+        kernels = _gaussian_kernels(sqdist(x, y), coefs)
+        sums.append([k.sum() for k in kernels])
+        if eager:
+            pieces.append(_pair_grads(x, y, kernels, coefs, w))
+        del kernels
     total = None
     for sum_ff, sum_ss, sum_fs in zip(*sums):
         within = sum_ff + sum_ss
@@ -109,29 +147,15 @@ def mmd_squared(first: Tensor, second: Tensor,
         total = term if total is None else total + term
 
     def backward(g):
-        # The kernels become their gradient pieces in place, so the tape
-        # replays once.
-        g_term = g * (1.0 / len(bandwidths)) * (1.0 / (n * n))
-        weights = (g_term, g_term, -g_term * 2.0)
-        # last-made distance first: fs, ss, ff; each pair's kernels are
-        # dropped once its gradients are made
-        grads = []
-        for (x, y), w in reversed(list(zip(pairs, weights))):
-            g_d = None
-            # the distance sums its kernels' pieces, last bandwidth first
-            for coef, k in reversed(list(zip(coefs, kernels.pop()))):
-                k *= w
-                k *= coef
-                if g_d is None:
-                    g_d = k
-                else:
-                    g_d += k
-            grads += [2.0 * (g_d.sum(axis=1, keepdims=True) * x - g_d @ y),
-                      2.0 * (g_d.sum(axis=0)[:, None] * y - g_d.T @ x)]
-        return grads
+        if g.tobytes() == expected.tobytes():
+            grads = pieces
+        else:
+            grads = [_pair_grads(x, y, _gaussian_kernels(sqdist(x, y), coefs), coefs, w)
+                     for (x, y), w in zip(pairs, weights(g))]
+        # last pair first: fs, ss, ff
+        return [piece for pair in reversed(grads) for piece in pair]
 
-    return _make_out(total * (1.0 / len(bandwidths)),
-                     (first, second, second, second, first, first), backward)
+    return _make_out(total * (1.0 / len(bandwidths)), inputs, backward)
 
 
 def infonce(first: Tensor, second: Tensor, temperature: float,

@@ -420,7 +420,9 @@ class Recommender:
             hv_rows = gather_rows(h_v, unique_pos)
             ht_rows = gather_rows(h_t, unique_pos)
             if self.lambda_mmd != 0.0:
-                mmd = mmd_squared(hv_rows, ht_rows, self.hp.bandwidths)
+                # `scale` sends the MMD node exactly 1.0 * lambda_mmd
+                mmd = mmd_squared(hv_rows, ht_rows, self.hp.bandwidths,
+                                  expect=self.lambda_mmd)
                 parts["mmd"] = mmd.item()
                 loss = add(loss, scale(mmd, self.lambda_mmd))
             if self.lambda_cl != 0.0:

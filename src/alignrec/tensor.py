@@ -154,13 +154,17 @@ def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def recorded(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether `_make_out` records a node over `inputs`: a tape is active
+    and an input requires a gradient."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _make_out(values, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap a forward result, recording the node if grads are needed."""
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(values, requires_grad=requires)
-    tape = active_tape()
-    if tape is not None and requires:
-        tape.record(out, inputs, backward_fn)
+    out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
+    if recorded(inputs):
+        active_tape().record(out, inputs, backward_fn)
     return out
 
 

@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import alignrec.align
 from alignrec.align import (
     gaussian_kernel,
     infonce,
@@ -303,9 +305,7 @@ def test_infonce_bits_match_per_op_tape(symmetric):
     assert got == INFONCE_DIGESTS[symmetric]
 
 
-def test_total_loss_bits_match_per_op_tape():
-    """Both alignment terms feed the same encoded rows, so this also pins
-    the order in which their gradients reach `accumulate_grad`."""
+def _small_model_and_batch():
     hp = HyperParams(reduction=2, id_dim=8, branch_channels=4)
     rng = np.random.default_rng(5)
     n_users, n_items = 12, 40
@@ -319,7 +319,14 @@ def test_total_loss_bits_match_per_op_tape():
     model = Recommender(params, hp, Tensor(rng.standard_normal((n_items, 48))),
                         Tensor(rng.standard_normal((n_items, 40))),
                         build_propagation_operator(pairs, n_users, n_items))
-    named = params.named()
+    return model, batch
+
+
+def test_total_loss_bits_match_per_op_tape():
+    """Both alignment terms feed the same encoded rows, so this also pins
+    the order in which their gradients reach `accumulate_grad`."""
+    model, batch = _small_model_and_batch()
+    named = model.params.named()
     got = _taped(lambda: model.total_loss(batch)[0],
                  [named[k] for k in sorted(named)])
     assert got == TOTAL_LOSS_DIGEST
@@ -334,3 +341,63 @@ def test_alignment_loss_records_one_tape_node(loss):
         else:
             infonce(v, t, 0.2, symmetric=loss == "infonce-symmetric")
     assert len(tape) == 1
+
+
+# ---------------------------------------------------------------------------
+# MMD makes its gradients in the forward pass
+# ---------------------------------------------------------------------------
+
+def test_mmd_holds_no_kernel_after_its_forward():
+    """What a recorded MMD node holds until its backward: its six (N, d)
+    gradient pieces, not its nine (N, N) kernels."""
+    n, d = 600, 16
+    v, t = _pair(33, n, d)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = mmd_squared(v, t, (1.0, 1.5, 2.0))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < n * n * 8
+    backward(loss, tape)
+    assert v.grad.shape == t.grad.shape == (n, d)
+
+
+def test_training_step_never_makes_the_mmd_kernels_again(monkeypatch):
+    """`total_loss` tells the MMD node the gradient its `scale` sends, so the
+    backward returns the pieces made in the forward: three distances per
+    step, not six."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return sqdist(a, b)
+
+    monkeypatch.setattr(alignrec.align, "sqdist", counted)
+    model, batch = _small_model_and_batch()
+    assert model.lambda_mmd not in (0.0, 1.0)
+    with Tape() as tape:
+        loss, _ = model.total_loss(batch)
+    backward(loss, tape)
+    assert len(calls) == 3
+
+
+def test_mmd_makes_gradient_pieces_only_when_recorded(monkeypatch):
+    calls = []
+    pair_grads = alignrec.align._pair_grads
+
+    def counted(*args):
+        calls.append(1)
+        return pair_grads(*args)
+
+    monkeypatch.setattr(alignrec.align, "_pair_grads", counted)
+    v, t = _pair(34, n=6, d=4)
+    mmd_squared(v, t, (1.0, 2.0))  # no tape
+    with Tape() as tape:
+        mmd_squared(Tensor(v.data), Tensor(t.data), (1.0, 2.0))  # no input needs a grad
+    assert len(tape) == 0 and calls == []
+    with Tape() as tape:
+        mmd_squared(v, t, (1.0, 2.0))
+    assert len(tape) == 1 and len(calls) == 3

@@ -269,10 +269,10 @@ def test_non_finite_term_names_epoch_step_and_term(demo, tmp_path, capsys, monke
 
     run, calls, original = tmp_path / "run", [], alignrec.model.mmd_squared
 
-    def mmd_squared(first, second, cfg):
+    def mmd_squared(first, second, cfg, expect=1.0):
         calls.append(1)
         if len(calls) < 4:
-            return original(first, second, cfg)
+            return original(first, second, cfg, expect)
         assert not (run / "metrics.jsonl").exists()
         assert len(list(run.glob(".metrics.jsonl.*.tmp"))) == 1
         return Tensor(np.array(np.inf))
@@ -731,6 +731,21 @@ def test_gradcheck_overflow_prints_only_the_error_line():
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert "non-finite" in lines[0]
+
+
+def test_adam_overflow_stops_train_with_one_error_line(demo):
+    """A gradient whose square overflows in Adam used to warn, freeze the
+    parameter and exit 0. In a fresh interpreter, as above."""
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "alignrec", "train", *data_flags(demo),
+         "--batch-size", "64", "--max-epochs", "3", "--lambda-mmd", "1e308"],
+        capture_output=True, text=True, env=fresh_interpreter_env(), timeout=120)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and result.stderr.splitlines()[-1] == errors[0]
+    assert "non-finite Adam update of 'visual_reduce' at step 1" in errors[0]
 
 
 def start_endless_train(demo, run, stderr=subprocess.PIPE):

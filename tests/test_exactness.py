@@ -242,7 +242,8 @@ def test_adam_in_place_matches_expressions():
             for t in range(1, steps + 1):
                 grads = {name: mixed(rng, p.data.shape, offset=1) for name, p in params.items()}
                 for g in grads.values():
-                    g *= 1e-150  # most squares stay finite
+                    g *= 1e-155  # every finite square stays finite: an update
+                    # that overflows raises (test_adam_overflow_names_the_parameter)
                 adam_step(params, grads, state)
                 corr1, corr2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
                 for name, g in grads.items():
@@ -401,3 +402,56 @@ def test_mmd_pair_ordered_matches_bandwidth_ordered():
                 results.append((loss.data, first.grad, second.grad))
             for got, expected in zip(*results):
                 assert same_bits(got, expected), (n, d, bandwidths)
+
+
+def _mmd_node(mmd, a, b, bandwidths, g, self_pair, **kwargs):
+    """The loss of the node `mmd` records, and the six pieces its backward
+    returns for the gradient `g`."""
+    first = Tensor(a, requires_grad=True)
+    second = first if self_pair else Tensor(b, requires_grad=True)
+    with Tape() as tape:
+        loss = mmd(first, second, bandwidths, **kwargs)
+    (_, _, node_backward), = tape._nodes
+    return [loss.data, *node_backward(np.array(g))]
+
+
+def _signed_tiny(rng, shape):
+    """Normal draws with ~30% replaced by signed zeros and subnormals, so that
+    the kernels are not all 0 or 1."""
+    x = rng.standard_normal(shape)
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice([0.0, -0.0, 5e-324, -5e-324, -1e-310], size=int(pick.sum()))
+    return x
+
+
+def test_mmd_stored_pieces_match_recomputed_and_reference():
+    """The pieces made in the forward for the gradient the node receives,
+    the pieces a backward with another gradient makes again, and the form
+    that keeps every kernel, byte for byte."""
+    rng = np.random.default_rng(17)
+    draws = {
+        "normal": lambda n, d: (rng.standard_normal((n, d)),
+                                rng.standard_normal((n, d)) * 0.8 + 0.3),
+        "signed-tiny": lambda n, d: (_signed_tiny(rng, (n, d)), _signed_tiny(rng, (n, d))),
+        "mixed": lambda n, d: (mixed(rng, (n, d), 1, FINITE), mixed(rng, (n, d), 0, FINITE)),
+    }
+    for n, d in [(1, 1), (2, 3), (17, 5), (150, 24)]:
+        bandwidths = (0.5, 2.0) if n == 2 else (1.0, 1.5, 2.0)
+        for kind, draw in draws.items():
+            for self_pair in (False, True):
+                a, b = draw(n, d)
+                # (the gradient received, another gradient for the node to expect)
+                for g, other in [(1.0, 2.0), (0.15, 1.0), (2.0, 1.0), (-0.7, 1.0),
+                                 (-0.0, 0.0), (0.0, -0.0)]:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        stored = _mmd_node(mmd_squared, a, b, bandwidths, g, self_pair,
+                                           expect=g)
+                        again = _mmd_node(mmd_squared, a, b, bandwidths, g, self_pair,
+                                          expect=other)
+                        reference = _mmd_node(_mmd_by_bandwidth, a, b, bandwidths, g,
+                                              self_pair)
+                    case = (n, d, kind, self_pair, g, other)
+                    assert len(stored) == len(again) == len(reference) == 7, case
+                    for got, recomputed, expected in zip(stored, again, reference):
+                        assert same_bits(got, recomputed), case
+                        assert same_bits(got, expected), case

@@ -421,6 +421,16 @@ def test_adam_step_counter_and_shape_check():
         adam_step({"p": p}, {"p": np.ones(4)}, state)
 
 
+@pytest.mark.parametrize("g", [1e155, -1.7e308])
+def test_adam_overflow_names_the_parameter(g):
+    """An update whose gradient's square overflows would leave inf in the
+    second moment and freeze the parameter, so it stops the run instead."""
+    params = {"a": Tensor(np.zeros(2)), "b": Tensor(np.zeros(3))}
+    grads = {"a": np.ones(2), "b": np.array([1.0, g, 0.5])}
+    with pytest.raises(NumericalError, match="'b' at step 1"):
+        adam_step(params, grads, AdamState())
+
+
 # ---------------------------------------------------------------------------
 # grad_check utility
 # ---------------------------------------------------------------------------
