@@ -12,12 +12,24 @@ import numpy as np
 from .tensor import DimensionError, ParameterError, Tensor, _make_out, recorded
 
 NORM_EPS = 1e-12
+# Smallest InfoNCE temperature, 2 / ln(float64 max) ~ 2.82e-3. Cosines lie in
+# [-1, 1], so a row's logits span up to 2 / temperature; below this floor
+# that gap leaves `exp`'s range, a row's softmax can be exactly one-hot, and
+# the term carries no gradient.
+MIN_TEMPERATURE = 2 / np.log(np.finfo(np.float64).max)
 
 
 def check_bandwidths(bandwidths: tuple[float, ...]) -> None:
     """Reject an empty tuple or one holding a value that is not finite and > 0."""
     if not bandwidths or not all(0 < s < np.inf for s in bandwidths):
         raise ParameterError(f"bandwidths must be finite and > 0, got {bandwidths}")
+
+
+def check_temperature(temperature: float) -> None:
+    """Reject a temperature that is not finite or is below `MIN_TEMPERATURE`."""
+    if not MIN_TEMPERATURE <= temperature < np.inf:
+        raise ParameterError(f"temperature must be finite and >= {MIN_TEMPERATURE:.4g}, "
+                             f"got {temperature}")
 
 
 def gaussian_kernel(v: np.ndarray, t: np.ndarray, sigma: float) -> float:
@@ -166,8 +178,7 @@ def infonce(first: Tensor, second: Tensor, temperature: float,
     Anchors are the rows of `first`; `symmetric=True` averages both
     anchoring directions.
     """
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
+    check_temperature(temperature)
     if first.ndim != 2 or second.ndim != 2 or first.shape != second.shape:
         raise DimensionError(
             f"infonce: sample shapes {first.shape} and {second.shape} differ")

@@ -2,7 +2,8 @@
 
 Subcommands: train, evaluate, ablate, gradcheck, align-stats, synth.
 Metrics and results are JSON lines on stdout; logs go to stderr.
-Exit codes: 0 success, 2 usage or config error, 3 data or format error,
+Exit codes: 0 success, 2 usage or config error or memory that cannot be
+allocated, 3 data or format error,
 4 numerical failure, 128 + the signal number when SIGINT (130) or SIGTERM
 (143) stops a command, 141 when the reader of stdout closes it.
 """
@@ -184,6 +185,9 @@ def main(argv=None) -> int:
         return EXIT_PIPE
     except (ConfigError, ParameterError, UsageError) as err:
         log(f"error: {err}")
+        return EXIT_USAGE
+    except MemoryError as err:  # numpy's names the size it could not allocate
+        log(f"error: {str(err) or 'out of memory'}")
         return EXIT_USAGE
     except (DataFormatError, DimensionError, OSError, IndexError) as err:
         log(f"error: {err}")

@@ -52,8 +52,9 @@ class RunConfig(HyperParams):
                                   f"got {getattr(self, name)}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
-        if not self.eval_ks or min(self.eval_ks) < 1:
-            raise ConfigError(f"eval_ks must be non-empty cutoffs >= 1, "
+        if not self.eval_ks or min(self.eval_ks) < 1 \
+                or len(set(self.eval_ks)) != len(self.eval_ks):
+            raise ConfigError(f"eval_ks must be non-empty distinct cutoffs >= 1, "
                               f"got {format_value(self.eval_ks)}")
         Recommender.modalities_for(self.variant)  # rejects an unknown variant
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .evaluation import _block_rows, top_k
+from .evaluation import top_k
 from .tensor import ParameterError
 
 FMAT_MAGIC = b"FMAT"
@@ -260,9 +260,10 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     """Write interactions.tsv, visual.fmat, text.fmat and latents.fmat.
 
     Users interact with their top items by latent dot product, ranked by
-    `top_k` one block of users at a time, so the users x items affinity is
-    never held whole. latents.fmat stacks user latents (first `users` rows)
-    over item latents. Item tokens are the feature row indices.
+    `top_k`, which asks for the users x items affinity one block of users at
+    a time, so it is never held whole. latents.fmat stacks user latents
+    (first `users` rows) over item latents. Item tokens are the feature row
+    indices.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -283,11 +284,8 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     visual = modality(visual_span, spec.visual_dim)
     text = modality(text_span, spec.text_dim)
 
-    top = np.empty((spec.users, spec.interactions_per_user), dtype=np.int64)
-    block = _block_rows(spec.items)
-    for start in range(0, spec.users, block):
-        rows = slice(start, start + block)
-        top[rows] = top_k(user_latents[rows] @ item_latents.T, spec.interactions_per_user)
+    top = top_k(lambda rows, out: np.matmul(user_latents[rows], item_latents.T, out=out),
+                spec.users, spec.items, spec.interactions_per_user)
     users = np.repeat(np.arange(spec.users), spec.interactions_per_user)
     interactions_path = out / "interactions.tsv"
     with atomic_open(interactions_path) as fh:

@@ -136,51 +136,43 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
 _SCORE_BLOCK_ENTRIES = 1 << 19
 
 
-def _block_rows(n_cols: int) -> int:
-    """Rows of `n_cols` scores in one ranking block."""
-    return max(1, _SCORE_BLOCK_ENTRIES // n_cols)
+def top_k(score_rows, n_rows: int, n_cols: int, cut: int) -> np.ndarray:
+    """Each row's `cut` best columns, best first, of an (n_rows, n_cols)
+    float64 score matrix: the first `cut` finite entries of
+    `np.argsort(-row, kind="stable")`, so ties go to the lower column.
+    Non-finite scores are never ranked; a row with fewer than `cut` finite
+    scores fills its remaining slots with -1.
 
-
-def top_k(rows: np.ndarray, cut: int) -> np.ndarray:
-    """Each row's `cut` best columns, best first: the first `cut` finite
-    entries of `np.argsort(-row, kind="stable")`, so ties go to the lower
-    column. Non-finite scores are never ranked; a row with fewer than `cut`
-    finite scores fills its remaining slots with -1.
-
-    Rows are ranked in blocks of at most `_SCORE_BLOCK_ENTRIES` scores, so
-    a tall matrix adds no temporary of its own size. In a block, one
-    partition finds each row's cut-th best score. Rows with exactly `cut`
-    finite scores at or above it are ranked by one stable sort over their
-    candidate matrix; a row with a tie at the cut or fewer finite scores
-    than the cut is ranked on its own."""
-    n_cols = rows.shape[1]
+    The matrix is never held whole. It is made and ranked in blocks of at
+    most `_SCORE_BLOCK_ENTRIES` scores: `score_rows(rows, out)` writes the
+    scores of the rows in the slice `rows` into `out`, one block buffer that
+    the ranking then overwrites. In a block, one partition finds each row's
+    cut-th best score. Rows with exactly `cut` finite scores at or above it
+    are ranked by one stable sort over their candidate matrix; a row with a
+    tie at the cut or fewer finite scores than the cut is ranked on its own."""
     if not 1 <= cut <= n_cols:
         raise ParameterError(f"cut must be in 1..{n_cols}, got {cut}")
-    ranked = np.full((len(rows), cut), -1, dtype=np.int64)
-    block = _block_rows(n_cols)
-    for start in range(0, len(rows), block):
-        _rank_block(rows[start:start + block], ranked[start:start + block])
+    block = max(1, _SCORE_BLOCK_ENTRIES // n_cols)
+    buffer = np.empty((min(block, n_rows), n_cols))
+    ranked = np.full((n_rows, cut), -1, dtype=np.int64)
+    for start in range(0, n_rows, block):
+        rows = slice(start, min(start + block, n_rows))
+        scores, out = buffer[:rows.stop - start], ranked[rows]
+        score_rows(rows, scores)
+        scores[~(scores < np.inf)] = -np.inf  # NaN and +inf are never ranked
+        threshold = np.partition(scores, n_cols - cut, axis=1)[:, n_cols - cut]
+        above = scores >= threshold[:, None]
+        full = (np.count_nonzero(above, axis=1) == cut) & (threshold > -np.inf)
+        candidates = np.flatnonzero(above[full]).reshape(-1, cut) % n_cols
+        order = np.argsort(-scores[np.flatnonzero(full)[:, None], candidates],
+                           axis=1, kind="stable")
+        out[full] = np.take_along_axis(candidates, order, axis=1)
+        for row in np.flatnonzero(~full):
+            line = scores[row]
+            candidates = np.flatnonzero(above[row] & (line > -np.inf))
+            top = candidates[np.argsort(-line[candidates], kind="stable")[:cut]]
+            out[row, :len(top)] = top
     return ranked
-
-
-def _rank_block(rows: np.ndarray, ranked: np.ndarray) -> None:
-    """`top_k` of one block of rows, written into `ranked` (filled with -1)."""
-    n_cols, cut = rows.shape[1], ranked.shape[1]
-    below_inf = rows < np.inf  # False at NaN and +inf
-    if not below_inf.all():
-        rows = np.where(below_inf, rows, -np.inf)
-    threshold = np.partition(rows, n_cols - cut, axis=1)[:, n_cols - cut]
-    above = rows >= threshold[:, None]
-    full = (np.count_nonzero(above, axis=1) == cut) & (threshold > -np.inf)
-    candidates = np.flatnonzero(above[full]).reshape(-1, cut) % n_cols
-    order = np.argsort(-rows[np.flatnonzero(full)[:, None], candidates],
-                       axis=1, kind="stable")
-    ranked[full] = np.take_along_axis(candidates, order, axis=1)
-    for row in np.flatnonzero(~full):
-        line = rows[row]
-        candidates = np.flatnonzero(above[row] & (line > -np.inf))
-        top = candidates[np.argsort(-line[candidates], kind="stable")[:cut]]
-        ranked[row, :len(top)] = top
 
 
 def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
@@ -190,78 +182,58 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     Each user's scores are the mat-vec `item_repr @ user_repr[user]`, the
     user's training pairs in `split.train` are masked, items with a
     non-finite score are never ranked, and ties go to the lower item index.
-    Users are scored and ranked by `top_k` in blocks whose score matrix
-    holds at most `_SCORE_BLOCK_ENTRIES` entries, and the per-user metrics are summed in
-    ascending user order.
+    `top_k` asks for the scores one block of users at a time.
 
     Recall is the integer hit count over the relevant count, and DCG and
     ideal DCG are running sums over `1.0 / math.log2(pos + 2)` in rank
     order, where a miss adds +0.0 and so leaves the sum unchanged. Each
-    metric is summed user by user and, within a user, in the order of `ks`,
-    which may repeat a cutoff. The per-user loop in `tests/test_evaluation.py`
-    (`rank_topk`, `recall_ndcg_at_k`) is the reference this equals bit for
-    bit.
+    metric is summed from 0.0 user by user in ascending user order. The
+    cutoffs in `ks` must be distinct. The per-user loop in
+    `tests/test_evaluation.py` (`rank_topk`, `recall_ndcg_at_k`) is the
+    reference this equals bit for bit.
     """
     held = {"validation": split.validation, "test": split.test}[which]
-    k_max = max(ks)
     n_items = item_repr.shape[0]
     keys = pair_keys(held, n_items)
-    held_users, held_items = np.divmod(keys, n_items)
-    users, starts, n_relevant = np.unique(held_users, return_index=True,
-                                          return_counts=True)
+    users, n_relevant = np.unique(keys // n_items, return_counts=True)
     if len(users) == 0:
         raise UsageError(f"evaluate: no users with {which} interactions")
-    if k_max < 1:
-        raise ParameterError(f"k must be >= 1, got {k_max}")
-    cut = min(k_max, n_items)
-    block = _block_rows(n_items)
-    starts = np.append(starts, len(keys))
-
+    if min(ks) < 1:
+        raise ParameterError(f"k must be >= 1, got {min(ks)}")
+    if len(set(ks)) != len(ks):
+        raise ParameterError(f"cutoffs must be distinct, got {tuple(ks)}")
+    cut = min(max(ks), n_items)
     train_users, train_items = split.train[:, 0], split.train[:, 1]
     row_of = np.full(split.n_users, -1, dtype=np.int64)
-    discount = np.array([1.0 / math.log2(pos + 2) for pos in range(cut)])
-    ideal_dcg = np.cumsum(discount)  # [n - 1]: DCG of n hits on top
-    # Column of each metric in a block's (users, 2 * len(ks)) metric matrix.
-    names = [f"recall@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
-    columns = {name: [c for c, other in enumerate(names) if other == name]
-               for name in names}
-    sums = dict.fromkeys(columns, 0.0)
 
-    scores = np.empty((min(block, len(users)), n_items),
-                      dtype=np.result_type(user_repr, item_repr))
-    for start in range(0, len(users), block):
-        chunk = users[start:start + block]
-        rows = scores[:len(chunk)]
+    def score_rows(rows: slice, out: np.ndarray) -> None:
+        chunk = users[rows]
         # One gemv per user, as `item_repr @ user_repr[user]` runs it.
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(item_repr, user_repr[chunk][:, :, None], out=rows[:, :, None])
-
+            np.matmul(item_repr, user_repr[chunk][:, :, None], out=out[:, :, None])
         # Blocks cover ascending user ranges, so the pairs between lo and hi
         # belong to this block's users or to users without held-out items.
         row_of[chunk] = np.arange(len(chunk))
         lo, hi = np.searchsorted(train_users, [chunk[0], chunk[-1] + 1])
         train_rows = row_of[train_users[lo:hi]]
         listed = train_rows >= 0
-        rows[train_rows[listed], train_items[lo:hi][listed]] = -np.inf
+        out[train_rows[listed], train_items[lo:hi][listed]] = -np.inf
 
-        ranked = top_k(rows, cut)  # an empty slot holds -1, a miss
-
-        stop = start + len(chunk)
-        n_rel = n_relevant[start:stop]
-        held_out = np.zeros((len(chunk), n_items), dtype=bool)
-        held_out[np.repeat(np.arange(len(chunk)), n_rel),
-                 held_items[starts[start]:starts[stop]]] = True
-        hit = held_out[np.arange(len(chunk))[:, None], ranked] & (ranked >= 0)
-        hits, dcg = np.cumsum(hit, axis=1), np.cumsum(hit * discount, axis=1)
-        metrics = np.empty((len(chunk), len(names)))
-        for c, k in enumerate(ks):
-            metrics[:, c] = hits[:, min(k, cut) - 1] / n_rel
-            metrics[:, len(ks) + c] = (dcg[:, min(k, cut) - 1]
-                                       / ideal_dcg[np.minimum(k, n_rel) - 1])
-        for name, cols in columns.items():
-            series = np.concatenate(([sums[name]], metrics[:, cols].ravel()))
-            sums[name] = float(np.cumsum(series)[-1])
-    return {name: value / len(users) for name, value in sums.items()}
+    ranked = top_k(score_rows, len(users), n_items, cut)  # -1 fills a slot: a miss
+    ranked_keys = users[:, None] * n_items + ranked
+    hit = (ranked >= 0) & (keys.take(np.searchsorted(keys, ranked_keys), mode="clip")
+                           == ranked_keys)
+    discount = np.array([1.0 / math.log2(pos + 2) for pos in range(cut)])
+    ideal_dcg = np.cumsum(discount)  # [n - 1]: DCG of n hits on top
+    at = np.minimum(ks, cut) - 1
+    metrics = np.hstack((
+        np.cumsum(hit, axis=1)[:, at] / n_relevant[:, None],
+        np.cumsum(hit * discount, axis=1)[:, at]
+        / ideal_dcg[np.minimum(ks, n_relevant[:, None]) - 1]))
+    # One sequential sum per column, from 0.0 in ascending user order.
+    sums = np.cumsum(np.vstack((np.zeros(metrics.shape[1]), metrics)), axis=0)[-1]
+    names = [f"recall@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]
+    return dict(zip(names, (sums / len(users)).tolist()))
 
 
 def lr_schedule(epoch: int, base_lr: float = 0.001) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .align import check_bandwidths, infonce, mmd_squared
+from .align import check_bandwidths, check_temperature, infonce, mmd_squared
 from .data import atomic_open
 from .dream import BRANCHES, DreamParams, dream_forward, xavier_uniform
 from .errors import ConfigError, DataFormatError
@@ -99,12 +99,10 @@ class HyperParams:
         if not all(math.isfinite(w) and w >= 0
                    for w in (self.lambda_cl, self.lambda_mmd, self.lambda_reg)):
             raise ConfigError("loss weights must be finite and non-negative")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ConfigError(f"temperature must be finite and > 0, "
-                              f"got {self.temperature}")
-        # `mmd_squared` checks its tuple too; checked with the config, a bad
-        # value fails before data loads.
+        # `mmd_squared` and `infonce` check their values too; checked with
+        # the config, a bad value fails before data loads.
         try:
+            check_temperature(self.temperature)
             check_bandwidths(self.bandwidths)
         except ParameterError as err:
             raise ConfigError(str(err)) from None

@@ -25,7 +25,6 @@ import os
 from pathlib import Path
 
 import numpy as np
-import scipy
 import scipy.sparse as sp
 
 
@@ -41,30 +40,25 @@ class UsageError(RuntimeError):
     """An operation was called outside its contract (e.g. non-scalar loss)."""
 
 
-# The OpenBLAS builds bundled in the numpy and scipy wheels, and the name of
-# each one's thread-count setter.
-_BUNDLED_BLAS = ((np, "scipy_openblas_set_num_threads64_"),
-                 (scipy, "scipy_openblas_set_num_threads"))
-
-
 def _pin_blas_threads() -> None:
-    """Run the OpenBLAS that numpy and scipy bundle on one thread.
+    """Run the OpenBLAS that numpy bundles on one thread.
 
     OpenBLAS rounds some products differently with one thread than with
     several, so with the host's thread count a run's bits would depend on
     the host. Only a library already loaded is pinned, so that no library
-    and no thread pool is added; the package calls no BLAS through scipy.
-    Where a package bundles no OpenBLAS, or it lacks the setter, nothing is
-    done."""
-    for package, setter in _BUNDLED_BLAS:
-        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        for path in libs.glob("libscipy_openblas*.so*"):
-            try:
-                set_threads = getattr(ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD), setter)
-            except (AttributeError, OSError):
-                continue
-            set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-            set_threads(1)
+    and no thread pool is added. scipy's bundled OpenBLAS is left alone:
+    importing the package does not load it, and the package calls no BLAS
+    through scipy. Where numpy bundles no OpenBLAS, or it lacks the setter,
+    nothing is done."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in libs.glob("libscipy_openblas*.so*"):
+        try:
+            set_threads = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD) \
+                .scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
 
 
 _pin_blas_threads()

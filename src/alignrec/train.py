@@ -90,6 +90,12 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
         f"{len(ds.pairs)} interactions "
         f"(train {len(split.train)}, val {len(split.validation)}, "
         f"test {len(split.test)})")
+    # The sampler draws each training user an item outside its training pairs.
+    covered = np.flatnonzero(np.bincount(split.train[:, 0], minlength=ds.n_users)
+                             == ds.n_items)
+    if len(covered):
+        raise DataFormatError(f"user {ds.user_tokens[covered[0]]!r} interacted with "
+                              f"every item, so no negative item can be drawn for it")
 
     features = {m: getattr(ds, m) for m in modalities}
     # The shared width takes both modalities' dims; a single-modality

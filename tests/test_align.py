@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import alignrec.align
 from alignrec.align import (
+    MIN_TEMPERATURE,
     gaussian_kernel,
     infonce,
     logsumexp_rows,
@@ -170,8 +171,11 @@ def test_infonce_orthonormal_pairs_closed_form():
 
 def test_infonce_rejects_bad_temperature():
     v = Tensor(np.ones((2, 2)))
-    with pytest.raises(ParameterError):
-        infonce(v, v, 0.0)
+    for temperature in (0.0, 1e-300, np.nextafter(MIN_TEMPERATURE, 0.0), np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            infonce(v, v, temperature)
+    assert infonce(v, v, MIN_TEMPERATURE).item() == pytest.approx(math.log(2))
+    HyperParams(temperature=MIN_TEMPERATURE)  # the floor itself is accepted
 
 
 @given(st.integers(0, 500))

@@ -509,9 +509,12 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     (["--base-lr", "nan"], None),
     (["--kcore", "-1"], None),
     (["--ks", "0"], None),
+    (["--ks", "20,20"], None),
     ([], "eval_ks = []\n"),
     (["--bandwidths", "0"], None),
     (["--temperature", "-1"], None),
+    (["--temperature", "1e-300"], None),
+    (["--temperature", "0.0028"], None),
     (["--bandwidths", "0"], "variant = no-ga\n"),
     (["--temperature", "-1"], "variant = no-ga\n"),
     ([], "branch_channels = 0\n"),
@@ -537,7 +540,8 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
 ], ids=["bandwidth-not-a-number", "batch-size-zero", "batch-size-negative",
         "batch-size-text-in-file", "attention-reduction-zero-in-file",
         "base-lr-negative", "base-lr-nan", "kcore-negative", "ks-zero",
-        "ks-empty-in-file", "bandwidth-zero", "temperature-negative",
+        "ks-repeated", "ks-empty-in-file", "bandwidth-zero", "temperature-negative",
+        "temperature-1e-300", "temperature-below-floor",
         "no-ga-bandwidth-zero", "no-ga-temperature-negative",
         "branch-channels-zero-in-file", "branch-channels-indivisible-in-file",
         "dilation-zero-in-file", "dilations-repeated-in-file",
@@ -638,6 +642,42 @@ def test_bad_input_file_exits_with_its_code(demo, tmp_path, capsys, case):
         assert f"{bad}:2:" in err  # names the line
     if case == "visual-non-finite":
         assert "row 3" in err
+
+
+def test_user_with_every_item_exits_3_before_the_first_epoch(demo, tmp_path, capsys):
+    """Token c holds both items of a 2-item catalog, so no negative item can
+    be drawn for it."""
+    dense = tmp_path / "dense.tsv"
+    dense.write_text("a\t0\nb\t1\nc\t0\nc\t1\nd\t0\n")
+    flags = data_flags(demo)
+    flags[flags.index("--interactions") + 1] = str(dense)
+    rc = main(["train", *flags, "--max-epochs", "1"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: user 'c' interacted with every item" in captured.err
+    assert "Traceback" not in captured.err
+    assert rc == 3
+
+
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 800. GiB for an array with shape (327680, 327680) "
+    "and data type float64", ""], ids=["numpy", "bare"])
+def test_allocation_failure_exits_2_with_one_error_line(demo, capsys, monkeypatch,
+                                                         message):
+    """A configuration inside every cap can ask for more memory than there
+    is: `--branch-channels 65536 --attention-reduction 1` asks numpy for a
+    327680² weight. The allocation is faked, since a real one may wake the
+    host's OOM killer instead of failing."""
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(train.ModelParams, "create", allocate)
+    rc = main(["train", *data_flags(demo), "--max-epochs", "1"])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message or 'out of memory'}"]
+    assert "Traceback" not in err
+    assert rc == 2
 
 
 def test_missing_interactions_exits_usage(demo, capsys):
