@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,14 +175,42 @@ def top_k(score_rows, n_rows: int, n_cols: int, cut: int) -> np.ndarray:
     return ranked
 
 
+@dataclass
+class Ranking:
+    """The top-K lists of one `evaluate` call, kept for a later call to read.
+
+    `evaluate` fills it when it ranks and reads `ranked` instead of ranking
+    when called with the same `user_repr`, `item_repr` and `split.train`
+    array objects, for the same users at the same cut. The ranking masks
+    only the training pairs, so `split_811`'s validation and test splits,
+    which hold out items for the same users, share one. Any other call
+    ranks and fills the holder anew."""
+
+    user_repr: np.ndarray | None = None
+    item_repr: np.ndarray | None = None
+    train: np.ndarray | None = None
+    users: np.ndarray | None = None
+    ranked: np.ndarray | None = None  # (len(users), cut) item ids, -1: none
+
+    def copy(self) -> "Ranking":
+        """This ranking over copies of its representations, which an
+        in-place update of the originals (Adam's, of `user_emb`) leaves as
+        they were ranked."""
+        return replace(self, user_repr=self.user_repr.copy(),
+                       item_repr=self.item_repr.copy())
+
+
 def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
-             which: str = "test", ks: tuple[int, ...] = (10, 20)) -> dict[str, float]:
+             which: str = "test", ks: tuple[int, ...] = (10, 20),
+             ranking: Ranking | None = None) -> dict[str, float]:
     """Mean recall/NDCG over users with held-out items in the chosen split.
 
     Each user's scores are the mat-vec `item_repr @ user_repr[user]`, the
     user's training pairs in `split.train` are masked, items with a
     non-finite score are never ranked, and ties go to the lower item index.
-    `top_k` asks for the scores one block of users at a time.
+    `top_k` asks for the scores one block of users at a time. A `ranking`
+    holder that holds this call's ranking (see `Ranking`) is read instead;
+    any other holder is filled with this call's.
 
     Recall is the integer hit count over the relevant count, and DCG and
     ideal DCG are running sums over `1.0 / math.log2(pos + 2)` in rank
@@ -219,8 +247,18 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
         listed = train_rows >= 0
         out[train_rows[listed], train_items[lo:hi][listed]] = -np.inf
 
-    ranked = top_k(score_rows, len(users), n_items, cut)  # -1 fills a slot: a miss
-    ranked_keys = users[:, None] * n_items + ranked
+    if (ranking is not None and ranking.user_repr is user_repr
+            and ranking.item_repr is item_repr and ranking.train is split.train
+            and ranking.ranked is not None and ranking.ranked.shape[1] == cut
+            and np.array_equal(ranking.users, users)):
+        ranked = ranking.ranked
+    else:
+        ranked = top_k(score_rows, len(users), n_items, cut)
+        if ranking is not None:
+            ranking.user_repr, ranking.item_repr, ranking.train = \
+                user_repr, item_repr, split.train
+            ranking.users, ranking.ranked = users, ranked
+    ranked_keys = users[:, None] * n_items + ranked  # -1 fills a slot: a miss
     hit = (ranked >= 0) & (keys.take(np.searchsorted(keys, ranked_keys), mode="clip")
                            == ranked_keys)
     discount = np.array([1.0 / math.log2(pos + 2) for pos in range(cut)])

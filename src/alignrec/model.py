@@ -402,14 +402,19 @@ class Recommender:
         user_repr, item_repr = fuse(p_star, q_star, h_v, h_t, self.params)
         return user_repr, item_repr, h_v, h_t
 
-    def total_loss(self, batch: TripletBatch) -> tuple[Tensor, dict[str, float]]:
+    def total_loss(self, batch: TripletBatch, representations: tuple | None = None
+                   ) -> tuple[Tensor, dict[str, float]]:
         """Mean BPR + weighted alignment terms + l2 penalty.
 
         The ranking term is averaged over the batch so the alignment and
         regularization weights keep their meaning at any batch size.
         Zero-weight terms are skipped entirely, keeping ablated paths
-        bit-identical to their reduced objective."""
-        user_repr, item_repr, h_v, h_t = self.representations()
+        bit-identical to their reduced objective.
+
+        `representations`, the output of `representations()` at the current
+        parameters, is used in place of a new forward; to be differentiated,
+        it must be recorded on the tape this loss is recorded on."""
+        user_repr, item_repr, h_v, h_t = representations or self.representations()
         loss = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
         parts = {**dict.fromkeys(LOSS_TERMS, 0.0), "bpr": loss.item()}
         if h_v is not None and h_t is not None and (

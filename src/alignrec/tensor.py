@@ -13,8 +13,11 @@ Conventions:
     single axis, e.g. (C, 1) against (C, L) or (1, L) against (C, L).
   - A composite block may record itself as one node through `_make_out`,
     with a backward closure that returns one gradient per input.
-  - Tapes are eager, single-use and thread-confined. Tensors themselves are
-    value-semantic and safe to share once no tape references them.
+  - Tapes are eager, single-use and thread-confined. A tape may be entered
+    more than once before its one replay, which replays every node it
+    recorded as if they were recorded in one `with` block. Tensors
+    themselves are value-semantic and safe to share once no tape references
+    them.
   - The OpenBLAS that numpy bundles runs on one thread (`_pin_blas_threads`).
 """
 
@@ -108,9 +111,12 @@ class Tensor:
 class Tape:
     """Ordered record of executed primitives, replayed backward once.
 
-    Backward closures may overwrite what their forward saved, so a second
-    replay raises `UsageError`. The replay drops each node, leaving the tape
-    empty.
+    It may be entered and exited several times before the replay; what it
+    records across those `with` blocks is replayed as one record, so a
+    forward recorded in one block can be differentiated together with a
+    loss recorded in a later one. Backward closures may overwrite what their
+    forward saved, so a second replay raises `UsageError`. The replay drops
+    each node, leaving the tape empty.
     """
 
     def __init__(self):

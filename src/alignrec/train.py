@@ -15,7 +15,7 @@ import numpy as np
 from .config import RunConfig
 from .data import Dataset, atomic_open, load_dataset, save_mapping
 from .errors import ConfigError, DataFormatError, NumericalError
-from .evaluation import EarlyStopState, SplitDataset, early_stop_update, \
+from .evaluation import EarlyStopState, Ranking, SplitDataset, early_stop_update, \
     evaluate, lr_schedule, pair_mask, sample_negatives, split_811
 from .model import (
     LOSS_TERMS,
@@ -128,10 +128,31 @@ def iterate_batches(train_pairs: np.ndarray, positive: np.ndarray, batch_size: i
         yield TripletBatch(users=users, pos_items=items, neg_items=negatives)
 
 
+# The forward's arrays that must be finite, in the order they are checked:
+# an encoding before the item representation it feeds.
+_CHECKED = ("visual encoding", "text encoding", "user representation",
+            "item representation")
+
+
+def check_finite(representations: tuple, epoch: int) -> None:
+    """Raise NumericalError naming the first of `_CHECKED` in a
+    `Recommender.representations()` result that holds a NaN or inf."""
+    user_repr, item_repr, h_v, h_t = representations
+    for name, t in zip(_CHECKED, (h_v, h_t, user_repr, item_repr)):
+        if t is not None and not np.isfinite(t.data).all():
+            raise NumericalError(f"non-finite {name} at epoch {epoch}")
+
+
 def run_training(cfg: RunConfig, stdout=None) -> dict:
     """Train per the resolved config; returns a summary with the best epoch,
     test metrics and output paths. Emits one metrics JSON line per epoch
     (validation) plus a final test line at the restored best parameters.
+
+    Each parameter state is forwarded once. The validation forward is
+    recorded on a tape, and the next epoch's first step records its loss on
+    the same tape. The test split reads the best epoch's validation ranking
+    (`Ranking`): both splits hold out items of the same users and mask only
+    the training pairs.
 
     On glibc the process keeps the memory training frees for reuse (see
     `_keep_freed_memory`), so its resident size stays near its high-water
@@ -160,6 +181,8 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
     stopper = EarlyStopState(patience=cfg.patience)
     best_state = {name: p.data.copy() for name, p in named.items()}
     best_epoch = 0
+    best = None  # the best epoch's validation ranking, over copies of its arrays
+    carried = None  # the last validation forward's tape and representations
     tag = {"variant": cfg.variant} if cfg.variant != "full" else {}
 
     # The metrics lines stream into a temp file that replaces metrics.jsonl
@@ -171,27 +194,37 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
             adam.lr = lr_schedule(epoch - 1, cfg.base_lr)
             loss_sums = dict.fromkeys(LOSS_TERMS, 0.0)
             n_batches = 0
-            for step, batch in enumerate(iterate_batches(
-                    split.train, positive, cfg.batch_size, rng), start=1):
-                params.zero_grads()
-                with Tape() as tape:
-                    loss, parts = model.total_loss(batch)
-                if not np.isfinite(loss.data):
-                    term = next((k for k, v in parts.items() if not np.isfinite(v)),
-                                "total")
-                    raise NumericalError(f"non-finite loss at epoch {epoch}, "
-                                         f"step {step} ({term})")
-                backward(loss, tape)
-                grads = {name: p.grad for name, p in named.items()
-                         if p.grad is not None}
-                adam_step(named, grads, adam)
-                for key in loss_sums:
-                    loss_sums[key] += parts[key]
-                n_batches += 1
+            # Non-finite values are named by the checks below, not warned of;
+            # Adam raises on its own overflow.
+            with np.errstate(all="ignore"):
+                for step, batch in enumerate(iterate_batches(
+                        split.train, positive, cfg.batch_size, rng), start=1):
+                    params.zero_grads()
+                    tape, representations = carried or (Tape(), None)
+                    carried = None
+                    with tape:
+                        loss, parts = model.total_loss(batch, representations)
+                    if not np.isfinite(loss.data):
+                        term = next((k for k, v in parts.items()
+                                     if not np.isfinite(v)), "total")
+                        raise NumericalError(f"non-finite loss at epoch {epoch}, "
+                                             f"step {step} ({term})")
+                    backward(loss, tape)
+                    grads = {name: p.grad for name, p in named.items()
+                             if p.grad is not None}
+                    adam_step(named, grads, adam)
+                    for key in loss_sums:
+                        loss_sums[key] += parts[key]
+                    n_batches += 1
 
-            user_repr, item_repr, _, _ = model.representations()
-            val = evaluate(user_repr.data, item_repr.data, split, "validation",
-                           cfg.eval_ks)
+                tape = Tape()
+                with tape:
+                    representations = model.representations()
+                check_finite(representations, epoch)
+                carried = tape, representations
+                ranking = Ranking()
+                val = evaluate(representations[0].data, representations[1].data,
+                               split, "validation", cfg.eval_ks, ranking=ranking)
             wall_ms = int(round((time.perf_counter() - started) * 1000))
             record = {"epoch": epoch, "split": "validation", **tag,
                       **{k: val[k] for k in sorted(val)},
@@ -203,15 +236,20 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
                 stopper, val[f"recall@{max(cfg.eval_ks)}"], epoch)
             if stopper.best_epoch == epoch:
                 best_state = {name: p.data.copy() for name, p in named.items()}
+                best = ranking.copy()
                 best_epoch = epoch
             if should_stop:
                 log(f"early stop at epoch {epoch}; best epoch {best_epoch}")
                 break
+        tape = carried = None  # the last forward is never replayed
 
         params.load_state(best_state)
         started = time.perf_counter()
-        user_repr, item_repr, _, _ = model.representations()
-        test = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
+        if best is None:  # no epoch ran: the initial parameters are tested
+            representations = model.representations()
+            best = Ranking(representations[0].data, representations[1].data)
+        test = evaluate(best.user_repr, best.item_repr, split, "test", cfg.eval_ks,
+                        ranking=best)
         wall_ms = int(round((time.perf_counter() - started) * 1000))
         record = {"epoch": best_epoch, "split": "test", **tag,
                   **{k: test[k] for k in sorted(test)},

@@ -1,5 +1,8 @@
 """The benchmark's instrumentation (perfbench/instrument.py) still fits the
-training loop it wraps, so a rename in the package fails here first."""
+training loop it wraps, so a rename in the package fails here first. That
+includes the test evaluation it times and checks: `load_state` starts its
+window, and `train.evaluate(..., "test", ...)` ends it and is captured for
+the benchmark's ranking oracle."""
 
 from pathlib import Path
 
@@ -32,7 +35,12 @@ def test_recorder_and_tracer_wrap_a_training_run(tmp_path, monkeypatch):
     finally:
         patches.restore()
 
-    assert len(recorder.complete_epochs()) == 2
+    epochs = recorder.complete_epochs()
+    assert len(epochs) == 2
+    assert recorder.test_capture is not None
+    assert recorder.test_start < recorder.test_end
+    # split_811 holds out test and validation items for the same users
+    assert recorder.test_users == epochs[0]["users"] > 0
     assert tracer.counts.get("tensor.tape_nodes", 0) > 0
     assert tracer.nesting_errors == 0
     assert originals

@@ -18,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrec import train
+from alignrec import evaluation, train
 from alignrec.cli import build_parser, main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
-from alignrec.data import SynthSpec, load_fmat, save_fmat
-from alignrec.errors import ConfigError
-from alignrec.model import HyperParams
+from alignrec.data import SynthSpec, load_fmat, save_fmat, synth_generate
+from alignrec.errors import ConfigError, NumericalError
+from alignrec.model import HyperParams, Recommender, load_checkpoint
+from alignrec.tensor import Tensor
 
 METRIC_KEYS = {"epoch", "split", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
                "losses", "wall_ms"}
@@ -473,6 +474,86 @@ def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
         assert out[key] == test_line[key]
 
 
+def demo_config(demo, **settings):
+    return RunConfig(interactions=str(demo / "interactions.tsv"),
+                     visual=str(demo / "visual.fmat"), text=str(demo / "text.fmat"),
+                     batch_size=64, **settings)
+
+
+def test_each_parameter_state_is_forwarded_and_ranked_once(demo, monkeypatch):
+    """In a 3-epoch run of S steps, each epoch's first step reuses the
+    previous validation forward and the test split reads the best epoch's
+    ranking: 3S + 1 forwards (3S + 4 before) and 3 rankings (4 before)."""
+    calls = dict.fromkeys(("total_loss", "representations", "top_k"), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Recommender, "total_loss")
+    count(Recommender, "representations")
+    count(evaluation, "top_k")
+    train.run_training(demo_config(demo, max_epochs=3), stdout=io.StringIO())
+    steps = calls["total_loss"]
+    assert steps == 3 * 2  # two batches of 64 per epoch
+    assert calls["representations"] == steps + 1
+    assert calls["top_k"] == 3
+
+
+@pytest.mark.parametrize("settings, epochs, best", [
+    (dict(base_lr=0.03, max_epochs=4), 4, 4),
+    (dict(base_lr=0.03, max_epochs=8, patience=2), 6, 4),
+    (dict(base_lr=0.1, max_epochs=8, patience=2, graph_layers=0), 5, 3),
+], ids=["best-last", "early-stop", "graph-layers-0"])
+def test_test_record_equals_a_fresh_forward_of_the_checkpoint(
+        demo, tmp_path, monkeypatch, settings, epochs, best):
+    """The test split is scored from the best epoch's validation ranking,
+    over copies of its arrays: equal, bit for bit, to ranking a fresh
+    forward of the saved checkpoint. At 0 graph layers the user
+    representation is `user_emb` itself, which Adam updates in place after
+    the best epoch."""
+    tested = []
+    original = train.evaluate
+
+    def evaluate(user_repr, item_repr, split, which, ks, ranking=None):
+        if which == "test":
+            tested.append((user_repr.tobytes(), item_repr.tobytes()))
+        return original(user_repr, item_repr, split, which, ks, ranking=ranking)
+
+    monkeypatch.setattr(train, "evaluate", evaluate)
+    cfg = demo_config(demo, eval_ks=(2, 5), out=str(tmp_path / "run"), **settings)
+    stream = io.StringIO()
+    summary = train.run_training(cfg, stdout=stream)
+    lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert len(lines) == epochs + 1
+    assert summary["best_epoch"] == lines[-1]["epoch"] == best
+
+    model, split, _ = train.restore_model(cfg, load_checkpoint(summary["checkpoint"]))
+    user_repr, item_repr, _, _ = model.representations()
+    assert tested == [(user_repr.data.tobytes(), item_repr.data.tobytes())]
+    fresh = evaluation.evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
+    assert summary["test_metrics"] == fresh
+    assert {key: lines[-1][key] for key in fresh} == fresh
+
+
+def test_check_finite_names_the_first_non_finite_array_in_order():
+    """Encodings come before the item representation they feed; an absent
+    modality's encoding is skipped."""
+    finite = Tensor(np.ones((2, 2)))
+    bad = Tensor(np.array([[1.0, np.inf], [np.nan, 1.0]]))
+    train.check_finite((finite, finite, None, None), 1)
+    arrays = [finite] * 4  # user, item, visual, text
+    for index, name in ((1, "item representation"), (0, "user representation"),
+                        (3, "text encoding"), (2, "visual encoding")):
+        arrays[index] = bad
+        with pytest.raises(NumericalError, match=f"non-finite {name} at epoch 7"):
+            train.check_finite(tuple(arrays), 7)
+
+
 @pytest.mark.parametrize("cut", [None, 4, 6],
                          ids=["bad-magic", "header-cut-at-4", "header-cut-at-6"])
 def test_evaluate_corrupted_checkpoint_exits_3(demo, tmp_path, capsys, cut):
@@ -786,6 +867,29 @@ def test_adam_overflow_stops_train_with_one_error_line(demo):
     errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and result.stderr.splitlines()[-1] == errors[0]
     assert "non-finite Adam update of 'visual_reduce' at step 1" in errors[0]
+
+
+def test_overflowing_forward_exits_4_without_a_checkpoint(tmp_path):
+    """One step at `--base-lr 1e300` leaves every parameter near 1e300, and
+    the validation forward overflows. In a fresh interpreter, as above: one
+    `error:` line naming the first non-finite array, no numpy warning and
+    no checkpoint, instead of exit 0 with recall 0.0."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    synth = SynthSpec(users=40, items=40, interactions_per_user=8)
+    paths = synth_generate(synth, data)
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "alignrec", "train",
+         "--interactions", str(paths["interactions"]), "--visual", str(paths["visual"]),
+         "--text", str(paths["text"]), "--base-lr", "1e300", "--max-epochs", "1",
+         "--out", str(run)],
+        capture_output=True, text=True, env=fresh_interpreter_env(), timeout=120)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: non-finite visual encoding at epoch 1"]
+    assert result.stderr.splitlines()[-1] == errors[0]
+    assert not (run / "checkpoint.mrec").exists()
 
 
 def start_endless_train(demo, run, stderr=subprocess.PIPE):

@@ -13,6 +13,7 @@ from alignrec import evaluation
 from alignrec.errors import NumericalError
 from alignrec.evaluation import (
     EarlyStopState,
+    Ranking,
     SplitDataset,
     early_stop_update,
     evaluate,
@@ -623,6 +624,38 @@ def test_evaluate_overflowing_scores_warn_nothing():
         got = evaluate(users, items, split, "test", (2, 10))
     with np.errstate(all="ignore"):
         assert got == evaluate_reference(users, items, split, "test", (2, 10))
+
+
+def test_evaluate_reads_only_a_ranking_of_the_same_call():
+    """A holder filled by the validation call serves the test call over the
+    same arrays without ranking, with the metrics of a call without a
+    holder. Other arrays, another cut, other users or other training pairs
+    rank anew and refill the holder."""
+    users, items, split = random_case(seed=14)
+    others = {
+        "user-array": (users.copy(), items, split, (2, 5)),
+        "item-array": (users, items.copy(), split, (2, 5)),
+        "cut": (users, items, split, (2, 6)),
+        "users": (users, items, SplitDataset(split.n_users, split.n_items, split.train,
+                                             split.validation,
+                                             split.test[split.test[:, 0] != 0]), (2, 5)),
+        "train-pairs": (users, items, SplitDataset(split.n_users, split.n_items,
+                                                   split.train.copy(), split.validation,
+                                                   split.test), (2, 5)),
+    }
+    ranked = []
+    with mock.patch.object(evaluation, "top_k",
+                           lambda *args: ranked.append(1) or top_k(*args)):
+        for name, (u, i, other_split, ks) in [("same", (users, items, split, (2, 5))),
+                                              *others.items()]:
+            holder = Ranking()
+            evaluate(users, items, split, "validation", (2, 5), ranking=holder)
+            filled = len(ranked)
+            got = evaluate(u, i, other_split, "test", ks, ranking=holder)
+            assert len(ranked) == filled + (name != "same"), name
+            assert holder.user_repr is u and holder.item_repr is i, name
+            assert holder.train is other_split.train, name
+            assert got == evaluate(u, i, other_split, "test", ks), name
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,39 @@ def test_backward_twice_on_one_tape_raises():
     assert np.array_equal(x.grad, first)
 
 
+def test_tape_entered_again_replays_as_one_block():
+    """A forward recorded, the tape exited and entered again for the loss,
+    as training does with the validation forward: one replay gives the
+    gradients of a single `with` block bit for bit, and the tape still
+    replays once."""
+    rng = np.random.default_rng(21)
+    x0, w0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+
+    def leaves():
+        return Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+
+    def loss_of(h):
+        rows = gather_rows(h, np.array([0, 2, 2, 4]))
+        return sum_all(mul(rows, scale(rows, 0.5)))
+
+    x, w = leaves()
+    with Tape() as tape:
+        loss = loss_of(matmul(x, w))
+    backward(loss, tape)
+    want = x.grad, w.grad
+
+    x, w = leaves()
+    tape = Tape()
+    with tape:
+        h = matmul(x, w)
+    with tape:
+        loss = loss_of(h)
+    backward(loss, tape)
+    assert [g.tobytes() for g in (x.grad, w.grad)] == [g.tobytes() for g in want]
+    with pytest.raises(UsageError, match="already replayed"):
+        backward(loss, tape)
+
+
 def test_backward_drops_every_node_and_what_it_saved():
     """The replay pops each node, so what a node saved dies before the step
     ends, and the tape stays single-use."""
