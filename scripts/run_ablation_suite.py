@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from alignrec.config import RunConfig
 from alignrec.data import SynthSpec, synth_generate
 from alignrec.diagnostics import align_stats
-from alignrec.model import Recommender, load_checkpoint
+from alignrec.model import Recommender
 from alignrec.train import restore_model, run_training
 
 
@@ -66,11 +66,7 @@ def main() -> int:
               f"{means['ndcg@20']:>8.4f}")
 
     for variant in ("full", "no-ga"):
-        cfg = RunConfig(interactions=dataset["interactions"],
-                        visual=dataset["visual"], text=dataset["text"],
-                        seed=seeds[0], variant=variant)
-        arrays = load_checkpoint(root / f"{variant}_{seeds[0]}" / "checkpoint.mrec")
-        model, _, _ = restore_model(cfg, arrays)
+        model, _, _ = restore_model(root / f"{variant}_{seeds[0]}" / "checkpoint.mrec")
         stats = align_stats(model)
         print(f"{variant}: cross-modal MMD {stats['mmd_mean']:.5f}, "
               f"matched-pair cosine {stats['mean_cosine']:.4f}")

@@ -23,9 +23,9 @@ from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import evaluate
-from .model import Recommender, load_checkpoint
+from .model import Recommender
 from .tensor import DimensionError, ParameterError, UsageError
-from .train import log, restore_model, run_training
+from .train import RESTORE_FIELDS, log, restore_model, run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,9 +34,10 @@ EXIT_NUMERIC = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command SIGPIPE killed
 
 
-# Flags not spelled `--<field-name-with-dashes>`; `None` marks a field that
-# only the subcommand owning it takes.
-_SPELLINGS = {"eval_ks": "--ks", "checkpoint": None, "variant": None}
+# Flags not spelled `--<field-name-with-dashes>`.
+_SPELLINGS = {"eval_ks": "--ks"}
+# `train` takes every field but a restore's checkpoint and `ablate`'s variant.
+_TRAIN_FIELDS = [f.name for f in fields(RunConfig) if f.name not in ("checkpoint", "variant")]
 
 
 def _read_config_flag(annotation: str):
@@ -48,15 +49,17 @@ def _read_config_flag(annotation: str):
     return str if annotation.startswith("str") else parse_value
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, cls, read) -> None:
-    """One flag per field of the dataclass `cls`, its text read by
-    `read(annotation)`. A flag not given sets no attribute."""
+def _add_field_flags(parser: argparse.ArgumentParser, cls, read, names=None) -> None:
+    """One flag per field of the dataclass `cls`, or per field in `names`,
+    its text read by `read(annotation)`. A flag not given sets no attribute,
+    but a restore's `--checkpoint` must be given."""
     for f in fields(cls):
-        flag = _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
-        if flag is not None:
+        if names is None or f.name in names:
             listed = ", comma-separated" if f.type.startswith("tuple[") else ""
             parser.add_argument(
-                flag, dest=f.name, type=read(f.type), default=argparse.SUPPRESS,
+                _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-")),
+                dest=f.name, type=read(f.type), default=argparse.SUPPRESS,
+                required=f.name == "checkpoint",
                 help=f"{f.type}{listed}, default {format_value(f.default)}")
 
 
@@ -64,29 +67,27 @@ def _given(args: argparse.Namespace, cls) -> dict:
     return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
-def _config_command(sub, name: str, help: str, handler) -> argparse.ArgumentParser:
-    """A subcommand that resolves a `RunConfig` from `--config` and flags."""
+def _config_command(sub, name: str, help: str, handler,
+                    names=_TRAIN_FIELDS) -> argparse.ArgumentParser:
+    """A subcommand taking the `RunConfig` fields in `names` as flags, and
+    `--config` when it trains: a restore reads its own run's configuration."""
     parser = sub.add_parser(name, help=help)
-    parser.add_argument("--config", help="key = value config file")
-    _add_field_flags(parser, RunConfig, _read_config_flag)
+    if "checkpoint" not in names:
+        parser.add_argument("--config", help="key = value config file")
+    _add_field_flags(parser, RunConfig, _read_config_flag, names)
     parser.set_defaults(handler=handler)
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def cmd_train(args) -> int:
     cfg = resolve_config(args.config, _given(args, RunConfig))
     log("\n  ".join(["resolved configuration:", *cfg.lines()]))
-    return cfg
-
-
-def cmd_train(args) -> int:
-    run_training(_resolve(args))
+    run_training(cfg)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _resolve(args)
-    model, split, _ = restore_model(cfg, load_checkpoint(cfg.checkpoint))
+    model, split, cfg = restore_model(args.checkpoint, _given(args, RunConfig))
     user_repr, item_repr, _, _ = model.representations()
     metrics = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
     print(json.dumps({"split": "test", **{k: metrics[k] for k in sorted(metrics)}}))
@@ -103,11 +104,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_align_stats(args) -> int:
-    cfg = _resolve(args)
-    model, _, _ = restore_model(cfg, load_checkpoint(cfg.checkpoint))
-    export = args.export
-    if export is None and cfg.out:
-        export = str(Path(cfg.out) / "item_repr.fmat")
+    model, _, _ = restore_model(args.checkpoint, _given(args, RunConfig))
+    export = args.export or Path(args.checkpoint).with_name("item_repr.fmat")
     print(json.dumps(align_stats(model, export_path=export)))
     return EXIT_OK
 
@@ -126,9 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     _config_command(sub, "train", "train and save the best checkpoint", cmd_train)
     p_ablate = _config_command(sub, "ablate", "train one ablation variant", cmd_train)
     p_ablate.add_argument("--variant", required=True, choices=Recommender.VARIANTS)
-    p_eval = _config_command(sub, "evaluate", "test-split metrics for a checkpoint",
-                             cmd_evaluate)
-    p_eval.add_argument("--checkpoint", required=True)
+    _config_command(sub, "evaluate", "test-split metrics for a checkpoint",
+                    cmd_evaluate, RESTORE_FIELDS)
 
     p_grad = sub.add_parser("gradcheck",
                             help="verify analytic gradients on a seeded instance")
@@ -139,10 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = _config_command(sub, "align-stats",
                               "modality distribution diagnostics for a checkpoint",
-                              cmd_align_stats)
-    p_stats.add_argument("--checkpoint", required=True)
+                              cmd_align_stats,
+                              [n for n in RESTORE_FIELDS if n != "eval_ks"])
     p_stats.add_argument("--export", default=None,
-                         help="FMAT path for fused item representations")
+                         help="FMAT path for fused item representations, "
+                              "default item_repr.fmat beside the checkpoint")
 
     p_synth = sub.add_parser("synth", help="generate a planted-factor dataset")
     p_synth.add_argument("--out", required=True)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, resolve_config
 from .data import Dataset, atomic_open, load_dataset, save_mapping
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import EarlyStopState, Ranking, SplitDataset, early_stop_update, \
@@ -26,10 +26,11 @@ from .model import (
     Recommender,
     TripletBatch,
     build_propagation_operator,
+    load_checkpoint,
     save_checkpoint,
 )
 from .optim import AdamState, adam_step
-from .tensor import Tape, Tensor, backward
+from .tensor import Tape, Tensor, UsageError, backward
 
 
 def log(message: str) -> None:
@@ -96,6 +97,10 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     if len(covered):
         raise DataFormatError(f"user {ds.user_tokens[covered[0]]!r} interacted with "
                               f"every item, so no negative item can be drawn for it")
+    # `split_811` holds out validation and test pairs for the same users.
+    if not len(split.test):
+        raise DataFormatError("no user has the three interactions a held-out "
+                              "pair needs, so nothing can be validated or tested")
 
     features = {m: getattr(ds, m) for m in modalities}
     # The shared width takes both modalities' dims; a single-modality
@@ -266,14 +271,28 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
                 "checkpoint": str(checkpoint_path) if checkpoint_path else None}
 
 
-def restore_model(cfg: RunConfig,
-                  checkpoint_arrays: dict) -> tuple[Recommender, SplitDataset, Dataset]:
-    """Rebuild the model for a saved run and load its parameters."""
+# What a restore may set: where the data is now, what to report and the
+# checkpoint. The rest is its run's own, from `resolved_config.txt` beside it.
+RESTORE_FIELDS = ("interactions", "visual", "text", "eval_ks", "checkpoint")
+
+
+def restore_model(checkpoint, given=None) -> tuple[Recommender, SplitDataset, RunConfig]:
+    """Rebuild a saved run's model from its own configuration, with the
+    restore fields in `given` laid over it, and load its parameters."""
+    given = {**(given or {}), "checkpoint": str(checkpoint)}
+    if not set(given) <= set(RESTORE_FIELDS):
+        raise UsageError(f"a restore sets only {', '.join(RESTORE_FIELDS)}")
+    arrays = load_checkpoint(checkpoint)
+    run_config = Path(checkpoint).with_name("resolved_config.txt")
+    if not run_config.is_file():
+        raise DataFormatError(f"no run configuration at {run_config}")
+    cfg = resolve_config(str(run_config), given)
+    log("\n  ".join(["resolved configuration:", *cfg.lines()]))
     ds, split, model = prepare_run(cfg)
     try:
-        model.params.load_state(checkpoint_arrays)
+        model.params.load_state(arrays)
     except DataFormatError as err:
         raise DataFormatError(
             f"checkpoint does not fit dataset "
             f"({ds.n_users} users, {ds.n_items} items): {err}") from err
-    return model, split, ds
+    return model, split, cfg

@@ -24,7 +24,6 @@ from alignrec.errors import ConfigError
 from alignrec.model import (
     TripletBatch,
     bpr_loss,
-    load_checkpoint,
     projection_param_count,
     target_dim,
 )
@@ -172,8 +171,7 @@ def test_c06_planted_structure_learning(planted):
                 f"(random expectation ~0.10)", elapsed)
 
 
-def test_c07_ablation_direction(planted, battery):
-    dataset, root = planted
+def test_c07_ablation_direction(battery):
     runs, train_time = battery
     started = time.perf_counter()
 
@@ -187,12 +185,7 @@ def test_c07_ablation_direction(planted, battery):
     assert full >= visual_only, (full, visual_only)
 
     def stats_for(key):
-        out_dir = runs[key][1]
-        cfg = RunConfig(interactions=dataset["interactions"],
-                        visual=dataset["visual"], text=dataset["text"],
-                        seed=key[1], variant=key[0])
-        arrays = load_checkpoint(out_dir / "checkpoint.mrec")
-        model, _, _ = restore_model(cfg, arrays)
+        model, _, _ = restore_model(runs[key][1] / "checkpoint.mrec")
         return align_stats(model)["mmd_mean"]
 
     aligned = stats_for(("full", 0))

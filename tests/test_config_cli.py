@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,8 +24,8 @@ from alignrec.cli import build_parser, main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
 from alignrec.data import SynthSpec, load_fmat, save_fmat, synth_generate
 from alignrec.errors import ConfigError, NumericalError
-from alignrec.model import HyperParams, Recommender, load_checkpoint
-from alignrec.tensor import Tensor
+from alignrec.model import HyperParams, Recommender
+from alignrec.tensor import Tensor, UsageError
 
 METRIC_KEYS = {"epoch", "split", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
                "losses", "wall_ms"}
@@ -121,21 +122,23 @@ def subcommand_flags(command: str) -> dict[str, list[str]]:
 
 
 def test_every_field_has_exactly_one_flag():
-    """Spelled `--<field-name-with-dashes>`, but `--ks` for `eval_ks`;
-    `checkpoint` and `variant` belong to the subcommands that take them."""
-    own = {"checkpoint": ["evaluate", "align-stats"], "variant": ["ablate"]}
-    for cls, command, extra in [(RunConfig, "train", {"help", "config"}),
-                                (SynthSpec, "synth", {"help", "out"})]:
+    """Spelled `--<field-name-with-dashes>`, but `--ks` for `eval_ks`.
+    `train` takes every field but `checkpoint` and `variant`, `ablate` adds
+    `--variant`, and the restore commands take only the restore fields."""
+    restore = set(train.RESTORE_FIELDS)
+    run_fields = {f.name for f in fields(RunConfig)}
+    for cls, command, names, extra in [
+            (RunConfig, "train", run_fields - {"checkpoint", "variant"}, {"config"}),
+            (RunConfig, "ablate", run_fields - {"checkpoint"}, {"config"}),
+            (RunConfig, "evaluate", restore, set()),
+            (RunConfig, "align-stats", restore - {"eval_ks"}, {"export"}),
+            (SynthSpec, "synth", {f.name for f in fields(SynthSpec)}, {"out"})]:
         flags = subcommand_flags(command)
-        assert set(flags) - extra == {f.name for f in fields(cls)} - set(own)
-        for f in fields(cls):
-            if f.name not in own:
-                spelling = "--ks" if f.name == "eval_ks" else \
-                    "--" + f.name.replace("_", "-")
-                assert flags[f.name] == [spelling]
-    for name, commands in own.items():
-        for command in commands:
-            assert subcommand_flags(command)[name] == ["--" + name]
+        assert set(flags) - {"help"} == names | extra, command
+        for name in names:
+            spelling = "--ks" if name == "eval_ks" else "--" + name.replace("_", "-")
+            assert flags[name] == [spelling]
+    assert restore == {"interactions", "visual", "text", "eval_ks", "checkpoint"}
 
 
 def test_flags_and_config_file_resolve_alike(demo, tmp_path, capsys):
@@ -466,12 +469,100 @@ def test_evaluate_reproduces_train_test_metrics(demo, tmp_path, capsys):
     lines, _ = train_lines(capsys, demo, ["--max-epochs", "2",
                                           "--out", str(tmp_path / "run")])
     test_line = lines[-1]
-    rc = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.mrec"),
-               "--config", str(tmp_path / "run" / "resolved_config.txt")])
+    rc = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.mrec")])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     for key in ("recall@10", "recall@20", "ndcg@10", "ndcg@20"):
         assert out[key] == test_line[key]
+
+
+@pytest.mark.parametrize("variant", ["full", "no-la", "text-only"])
+def test_evaluate_restores_the_run_from_its_checkpoint_alone(demo, tmp_path, capsys,
+                                                             variant):
+    """`evaluate` rebuilds the model from the run's own resolved_config.txt,
+    variant included, and prints the run's test record bit for bit; after
+    the data moves, the three path flags say where it went."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(demo, data)
+    rc = main(["ablate", "--variant", variant, *data_flags(data), "--batch-size", "64",
+               "--max-epochs", "3", "--seed", "2", "--graph-layers", "1",
+               "--ks", "5,10", "--out", str(run)])
+    test_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert rc == 0
+    expected = {"split": "test", **{k: test_line[k] for k in
+                                    ("ndcg@10", "ndcg@5", "recall@10", "recall@5")}}
+    evaluate = ["evaluate", "--checkpoint", str(run / "checkpoint.mrec")]
+    assert main(evaluate) == 0
+    assert capsys.readouterr().out == json.dumps(expected) + "\n"
+
+    moved = data.rename(tmp_path / "moved")
+    assert main(evaluate) == 3
+    assert "interactions.tsv" in capsys.readouterr().err
+    assert main([*evaluate, *data_flags(moved)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(expected) + "\n"
+    assert f"interactions = {moved / 'interactions.tsv'}\n" in captured.err
+    assert f"checkpoint = {run / 'checkpoint.mrec'}\n" in captured.err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "align-stats"])
+@pytest.mark.parametrize("flags", [["--seed", "5"], ["--graph-layers", "3"],
+                                   ["--lambda-mmd", "0.5"], ["--config", "run.cfg"]],
+                         ids=["seed", "graph-layers", "lambda-mmd", "config"])
+def test_restore_commands_take_no_run_setting(capsys, command, flags):
+    """A setting that fixes the split or the model is the run's own, so a
+    restore command has no flag to change it."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", "run/checkpoint.mrec", *flags])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
+    assert "Traceback" not in err
+
+
+def test_restore_without_run_config_exits_3(demo, tmp_path, capsys):
+    train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(tmp_path / "run")])
+    lone = tmp_path / "lone" / "checkpoint.mrec"
+    lone.parent.mkdir()
+    shutil.copy(tmp_path / "run" / "checkpoint.mrec", lone)
+    for command in ("evaluate", "align-stats"):
+        assert main([command, "--checkpoint", str(lone)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: no run configuration at {lone.parent / 'resolved_config.txt'}\n"
+    assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "none.mrec")]) == 3
+    assert "none.mrec" in capsys.readouterr().err
+
+
+def test_restore_model_sets_only_the_restore_fields(demo, tmp_path, capsys):
+    train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(tmp_path / "run")])
+    checkpoint = tmp_path / "run" / "checkpoint.mrec"
+    with pytest.raises(UsageError, match="a restore sets only interactions, "
+                                         "visual, text, eval_ks, checkpoint"):
+        train.restore_model(checkpoint, {"seed": 5})
+    _, _, cfg = train.restore_model(checkpoint, {"eval_ks": (3,)})
+    capsys.readouterr()
+    assert (cfg.eval_ks, cfg.checkpoint, cfg.batch_size) == ((3,), str(checkpoint), 64)
+
+
+def test_dataset_without_held_out_pairs_exits_3_before_training(tmp_path):
+    """Two interactions per user leave no validation or test pair. In a
+    fresh interpreter: one `error:` line before epoch 1, no checkpoint and
+    no metrics file, where the run used to train an epoch and exit 2."""
+    data, run = tmp_path / "data", tmp_path / "run"
+    synth_generate(SynthSpec(users=20, items=30, interactions_per_user=2), data)
+    result = subprocess.run(
+        [sys.executable, "-m", "alignrec", "train", *data_flags(data),
+         "--max-epochs", "2", "--out", str(run)],
+        capture_output=True, text=True, env=fresh_interpreter_env(), timeout=120)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no user has the three interactions a held-out pair "
+                      "needs, so nothing can be validated or tested"]
+    assert result.stderr.splitlines()[-1] == errors[0]
+    assert "(train 40, val 0, test 0)" in result.stderr
+    assert list(run.iterdir()) == []
 
 
 def demo_config(demo, **settings):
@@ -532,7 +623,7 @@ def test_test_record_equals_a_fresh_forward_of_the_checkpoint(
     assert len(lines) == epochs + 1
     assert summary["best_epoch"] == lines[-1]["epoch"] == best
 
-    model, split, _ = train.restore_model(cfg, load_checkpoint(summary["checkpoint"]))
+    model, split, _ = train.restore_model(summary["checkpoint"])
     user_repr, item_repr, _, _ = model.representations()
     assert tested == [(user_repr.data.tobytes(), item_repr.data.tobytes())]
     fresh = evaluation.evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
@@ -561,8 +652,7 @@ def test_evaluate_corrupted_checkpoint_exits_3(demo, tmp_path, capsys, cut):
     ckpt = tmp_path / "run" / "checkpoint.mrec"
     blob = ckpt.read_bytes()
     ckpt.write_bytes(b"ZZZZ" + blob[4:] if cut is None else blob[:cut])
-    rc = main(["evaluate", "--checkpoint", str(ckpt),
-               "--config", str(tmp_path / "run" / "resolved_config.txt")])
+    rc = main(["evaluate", "--checkpoint", str(ckpt)])
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert rc == 3
@@ -574,8 +664,7 @@ def test_evaluate_undecodable_parameter_name_exits_3(demo, tmp_path, capsys):
     blob = bytearray(ckpt.read_bytes())
     blob[10] = 0xFF  # first byte of the first name: magic, version, u16 length
     ckpt.write_bytes(bytes(blob))
-    rc = main(["evaluate", "--checkpoint", str(ckpt),
-               "--config", str(tmp_path / "run" / "resolved_config.txt")])
+    rc = main(["evaluate", "--checkpoint", str(ckpt)])
     assert "not UTF-8" in capsys.readouterr().err
     assert rc == 3
 
@@ -985,7 +1074,6 @@ def test_align_stats_reports_and_exports(demo, tmp_path, capsys):
     export = tmp_path / "items.fmat"
     rc = main(["align-stats",
                "--checkpoint", str(tmp_path / "run" / "checkpoint.mrec"),
-               "--config", str(tmp_path / "run" / "resolved_config.txt"),
                "--export", str(export)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
@@ -993,6 +1081,16 @@ def test_align_stats_reports_and_exports(demo, tmp_path, capsys):
     assert out["mmd_mean"] >= -1e-12
     exported = load_fmat(export)
     assert exported.shape == (out["items"], 64)
+
+
+def test_align_stats_exports_beside_the_checkpoint_by_default(demo, tmp_path, capsys):
+    train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(tmp_path / "run")])
+    run = tmp_path / "run"
+    rc = main(["align-stats", "--checkpoint", str(run / "checkpoint.mrec")])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["export"] == str(run / "item_repr.fmat")
+    assert load_fmat(run / "item_repr.fmat").shape == (out["items"], 64)
 
 
 def test_align_stats_identical_modalities_mmd_zero():

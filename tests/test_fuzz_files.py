@@ -108,9 +108,8 @@ def test_train_on_corrupted_fmat_exits_3(run, data):
 @settings(max_examples=25)
 @given(data=st.data())
 def test_evaluate_on_corrupted_checkpoint_exits_3(run, data):
-    path = run / "eval_bad.mrec"
+    path = run / "run" / "eval_bad.mrec"  # beside its run's resolved_config.txt
     path.write_bytes(data.draw(corrupted((run / "run" / "checkpoint.mrec").read_bytes())))
     is_rejected = rejected(load_checkpoint, path)
-    rc, _, err = cli(["evaluate", "--checkpoint", str(path),
-                      "--config", str(run / "run" / "resolved_config.txt")])
+    rc, _, err = cli(["evaluate", "--checkpoint", str(path)])
     assert_exit_for(rc, err, is_rejected)
