@@ -52,15 +52,19 @@ def _read_config_flag(annotation: str):
 def _add_field_flags(parser: argparse.ArgumentParser, cls, read, names=None) -> None:
     """One flag per field of the dataclass `cls`, or per field in `names`,
     its text read by `read(annotation)`. A flag not given sets no attribute,
-    but a restore's `--checkpoint` must be given."""
+    but a restore's `--checkpoint` must be given, and a restore's other flags
+    default to the run's own values."""
+    restore = names is not None and "checkpoint" in names
     for f in fields(cls):
         if names is None or f.name in names:
             listed = ", comma-separated" if f.type.startswith("tuple[") else ""
+            default = ("required" if f.name == "checkpoint"
+                       else "default: the run's own value" if restore
+                       else f"default {format_value(f.default)}")
             parser.add_argument(
                 _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-")),
                 dest=f.name, type=read(f.type), default=argparse.SUPPRESS,
-                required=f.name == "checkpoint",
-                help=f"{f.type}{listed}, default {format_value(f.default)}")
+                required=f.name == "checkpoint", help=f"{f.type}{listed}, {default}")
 
 
 def _given(args: argparse.Namespace, cls) -> dict:

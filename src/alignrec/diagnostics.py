@@ -20,7 +20,13 @@ from .model import (
     l2_penalty,
     propagate,
 )
-from .tensor import Tensor, mul, sum_all
+from .tensor import Tensor, _make_out
+
+
+def inner(y: Tensor, probe: np.ndarray) -> Tensor:
+    """`(y * probe).sum()` as one node: a scalar that reads every entry of
+    `y`, whose gradient for `y` is `probe`."""
+    return _make_out((y.data * probe).sum(), (y,), lambda g: (g * probe,))
 
 
 def _random_triples(rng: np.random.Generator, n_users: int, n_items: int,
@@ -43,11 +49,11 @@ def build_suite(seed: int) -> list[tuple[str, object, dict]]:
     # dilated refinement block end to end
     dream = DreamParams.create(hp, rng)
     x = Tensor(rng.standard_normal((3, 16)), requires_grad=True)
-    probe = Tensor(rng.standard_normal((3, 16)))
+    probe = rng.standard_normal((3, 16))
     dream_params = {"input": x, **dream.named("dream")}
 
     def dream_loss():
-        return sum_all(mul(dream_forward(x, dream), probe))
+        return inner(dream_forward(x, dream), probe)
 
     suite.append(("dream_forward", dream_loss, dream_params))
 

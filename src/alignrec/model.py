@@ -24,8 +24,8 @@ from .tensor import (
     add,
     gather_rows,
     matmul,
+    row_views,
     scale,
-    slice_rows,
     stable_sigmoid,
 )
 
@@ -250,18 +250,18 @@ def propagate(user_emb: Tensor, item_emb: Tensor, operator: sp.csr_matrix,
               layers: int) -> tuple[Tensor, Tensor]:
     """Average the embeddings of 0..layers propagation hops; 0 layers is identity.
 
-    The mean over the stacked user and item rows is one tape node, sliced
-    into the two outputs. Its backward replays the tape of the separate
-    stack, L x (sparse product, add) and scale nodes: every partial sum of
-    the hops gets the scaled gradient `t`, and from the last hop down, a hop
-    gets `t` after the transposed product of the hop above it.
+    The mean over the stacked user and item rows is one tape node, and the
+    two outputs are row views of it (`row_views`). Its backward replays the
+    tape of the separate stack, L x (sparse product, add) and scale nodes:
+    every partial sum of the hops gets the scaled gradient `t`, and from the
+    last hop down, a hop gets `t` after the transposed product of the hop
+    above it.
     """
     if layers < 0:
         raise ParameterError(f"layers must be >= 0, got {layers}")
     if layers == 0:
         return user_emb, item_emb
     n_users = user_emb.shape[0]
-    n_items = item_emb.shape[0]
     weight = 1.0 / (layers + 1)
     current = np.concatenate([user_emb.data, item_emb.data])
     total = current.copy()
@@ -282,8 +282,7 @@ def propagate(user_emb: Tensor, item_emb: Tensor, operator: sp.csr_matrix,
         stacked = t + operator.T @ hop
         return stacked[:n_users], stacked[n_users:]
 
-    mean = _make_out(total, (user_emb, item_emb), backward)
-    return slice_rows(mean, 0, n_users), slice_rows(mean, n_users, n_users + n_items)
+    return row_views(_make_out(total, (user_emb, item_emb), backward), n_users)
 
 
 def fuse(user_out: Tensor, item_out: Tensor, h_visual: Tensor | None,

@@ -9,8 +9,13 @@ reachable tensor that requires one. It drops each node as it replays it, so
 what that node saved for its backward is freed before the next node runs.
 
 Conventions:
-  - Elementwise binary ops allow the second operand to broadcast over a
-    single axis, e.g. (C, 1) against (C, L) or (1, L) against (C, L).
+  - `add` takes operands of one shape; nothing broadcasts.
+  - A node whose output is cut into row blocks hands them out as views
+    (`row_views`), not as nodes of their own. Once the node is recorded, its
+    output's gradient exists from the forward on and each view's `.grad` is
+    that gradient's rows, so a consumer adds into the node's gradient
+    directly. The node replays whenever either view received a gradient,
+    and with zeros when neither did: its gradient is never missing.
   - A composite block may record itself as one node through `_make_out`,
     with a backward closure that returns one gradient per input.
   - Tapes are eager, single-use and thread-confined. A tape may be entered
@@ -67,18 +72,13 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 
-def _as_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Shape-checked float64 array with an optional gradient buffer."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _as_f64(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
 
@@ -124,11 +124,12 @@ class Tape:
         self.replayed = False
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _pop_tape(self)
+        if _TAPE_STACK.pop() is not self:
+            raise UsageError("tape exited out of order")
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
         self._nodes.append((out, inputs, backward_fn))
@@ -138,16 +139,6 @@ class Tape:
 
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(tape: Tape) -> None:
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: Tape) -> None:
-    popped = _TAPE_STACK.pop()
-    if popped is not tape:
-        raise UsageError("tape exited out of order")
 
 
 def active_tape() -> Tape | None:
@@ -209,13 +200,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcastable(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), branching on sign so that exp never overflows."""
     e = np.exp(-np.abs(x))
@@ -227,23 +211,13 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcastable(a.data, b.data, "add")
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return _make_out(a.data + b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; `b` may broadcast over one axis, e.g. (C,1) or (1,L)."""
-    _check_broadcastable(a.data, b.data, "mul")
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return _make_out(ad * bd, (a, b), bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -256,27 +230,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and shape plumbing
+# rows
 # ---------------------------------------------------------------------------
 
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-
-    def bw(g):
-        return (np.full(shape, g, dtype=np.float64),)
-
-    return _make_out(a.data.sum(), (a,), bw)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    shape = a.data.shape
-
-    def bw(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[start:stop] = g
-        return (full,)
-
-    return _make_out(a.data[start:stop].copy(), (a,), bw)
+def row_views(out: Tensor, split: int) -> tuple[Tensor, Tensor]:
+    """The rows of `out` before and after `split`, as tensors whose data and,
+    when `out` was just recorded, whose gradients are views of `out`'s."""
+    head = Tensor(out.data[:split], out.requires_grad)
+    tail = Tensor(out.data[split:], out.requires_grad)
+    if out.requires_grad and active_tape() is not None:
+        out.grad = np.zeros_like(out.data)
+        head.grad, tail.grad = out.grad[:split], out.grad[split:]
+    return head, tail
 
 
 def _row_index(index, n_rows: int, op: str) -> np.ndarray:

@@ -286,6 +286,10 @@ def restore_model(checkpoint, given=None) -> tuple[Recommender, SplitDataset, Ru
     run_config = Path(checkpoint).with_name("resolved_config.txt")
     if not run_config.is_file():
         raise DataFormatError(f"no run configuration at {run_config}")
+    try:  # resolved alone first, so that its own faults are data faults
+        resolve_config(str(run_config), {})
+    except ConfigError as err:
+        raise DataFormatError(f"damaged run configuration {run_config}: {err}") from None
     cfg = resolve_config(str(run_config), given)
     log("\n  ".join(["resolved configuration:", *cfg.lines()]))
     ds, split, model = prepare_run(cfg)

@@ -225,7 +225,8 @@ def test_c08_reduction_factor_accounting(tmp_path_factory):
 def test_c09_exact_ablation_code_paths():
     from test_model import tiny_model
     from alignrec.model import encode_items, reduce_modalities
-    from alignrec.tensor import add, mul, scale, sum_all
+    from alignrec.diagnostics import inner
+    from alignrec.tensor import add, scale
 
     started = time.perf_counter()
     model, batch, _ = tiny_model(variant="no-ga")
@@ -234,7 +235,7 @@ def test_c09_exact_ablation_code_paths():
     expected = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
     reg = None
     for p in model.params.regularized():
-        term = sum_all(mul(p, p))
+        term = inner(p, p.data)
         reg = term if reg is None else add(reg, term)
     expected = add(expected, scale(reg, model.hp.lambda_reg))
     assert loss.item() == expected.item()

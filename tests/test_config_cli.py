@@ -111,12 +111,16 @@ def test_quoted_config_value_keeps_its_hash(tmp_path):
     assert (cfg.out, cfg.seed) == ("r#x", 4)
 
 
-def subcommand_flags(command: str) -> dict[str, list[str]]:
-    """Each destination of `command`'s options with their spellings."""
+def subcommand_actions(command: str) -> list[argparse.Action]:
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]._actions
+
+
+def subcommand_flags(command: str) -> dict[str, list[str]]:
+    """Each destination of `command`'s options with their spellings."""
     flags = {}
-    for action in sub.choices[command]._actions:
+    for action in subcommand_actions(command):
         flags.setdefault(action.dest, []).extend(action.option_strings)
     return flags
 
@@ -139,6 +143,19 @@ def test_every_field_has_exactly_one_flag():
             spelling = "--ks" if name == "eval_ks" else "--" + name.replace("_", "-")
             assert flags[name] == [spelling]
     assert restore == {"interactions", "visual", "text", "eval_ks", "checkpoint"}
+
+
+def test_restore_help_names_the_run_as_the_default():
+    """A restore's `--checkpoint` is required and its other fields default
+    to the run's own values, not to the built-in defaults `train` prints."""
+    for command in ("evaluate", "align-stats"):
+        helps = {a.dest: a.help for a in subcommand_actions(command)
+                 if a.dest in train.RESTORE_FIELDS}
+        assert helps.pop("checkpoint") == "str | None, required"
+        assert helps and all(h.endswith(", default: the run's own value")
+                             for h in helps.values()), command
+    train_helps = {a.dest: a.help for a in subcommand_actions("train")}
+    assert train_helps["eval_ks"] == "tuple[int, ...], comma-separated, default [10, 20]"
 
 
 def test_flags_and_config_file_resolve_alike(demo, tmp_path, capsys):
@@ -531,6 +548,29 @@ def test_restore_without_run_config_exits_3(demo, tmp_path, capsys):
             f"error: no run configuration at {lone.parent / 'resolved_config.txt'}\n"
     assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "none.mrec")]) == 3
     assert "none.mrec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", [lambda text: text + "bogus = 1\n",
+                                    lambda text: text.replace("\nseed = 0\n",
+                                                              "\nseed = abc\n")],
+                         ids=["unknown-key", "bad-value"])
+def test_damaged_run_config_exits_3(demo, tmp_path, capsys, damage):
+    """A fault in the run's own resolved_config.txt is a data fault, named
+    by that file; a bad restore flag stays a usage fault."""
+    run = tmp_path / "run"
+    train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(run)])
+    evaluate = ["evaluate", "--checkpoint", str(run / "checkpoint.mrec")]
+    assert main([*evaluate, "--ks", "0"]) == 2
+    assert "eval_ks" in capsys.readouterr().err
+    config = run / "resolved_config.txt"
+    text = config.read_text()
+    config.write_text(damage(text))
+    assert config.read_text() != text
+    for command in (evaluate, ["align-stats", *evaluate[1:]]):
+        assert main(command) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: damaged run configuration {config}: ")
+        assert err.count("\n") == 1
 
 
 def test_restore_model_sets_only_the_restore_fields(demo, tmp_path, capsys):

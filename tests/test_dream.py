@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from alignrec.diagnostics import inner
 from alignrec.dream import (
     BRANCHES,
     DreamParams,
@@ -22,8 +23,6 @@ from alignrec.tensor import (
     Tensor,
     UsageError,
     backward,
-    mul,
-    sum_all,
 )
 
 
@@ -203,10 +202,10 @@ def test_dream_forward_gradient_check():
                     dilations=(6, 12, 18))
     rows = Tensor(np.random.default_rng(12).standard_normal((3, 16)),
                   requires_grad=True)
-    probe = Tensor(np.random.default_rng(13).standard_normal((3, 16)))
+    probe = np.random.default_rng(13).standard_normal((3, 16))
 
     def f():
-        return sum_all(mul(dream_forward(rows, params), probe))
+        return inner(dream_forward(rows, params), probe)
 
     report = grad_check(f, {"rows": rows, **params.named("p")}, tol=1e-5)
     assert report.passed, report.max_rel_error
@@ -281,9 +280,9 @@ def test_dream_forward_ties_route_gradient_to_channel_attention():
     params.spatial_kernel.data[:] = 0.0   # spatial gate exactly 0.5
     params.spatial_bias.data[:] = 0.0
     rows = Tensor(np.random.default_rng(17).standard_normal((3, D)))
-    probe = Tensor(np.random.default_rng(18).standard_normal((3, D)))
+    probe = np.random.default_rng(18).standard_normal((3, D))
     with Tape() as tape:
-        loss = sum_all(mul(dream_forward(rows, params), probe))
+        loss = inner(dream_forward(rows, params), probe)
     backward(loss, tape)
     # every entry ties, so the spatial branch receives no gradient at all
     assert np.array_equal(params.spatial_kernel.grad, np.zeros((1, 1)))
@@ -323,7 +322,7 @@ def taped_digest(n, d, param_seed, data_seed, unread=None):
         probe[unread] = 0.0
     with Tape() as tape:
         out = dream_forward(rows, params)
-        loss = sum_all(mul(out, Tensor(probe)))
+        loss = inner(out, probe)
     backward(loss, tape)
     digest = hashlib.sha256(out.data.tobytes() + rows.grad.tobytes())
     for p in params.named("p").values():
@@ -343,7 +342,7 @@ def test_dream_backward_replays_once():
     _, params = make(seed=25)
     rows = Tensor(np.random.default_rng(26).standard_normal((4, D)), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(dream_forward(rows, params))
+        loss = inner(dream_forward(rows, params), np.ones((4, D)))
     backward(loss, tape)
     with pytest.raises(UsageError, match="already replayed"):
         backward(loss, tape)

@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from alignrec.align import logsumexp_rows, mmd_squared, sqdist
+from alignrec.diagnostics import inner
 from alignrec.dream import (
     _channel_sum,
     _dilated_grads,
@@ -21,7 +22,7 @@ from alignrec.dream import (
 )
 from alignrec.model import propagate
 from alignrec.optim import AdamState, adam_step
-from alignrec.tensor import Tape, Tensor, _make_out, add, backward, gather_rows, mul, sum_all
+from alignrec.tensor import Tape, Tensor, _make_out, add, backward, gather_rows
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                     2.2250738585072014e-308, -1e-310, 1.0, -1.0, 1.7e308, -1.7e308])
@@ -119,7 +120,7 @@ def test_gather_rows_backward_matches_add_at():
         np.add.at(expected, idx, g)
         src = Tensor(np.zeros((rows, d)), requires_grad=True)
         with Tape() as tape, np.errstate(invalid="ignore"):  # 0 * inf
-            loss = sum_all(mul(gather_rows(src, idx), Tensor(g)))
+            loss = inner(gather_rows(src, idx), g)
         backward(loss, tape)
         assert same_bits(src.grad, np.zeros((rows, d)) + expected), case
 
@@ -143,8 +144,7 @@ def test_spmm_transpose_view_matches_converted_transpose():
         item_emb = Tensor(rng.standard_normal((n - n_users, 3)), requires_grad=True)
         with Tape() as tape:
             p, q = propagate(user_emb, item_emb, op, 1)
-            loss = add(sum_all(mul(p, Tensor(g[:n_users]))),
-                       sum_all(mul(q, Tensor(g[n_users:]))))
+            loss = add(inner(p, g[:n_users]), inner(q, g[n_users:]))
         backward(loss, tape)
         t = g * 0.5  # the one-hop mean's gradient
         expected = np.zeros((n, 3)) + (t + op.T.tocsr() @ t)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from alignrec.diagnostics import inner
 from alignrec.errors import ConfigError, DataFormatError
 from alignrec.gradcheck import grad_check
 from alignrec.model import (
@@ -32,9 +33,7 @@ from alignrec.tensor import (
     UsageError,
     add,
     backward,
-    mul,
     scale,
-    sum_all,
 )
 
 from test_align import _taped
@@ -128,11 +127,10 @@ def test_encode_items_bypass_is_bit_identical_to_reduction():
 
 
 def test_encode_items_shapes_and_gradients_flow():
-    from alignrec.tensor import Tape, backward, sum_all
     model, _, _ = tiny_model()
     with Tape() as tape:
         h_v, h_t = encode_items(model.x_visual, model.x_text, model.params)
-        loss = sum_all(h_v) if h_t is None else sum_all(h_v)
+        loss = inner(h_v, np.ones(h_v.shape))
     assert h_v.shape == (8, 16) and h_t.shape == (8, 16)
     backward(loss, tape)
     assert np.any(model.params.branches["visual"].reduce.grad != 0.0)
@@ -311,7 +309,6 @@ def test_total_loss_is_weighted_sum_of_independent_terms():
 
 
 def test_no_ga_variant_is_bit_identical_to_bpr_plus_reg():
-    from alignrec.tensor import add, mul, scale, sum_all
     model, batch, _ = tiny_model(variant="no-ga")
     loss, _ = model.total_loss(batch)
 
@@ -319,7 +316,7 @@ def test_no_ga_variant_is_bit_identical_to_bpr_plus_reg():
     expected = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
     reg = None
     for p in model.params.regularized():
-        term = sum_all(mul(p, p))
+        term = inner(p, p.data)
         reg = term if reg is None else add(reg, term)
     expected = add(expected, scale(reg, model.hp.lambda_reg))
     assert loss.item() == expected.item()
@@ -413,7 +410,7 @@ def _propagate_case():
     operator = build_propagation_operator(pairs, 4, 6)
     user_emb = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
     item_emb = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
-    probes = (Tensor(rng.standard_normal((4, 5))), Tensor(rng.standard_normal((6, 5))))
+    probes = (rng.standard_normal((4, 5)), rng.standard_normal((6, 5)))
     return user_emb, item_emb, operator, probes
 
 
@@ -435,9 +432,34 @@ def test_propagate_bits_match_per_op_tape(layers):
 
     def loss():
         p, q = propagate(user_emb, item_emb, operator, layers)
-        return add(sum_all(mul(p, user_probe)), sum_all(mul(q, item_probe)))
+        return add(inner(p, user_probe), inner(q, item_probe))
 
     assert _taped(loss, (user_emb, item_emb)) == PROPAGATE_DIGESTS[layers]
+
+
+# Recorded before propagation's outputs became row views, when each was cut
+# from the node by a slicing node of its own (x86-64, numpy 2.4, OpenBLAS).
+ONE_OUTPUT_DIGESTS = {
+    (1, "users"): "4fdb5a687bafaff4a3abf608ed539d7d82fe25cdcd40451281985db8861aa848",
+    (1, "items"): "c7376c37b8c1ccc99d8b951b4d46dfda6f1668300d697bf180f7fe03e19400f8",
+    (3, "users"): "d94e723100b1e7da5b67a38c46d9a75f67a22a0d7aa657ee77c37448dbef3ff3",
+    (3, "items"): "7a115fbe43029839fde8573cdd75c316a44bd3c67a3fa47f7ec394f25309a8f1",
+}
+
+
+@pytest.mark.parametrize("layers,read", list(ONE_OUTPUT_DIGESTS), ids=str)
+def test_propagate_loss_of_one_output_reaches_both_embeddings(layers, read):
+    """A loss that reads only the user rows, or only the item rows, still
+    gives both embeddings their gradients through the graph, and the rows it
+    does not read add zeros."""
+    user_emb, item_emb, operator, probes = _propagate_case()
+    which = ("users", "items").index(read)
+
+    def loss():
+        return inner(propagate(user_emb, item_emb, operator, layers)[which],
+                     probes[which])
+
+    assert _taped(loss, (user_emb, item_emb)) == ONE_OUTPUT_DIGESTS[layers, read]
 
 
 def _recorded(f) -> list[str]:
@@ -455,16 +477,22 @@ def test_bpr_and_l2_record_one_tape_node():
 
 
 def test_propagate_records_one_node_and_two_slices():
+    """The two slices are row views of the node's output, not nodes, and
+    their gradients row views of the node's gradient."""
     user_emb, item_emb, operator, _ = _propagate_case()
-    assert _recorded(lambda: propagate(user_emb, item_emb, operator, 3)) == \
-        ["propagate", "slice_rows", "slice_rows"]
+    with Tape() as tape:
+        p, q = propagate(user_emb, item_emb, operator, 3)
+    (mean, _, _), = tape._nodes
+    assert p.data.base is mean.data and q.data.base is mean.data
+    assert p.grad.base is mean.grad and q.grad.base is mean.grad
+    assert _recorded(lambda: propagate(user_emb, item_emb, operator, 3)) == ["propagate"]
 
 
-def test_training_step_records_25_tape_nodes():
-    """Propagation 3, encoding 4, fusion 5, BPR 2, alignment rows 2, MMD 3,
+def test_training_step_records_23_tape_nodes():
+    """Propagation 1, encoding 4, fusion 5, BPR 2, alignment rows 2, MMD 3,
     InfoNCE 3 and l2 3."""
     model, batch, _ = tiny_model()
-    assert len(_recorded(lambda: model.total_loss(batch))) == 25
+    assert len(_recorded(lambda: model.total_loss(batch))) == 23
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import alignrec
 from alignrec.align import normalize_rows
-from alignrec.diagnostics import build_suite
+from alignrec.diagnostics import build_suite, inner
 from alignrec.dream import dilated_conv, pointwise_conv
 from alignrec.errors import NumericalError
 from alignrec.gradcheck import grad_check
@@ -27,11 +27,8 @@ from alignrec.tensor import (
     backward,
     gather_rows,
     matmul,
-    mul,
     scale,
-    slice_rows,
     stable_sigmoid,
-    sum_all,
 )
 
 
@@ -58,7 +55,8 @@ def analytic_grad(f, t: Tensor) -> np.ndarray:
 
 
 def sum_sq(t: Tensor) -> Tensor:
-    return sum_all(mul(t, t))
+    """The sum of squares as one node, a scalar that is not linear in `t`."""
+    return _make_out((t.data * t.data).sum(), (t,), lambda g: (g * 2.0 * t.data,))
 
 
 def assert_grad_matches(f, t: Tensor, tol: float = 1e-5):
@@ -174,20 +172,11 @@ def test_sigmoid_symmetry_point():
         assert np.array_equal(stable_sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0])
 
 
-def test_mul_channel_broadcast_matches_loop():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 5))
-    weights = rng.standard_normal((3, 1))
-    expected = np.zeros_like(a)
-    for c in range(3):
-        for l in range(5):
-            expected[c, l] = a[c, l] * weights[c, 0]
-    assert np.max(np.abs(mul(Tensor(a), Tensor(weights)).data - expected)) <= 1e-12
-
-
 def test_binary_shape_error():
-    with pytest.raises(DimensionError):
-        mul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+    """`add` does not broadcast: shapes numpy would broadcast are refused too."""
+    for shape in ((4, 5), (2, 1), (3,)):
+        with pytest.raises(DimensionError, match=r"\(2, 3\)"):
+            add(Tensor(np.ones((2, 3))), Tensor(np.ones(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +210,7 @@ def test_l2_normalize_rows_unit_norm(row):
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(6).standard_normal((3, 4)), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(x)
+        loss = inner(x, np.ones((3, 4)))
     backward(loss, tape)
     assert np.array_equal(x.grad, np.ones((3, 4)))
 
@@ -245,11 +234,11 @@ def test_backward_rejects_non_scalar():
 def test_backward_accumulates_without_reset():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        loss = sum_all(x)
+        loss = inner(x, np.ones(3))
     backward(loss, tape)
     first = x.grad.copy()
     with Tape() as tape2:
-        loss2 = sum_all(x)
+        loss2 = inner(x, np.ones(3))
     backward(loss2, tape2)
     assert np.array_equal(x.grad, 2 * first)
 
@@ -279,7 +268,7 @@ def test_tape_entered_again_replays_as_one_block():
 
     def loss_of(h):
         rows = gather_rows(h, np.array([0, 2, 2, 4]))
-        return sum_all(mul(rows, scale(rows, 0.5)))
+        return sum_sq(add(rows, scale(rows, 0.5)))
 
     x, w = leaves()
     with Tape() as tape:
@@ -303,10 +292,10 @@ def test_backward_drops_every_node_and_what_it_saved():
     """The replay pops each node, so what a node saved dies before the step
     ends, and the tape stays single-use."""
     x = Tensor(np.ones(3), requires_grad=True)
-    factor = np.full(3, 2.0)  # saved by the `mul` node alone
+    factor = np.full(3, 2.0)  # saved by the `inner` node alone
     saved = weakref.ref(factor)
     with Tape() as tape:
-        loss = sum_all(mul(x, Tensor(factor)))
+        loss = inner(scale(x, 1.0), factor)
     del factor
     assert saved() is not None and len(tape) == 2
     backward(loss, tape)
@@ -332,12 +321,12 @@ def test_composite_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    v = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    v = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
 
     def f():
         a = matmul(x, w)  # `a` has two consumers
-        b = mul(mul(a, a), v)
-        return sum_all(mul(add(b, scale(a, -0.5)), v))
+        b = matmul(matmul(a, v), v)
+        return sum_sq(add(b, scale(gather_rows(a, np.array([2, 0, 2])), -0.5)))
 
     for t in (x, w, v):
         assert_grad_matches(f, t)
@@ -367,19 +356,14 @@ def _case(name, build):
     PRIMITIVE_CASES.append(pytest.param(build, id=name))
 
 
-_case("add_broadcast", lambda: (lambda a, b: sum_sq(add(a, b)),
-                                [_rand((3, 4), 1), _rand((3, 1), 2)]))
-_case("mul", lambda: (lambda a, b: sum_all(mul(a, b)),
-                      [_rand((2, 5), 5), _rand((2, 1), 6)]))
-_case("scale", lambda: (lambda a: sum_all(scale(a, -1.7)), [_rand((4,), 7)]))
-_case("slice_rows", lambda: (lambda a: sum_sq(slice_rows(a, 1, 3)),
-                             [_rand((4, 3), 20)]))
+_case("add", lambda: (lambda a, b: sum_sq(add(a, b)),
+                      [_rand((3, 4), 1), _rand((3, 4), 2)]))
+_case("scale", lambda: (lambda a: sum_sq(scale(a, -1.7)), [_rand((4,), 7)]))
 _case("gather_rows",
       lambda: (lambda a: sum_sq(gather_rows(a, np.array([0, 2, 2, 1]))),
                [_rand((3, 4), 21)]))
 _case("matmul", lambda: (lambda a, b: sum_sq(matmul(a, b)),
                          [_rand((3, 4), 25), _rand((4, 2), 26)]))
-_case("sum_all", lambda: (lambda a: sum_sq(sum_all(a)), [_rand((3, 2), 23)]))
 
 
 @pytest.mark.parametrize("build", PRIMITIVE_CASES)
@@ -402,18 +386,19 @@ def _make_out_callers(path: Path) -> set[str]:
 
 
 def test_every_tape_node_has_a_gradient_check():
-    """Each tensor.py primitive has a case above (named after it, optionally
-    with a suffix for the variant it checks); each block fused into one node
-    elsewhere in the package is an entry of the gradcheck suite."""
+    """The engine keeps four primitives, each with a case above named after
+    it; each block fused into one node elsewhere in the package is an entry
+    of the gradcheck suite. The suite's own probe node, which turns the
+    refinement block's output into a scalar, is not a model block."""
     package = Path(alignrec.__file__).parent
-    case_ids = [case.id for case in PRIMITIVE_CASES]
     primitives = _make_out_callers(package / "tensor.py")
-    unchecked = {name for name in primitives
-                 if not any(i == name or i.startswith(name + "_") for i in case_ids)}
+    assert primitives == {"add", "scale", "gather_rows", "matmul"}
+    unchecked = primitives - {case.id for case in PRIMITIVE_CASES}
     assert not unchecked, f"primitives without a gradient case: {sorted(unchecked)}"
 
+    assert _make_out_callers(package / "diagnostics.py") == {"inner"}
     fused = set().union(*(_make_out_callers(path) for path in package.glob("*.py")
-                          if path.name != "tensor.py"))
+                          if path.name not in ("tensor.py", "diagnostics.py")))
     assert {"dream_forward", "mmd_squared", "infonce", "bpr_loss", "l2_penalty",
             "propagate"} <= fused
     suite = {name for name, _, _ in build_suite(0)}
