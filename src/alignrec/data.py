@@ -28,6 +28,7 @@ from .tensor import ParameterError
 
 FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
+FMAT_MAX_EXTENT = 2 ** 32 - 1  # the header holds rows and cols as u32
 
 
 @dataclass
@@ -246,6 +247,14 @@ class SynthSpec:
                      "visual_dim", "text_dim"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be positive")
+        # latents.fmat stacks users over items; the other counts are columns
+        for name, count in (("users + items", self.users + self.items),
+                            ("latent_dim", self.latent_dim),
+                            ("visual_dim", self.visual_dim),
+                            ("text_dim", self.text_dim)):
+            if count > FMAT_MAX_EXTENT:
+                raise ParameterError(f"{name} must be <= {FMAT_MAX_EXTENT} for an "
+                                     f"FMAT header, got {count}")
         if not 0 <= self.noise < np.inf:
             raise ParameterError(f"noise must be finite and >= 0, got {self.noise}")
         if self.seed < 0:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import Tensor, _make_out, _unbroadcast, stable_sigmoid
+from .tensor import Tensor, _make_out, stable_sigmoid
 
 if TYPE_CHECKING:
     from .model import HyperParams
@@ -167,6 +167,18 @@ def _channel_sum(*maps: np.ndarray) -> np.ndarray:
     if maps[0].shape[-1] == 1:
         return reduce(np.multiply, maps).sum(axis=-2)
     return np.einsum(",".join(["...cl"] * len(maps)) + "->...l", *maps)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient down to `shape`, undoing numpy broadcasting. An axis
+    already of length 1 is never summed: numpy's sum starts from +0.0, so
+    at d = 1 a lone -0.0 would come out +0.0 and change the bits."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
 
 
 def multi_scale(x: np.ndarray, params: DreamParams):

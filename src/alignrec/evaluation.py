@@ -59,75 +59,42 @@ def pair_mask(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
     return mask
 
 
-# Candidates judged per step (one 64-bit word of a step's row), and the
-# rejections one step resolves.
-_WINDOW, _SHIFTS = 64, 16
-
-
 def sample_negatives(users: np.ndarray, positive: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Per user, a uniform draw over the items not marked in its row of the
     `pair_mask` `positive`, equal draw for draw to the loop where each user
     in turn calls `rng.integers(0, n_items)` until the item is not a
     positive, or after 100 rejections picks from its complement. A block
-    holds one candidate per user still without a negative, so the loop
-    would draw all of them.
-
-    A step judges a window of `_WINDOW` candidates under each of `_SHIFTS`
-    shifts in one gather (shift s: every candidate s users back, where it
-    lands after s rejections) and walks its first `_SHIFTS` rejections, so a
-    user that rejects often costs one step per `_SHIFTS` rejections, not one
-    per rejection.
+    holds one draw per user still without a negative, so the loop would
+    draw all of them, and hands them out in order: a rejected draw leaves
+    the same user to take the next one, in this block or the next. At the
+    100th rejection the generator is rewound to the draws used, and a new
+    block follows the user's pick from its complement.
 
     Training builds the mask once per run from its training pairs: one byte
     per (user, item) pair, about 6 MB for 3000 users and 2000 items."""
     n_items = positive.shape[1]
-    flat = positive.reshape(-1)
-    rows = users * n_items  # each user's offset into the flat mask
-    # shifted[i, s] is the offset of user i - s: a step's row s judges
-    # window position j by user t + j - s, the user that candidate reaches
-    # after s rejections in the window. Offsets below user t are never read.
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((np.zeros(_SHIFTS, dtype=np.int64), rows)), _SHIFTS)[1:, ::-1]
+    flat = memoryview(positive.reshape(-1))  # reads faster than ndarray.item
+    rows = (users * n_items).tolist()  # each user's offset into the flat mask
     out = np.empty(len(users), dtype=np.int64)
-    t = tries = 0  # first user without a negative, and its rejections
-    grid = np.empty((_SHIFTS, _WINDOW), dtype=bool)
-    while t < len(users):
+    done = tries = 0  # users with a negative, and the next one's rejections
+    while done < len(users):
         saved = rng.bit_generator.state
-        block = rng.integers(0, n_items, size=len(users) - t)
-        c = 0  # candidates of the block used so far
-        while c < len(block):
-            w = min(_WINDOW, len(block) - c)
-            grid[:, :w] = flat[shifted[t:t + w].T + block[c:c + w]]
-            grid[:, w:] = False
-            # Row s as an int whose bit j is set where position j is rejected.
-            masks = np.packbits(grid, axis=1, bitorder="little").view("<u8")
-            rejections = []  # window positions rejected, in order
-            e = 0  # first window position not yet judged
-            for mask in masks.ravel().tolist():
-                x = mask >> e
-                if not x:  # every candidate from e on is accepted
-                    end, tries = w, tries if e == w else 0
-                    break
-                p = e + (x & -x).bit_length() - 1
-                tries = tries + 1 if p == e else 1  # p == e: the same user
-                rejections.append(p)
-                e = end = p + 1
-                if tries == 100:
-                    break
-            run = 0  # start of the accepted run before each rejection
-            for p in rejections + [end]:
-                out[t:t + p - run] = block[c + run:c + p]
-                t, run = t + p - run, p + 1
-            c += end
+        block = rng.integers(0, n_items, size=len(users) - done).tolist()
+        for used, item in enumerate(block, 1):
+            if not flat[rows[done] + item]:
+                out[done] = item
+                done, tries = done + 1, 0
+                continue
+            tries += 1
             if tries == 100:
                 rng.bit_generator.state = saved
-                rng.integers(0, n_items, size=c)
-                complement = np.flatnonzero(~positive[users[t]])
+                rng.integers(0, n_items, size=used)
+                complement = np.flatnonzero(~positive[users[done]])
                 if len(complement) == 0:
-                    raise UsageError(f"user {users[t]} interacted with every item")
-                out[t] = complement[rng.integers(0, len(complement))]
-                t, tries = t + 1, 0
+                    raise UsageError(f"user {users[done]} interacted with every item")
+                out[done] = complement[rng.integers(0, len(complement))]
+                done, tries = done + 1, 0
                 break
     return out
 
@@ -263,11 +230,14 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
                            == ranked_keys)
     discount = np.array([1.0 / math.log2(pos + 2) for pos in range(cut)])
     ideal_dcg = np.cumsum(discount)  # [n - 1]: DCG of n hits on top
-    at = np.minimum(ks, cut) - 1
+    # A cutoff above the catalog ranks it whole; clamped in Python, since a
+    # cutoff beyond int64 would make numpy build an object array.
+    clamped = [min(k, cut) for k in ks]
+    at = np.array(clamped) - 1
     metrics = np.hstack((
         np.cumsum(hit, axis=1)[:, at] / n_relevant[:, None],
         np.cumsum(hit * discount, axis=1)[:, at]
-        / ideal_dcg[np.minimum(ks, n_relevant[:, None]) - 1]))
+        / ideal_dcg[np.minimum(clamped, n_relevant[:, None]) - 1]))
     # One sequential sum per column, from 0.0 in ascending user order.
     sums = np.cumsum(np.vstack((np.zeros(metrics.shape[1]), metrics)), axis=0)[-1]
     names = [f"recall@{k}" for k in ks] + [f"ndcg@{k}" for k in ks]

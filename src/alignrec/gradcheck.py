@@ -14,9 +14,7 @@ from .tensor import ParameterError, Tape, Tensor, backward
 @dataclass
 class GradCheckReport:
     tol: float
-    h: float
     max_rel_error: dict[str, float] = field(default_factory=dict)
-    checked_coords: dict[str, int] = field(default_factory=dict)
 
     @property
     def worst(self) -> float:
@@ -62,7 +60,7 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
     analytic = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                 for name, p in params.items()}
 
-    report = GradCheckReport(tol=tol, h=h)
+    report = GradCheckReport(tol=tol)
     for name, p in params.items():
         flat = p.data.reshape(-1)
         size = flat.size
@@ -88,5 +86,4 @@ def grad_check(f, params: dict[str, Tensor], h: float = 1e-6, tol: float = 1e-5,
             denom = max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, abs(a - numeric) / denom)
         report.max_rel_error[name] = worst
-        report.checked_coords[name] = len(coords)
     return report

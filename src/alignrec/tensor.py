@@ -190,16 +190,6 @@ def _accumulate(inputs: tuple[Tensor, ...], grads) -> None:
             t.accumulate_grad(g)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-x)), branching on sign so that exp never overflows."""
     e = np.exp(-np.abs(x))

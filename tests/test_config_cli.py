@@ -797,9 +797,14 @@ def test_missing_feature_path_exits_2_before_any_file_is_read(
     ["gradcheck", "--h", "0"],
     ["gradcheck", "--tol", "nan"],
     ["gradcheck", "--tol", "-1"],
+    ["synth", "--users", "100000000000000000000"],
+    ["synth", "--visual-dim", "100000000000000000000"],
+    ["synth", "--latent-dim", "100000000000000000000"],
 ], ids=["synth-seed-negative", "synth-noise-nan", "synth-noise-inf",
         "gradcheck-seed-negative",
-        "gradcheck-h-zero", "gradcheck-tol-nan", "gradcheck-tol-negative"])
+        "gradcheck-h-zero", "gradcheck-tol-nan", "gradcheck-tol-negative",
+        "synth-users-beyond-u32", "synth-visual-dim-beyond-u32",
+        "synth-latent-dim-beyond-u32"])
 def test_invalid_synth_or_gradcheck_value_exits_2(tmp_path, capsys, command):
     out = tmp_path / "data"
     if command[0] == "synth":

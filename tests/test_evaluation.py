@@ -227,19 +227,22 @@ def test_sample_negatives_matches_scalar_loop(case, seed):
 
 
 def test_sample_negatives_fallback_mid_batch_matches_scalar_loop():
-    # user 1 has one free item in 500, so most of its triples reach the
-    # 100-rejection fallback; the batch spans several 64-candidate windows
+    # User 1 has one free item in 500, so most of its triples reach the
+    # 100-rejection fallback: in the 400-user batch the rewind lands in the
+    # middle of a block and the next block starts after it. The one-user
+    # batch draws blocks of one draw, so its rejections carry across 100
+    # blocks and the fallback lands on a block's last draw.
     positives = [set(range(0, 500, 7)), set(range(499)), set()]
-    users = np.random.default_rng(5).integers(0, 3, size=400)
-    for seed in range(3):
-        assert_matches_scalar_loop(500, positives, users, seed)
+    for users in (np.random.default_rng(5).integers(0, 3, size=400), np.array([1])):
+        for seed in range(3):
+            assert_matches_scalar_loop(500, positives, users, seed)
 
 
 def test_sample_negatives_dense_users_match_scalar_loop():
-    # Users 1 and 2 have 3 and 1 free items in 60, so their rejections turn
-    # the window steps dense; user 2's runs often reach the 100-rejection
-    # fallback inside a dense step and mid-block, and runs of both cross
-    # block ends. User 0 keeps ordinary steps between them.
+    # Users 1 and 2 have 3 and 1 free items in 60, so most of their draws
+    # are rejected and their runs of rejections often cross block ends;
+    # user 2's runs often reach the 100-rejection fallback mid-block. User 0
+    # mostly accepts its first draw between them.
     positives = [set(range(0, 60, 9)), set(range(60)) - {7, 30, 44}, set(range(59))]
     users = np.random.default_rng(7).integers(0, 3, size=600)
     for seed in range(3):
@@ -611,6 +614,7 @@ def test_evaluate_cutoff_above_catalog_size():
     for block_entries in (5, 15, 1 << 19):
         evaluate_both(users, items, split, (3, 10), block_entries)
         evaluate_both(users, items, split, (7,), block_entries)
+        evaluate_both(users, items, split, (3, 10 ** 20), block_entries)
 
 
 def test_evaluate_overflowing_scores_warn_nothing():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it does not use."""
+"""Source hygiene: no module of the package and no script imports a name it
+does not use."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import alignrec
 
 PACKAGE = Path(alignrec.__file__).parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +33,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
