@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from alignrec.config import RunConfig
 from alignrec.data import SynthSpec, synth_generate
 from alignrec.diagnostics import align_stats
-from alignrec.model import Recommender
+from alignrec.model import VARIANTS
 from alignrec.train import restore_model, run_training
 
 
@@ -41,7 +41,7 @@ def main() -> int:
           f"density {dataset['density']:.3f}", file=sys.stderr)
 
     results = {}
-    for variant in Recommender.VARIANTS:
+    for variant in VARIANTS:
         per_seed = []
         for seed in seeds:
             cfg = RunConfig(interactions=dataset["interactions"],

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: train, evaluate, ablate, gradcheck, align-stats, synth.
+Subcommands: train, evaluate, gradcheck, align-stats, synth. `train
+--variant` trains one ablation variant.
 Metrics and results are JSON lines on stdout; logs go to stderr.
 Exit codes: 0 success, 2 usage or config error or memory that cannot be
 allocated, 3 data or format error,
@@ -23,7 +24,6 @@ from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import evaluate
-from .model import Recommender
 from .tensor import DimensionError, ParameterError, UsageError
 from .train import RESTORE_FIELDS, log, restore_model, run_training
 
@@ -36,8 +36,8 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command SIGPIPE killed
 
 # Flags not spelled `--<field-name-with-dashes>`.
 _SPELLINGS = {"eval_ks": "--ks"}
-# `train` takes every field but a restore's checkpoint and `ablate`'s variant.
-_TRAIN_FIELDS = [f.name for f in fields(RunConfig) if f.name not in ("checkpoint", "variant")]
+# `train` takes every field but a restore's checkpoint.
+_TRAIN_FIELDS = [f.name for f in fields(RunConfig) if f.name != "checkpoint"]
 
 
 def _read_config_flag(annotation: str):
@@ -122,12 +122,10 @@ def cmd_synth(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alignrec",
-        description="multimodal alignment recommender: train, evaluate, ablate")
+        description="multimodal alignment recommender: train, evaluate, diagnose")
     sub = parser.add_subparsers(dest="command", required=True)
 
     _config_command(sub, "train", "train and save the best checkpoint", cmd_train)
-    p_ablate = _config_command(sub, "ablate", "train one ablation variant", cmd_train)
-    p_ablate.add_argument("--variant", required=True, choices=Recommender.VARIANTS)
     _config_command(sub, "evaluate", "test-split metrics for a checkpoint",
                     cmd_evaluate, RESTORE_FIELDS)
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .model import HyperParams, Recommender
+from .model import HyperParams
 
 # Smallest value each run count and the seed accept; the model's own counts
 # are checked by `HyperParams`.
@@ -41,8 +41,6 @@ class RunConfig(HyperParams):
     patience: int = 20
     # evaluation
     eval_ks: tuple[int, ...] = (10, 20)
-    # ablation
-    variant: str = "full"
 
     def __post_init__(self):
         super().__post_init__()
@@ -56,7 +54,6 @@ class RunConfig(HyperParams):
                 or len(set(self.eval_ks)) != len(self.eval_ks):
             raise ConfigError(f"eval_ks must be non-empty distinct cutoffs >= 1, "
                               f"got {format_value(self.eval_ks)}")
-        Recommender.modalities_for(self.variant)  # rejects an unknown variant
 
     def lines(self) -> list[str]:
         return [f"{f.name} = {format_value(getattr(self, f.name))}"
@@ -113,7 +110,7 @@ def parse_config_file(path) -> dict:
     values = {}
     known = {f.name for f in fields(RunConfig)}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = list(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: "

@@ -2,7 +2,8 @@
 
 File formats:
   interactions  UTF-8 text, one ``user<TAB>item`` per line; blank lines and
-                lines starting with ``#`` are skipped.
+                lines starting with ``#`` are skipped, and so is a leading
+                byte-order mark.
   FMAT          magic ``FMAT``, u32 version=1, u32 rows, u32 cols, then
                 rows*cols little-endian float32 values, row-major.
   mapping TSV   ``token<TAB>dense_id`` per line.
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, NumericalError
 from .evaluation import top_k
 from .tensor import ParameterError
 
@@ -44,7 +45,7 @@ class RawInteractions:
 def load_interactions(path) -> RawInteractions:
     seen: dict[tuple[str, str], None] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):
@@ -134,15 +135,30 @@ def save_mapping(path, tokens: list[str]) -> None:
             fh.write(f"{token}\t{dense_id}\n")
 
 
-def save_fmat(path, values: np.ndarray) -> None:
+def fmat_values(path, values: np.ndarray) -> np.ndarray:
+    """`values` as the little-endian float32 rows an FMAT file at `path`
+    holds; raises NumericalError naming the first row with a finite value
+    past float32's range, which the cast would turn into an infinity."""
     values = np.asarray(values)
     if values.ndim != 2:
         raise DataFormatError(f"feature matrix must be 2-d, got shape {values.shape}")
-    rows, cols = values.shape
+    with np.errstate(over="ignore"):
+        out = np.ascontiguousarray(values, dtype="<f4")
+    bad_rows = np.flatnonzero((np.isinf(out) & np.isfinite(values)).any(axis=1))
+    if bad_rows.size:
+        raise NumericalError(f"{path}: row {bad_rows[0]} holds a value past "
+                             f"float32's range")
+    return out
+
+
+def save_fmat(path, values: np.ndarray) -> None:
+    """Write `values` through `fmat_values`, so a value past float32's range
+    fails before the file is opened."""
+    values = fmat_values(path, values)
     with atomic_open(path, "wb") as fh:
         fh.write(FMAT_MAGIC)
-        fh.write(struct.pack("<III", FMAT_VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        fh.write(struct.pack("<III", FMAT_VERSION, *values.shape))
+        fh.write(values.tobytes())
 
 
 def load_fmat(path) -> np.ndarray:
@@ -272,10 +288,10 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     `top_k`, which asks for the users x items affinity one block of users at
     a time, so it is never held whole. latents.fmat stacks user latents
     (first `users` rows) over item latents. Item tokens are the feature row
-    indices.
+    indices. The three matrices are checked (`fmat_values`) before `out_dir`
+    is made or any file is written.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
     user_latents = rng.standard_normal((spec.users, spec.latent_dim))
     item_latents = rng.standard_normal((spec.items, spec.latent_dim))
@@ -290,19 +306,21 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
     ell = spec.latent_dim
     visual_span = slice(0, max(1, (3 * ell) // 4))
     text_span = slice(min(ell - 1, ell // 4), ell)
-    visual = modality(visual_span, spec.visual_dim)
-    text = modality(text_span, spec.text_dim)
+    matrices = {name: fmat_values(out / f"{name}.fmat", values) for name, values in (
+        ("visual", modality(visual_span, spec.visual_dim)),
+        ("text", modality(text_span, spec.text_dim)),
+        ("latents", np.vstack([user_latents, item_latents])))}
 
     top = top_k(lambda rows, out: np.matmul(user_latents[rows], item_latents.T, out=out),
                 spec.users, spec.items, spec.interactions_per_user)
     users = np.repeat(np.arange(spec.users), spec.interactions_per_user)
+    out.mkdir(parents=True, exist_ok=True)
     interactions_path = out / "interactions.tsv"
     with atomic_open(interactions_path) as fh:
         fh.write("".join(map("u{}\t{}\n".format, users.tolist(), top.ravel().tolist())))
 
-    save_fmat(out / "visual.fmat", visual)
-    save_fmat(out / "text.fmat", text)
-    save_fmat(out / "latents.fmat", np.vstack([user_latents, item_latents]))
+    for name, values in matrices.items():
+        save_fmat(out / f"{name}.fmat", values)
 
     count = spec.users * spec.interactions_per_user
     return {

@@ -32,6 +32,15 @@ from .tensor import (
 VISUAL = "visual"
 TEXT = "text"
 MODALITIES = (VISUAL, TEXT)
+# Each variant is an exact code path: (the modalities it has, whether the
+# refinement block runs, whether the alignment losses keep their weights).
+VARIANTS = {
+    "full": (MODALITIES, True, True),        # everything on
+    "no-la": (MODALITIES, False, True),      # encodings are the reduced features
+    "no-ga": (MODALITIES, True, False),      # alignment loss weights forced to zero
+    "text-only": ((TEXT,), True, True),      # visual branch absent, no alignment
+    "visual-only": ((VISUAL,), True, True),  # text branch absent, no alignment
+}
 # The joint objective's terms, in the order they are reported.
 LOSS_TERMS = ("bpr", "mmd", "infonce", "reg")
 
@@ -75,8 +84,12 @@ class HyperParams:
     bandwidths: tuple[float, ...] = (1.0, 1.5, 2.0)
     temperature: float = 0.2
     symmetric_infonce: bool = False
+    variant: str = "full"
 
     def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(
+                f"unknown variant '{self.variant}'; valid: {', '.join(VARIANTS)}")
         for name in ("reduction", "id_dim", "branch_channels", "graph_layers"):
             if getattr(self, name) > MAX_WIDTH:
                 raise ConfigError(f"{name} must be <= {MAX_WIDTH}, "
@@ -129,8 +142,7 @@ class ModelParams:
 
     @classmethod
     def create(cls, n_users: int, n_items: int, visual_dim: int, text_dim: int,
-               hp: HyperParams, rng: np.random.Generator,
-               modalities: tuple[str, ...] = MODALITIES) -> "ModelParams":
+               hp: HyperParams, rng: np.random.Generator) -> "ModelParams":
         d = target_dim(visual_dim, text_dim, hp.reduction)
 
         def t(shape):
@@ -140,7 +152,7 @@ class ModelParams:
         params = cls(user_emb=t((n_users, hp.id_dim)),
                      item_emb=t((n_items, hp.id_dim)))
         for modality, dim in zip(MODALITIES, (visual_dim, text_dim)):
-            if modality in modalities:
+            if modality in VARIANTS[hp.variant][0]:
                 params.branches[modality] = Branch(
                     reduce=t((dim, d)),
                     dream=DreamParams.create(hp, rng),
@@ -292,12 +304,8 @@ def fuse(user_out: Tensor, item_out: Tensor, h_visual: Tensor | None,
     terms = [matmul(h, params.branches[m].fuse)
              for m, h in zip(MODALITIES, (h_visual, h_text)) if h is not None]
     if len(terms) == 2:
-        item_repr = add(item_out, scale(add(terms[0], terms[1]), 0.5))
-    elif len(terms) == 1:
-        item_repr = add(item_out, terms[0])
-    else:
-        item_repr = item_out
-    return user_out, item_repr
+        return user_out, add(item_out, scale(add(terms[0], terms[1]), 0.5))
+    return user_out, add(item_out, terms[0])
 
 
 def bpr_loss(batch: TripletBatch, user_repr: Tensor, item_repr: Tensor) -> Tensor:
@@ -353,44 +361,19 @@ def l2_penalty(tensors: list[Tensor]) -> Tensor:
 class Recommender:
     """Bundles parameters, constant item features and the propagation operator.
 
-    `variant` selects an exact code path:
-      full         everything on
-      no-la        refinement bypassed, encodings are the reduced features
-      no-ga        alignment loss weights forced to zero
-      text-only    visual branch absent, alignment loss skipped
-      visual-only  text branch absent, alignment loss skipped
-    """
-
-    VARIANTS = ("full", "no-la", "no-ga", "text-only", "visual-only")
+    `hp.variant` selects an exact code path through `VARIANTS`."""
 
     def __init__(self, params: ModelParams, hp: HyperParams,
                  x_visual: Tensor | None, x_text: Tensor | None,
-                 operator: sp.csr_matrix, variant: str = "full"):
-        self.modalities_for(variant)  # rejects an unknown variant
+                 operator: sp.csr_matrix):
         self.params = params
         self.hp = hp
         self.x_visual = x_visual
         self.x_text = x_text
         self.operator = operator
-        self.variant = variant
-        self.refine = variant != "no-la"
-        if variant == "no-ga":
-            self.lambda_mmd = 0.0
-            self.lambda_cl = 0.0
-        else:
-            self.lambda_mmd = hp.lambda_mmd
-            self.lambda_cl = hp.lambda_cl
-
-    @classmethod
-    def modalities_for(cls, variant: str) -> tuple[str, ...]:
-        if variant not in cls.VARIANTS:
-            raise ConfigError(
-                f"unknown variant '{variant}'; valid: {', '.join(cls.VARIANTS)}")
-        if variant == "text-only":
-            return (TEXT,)
-        if variant == "visual-only":
-            return (VISUAL,)
-        return MODALITIES
+        _, self.refine, aligned = VARIANTS[hp.variant]
+        self.lambda_mmd = hp.lambda_mmd if aligned else 0.0
+        self.lambda_cl = hp.lambda_cl if aligned else 0.0
 
     def representations(self) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
         """Forward pass to fused user/item representations (plus encodings)."""

@@ -21,6 +21,7 @@ from .model import (
     LOSS_TERMS,
     MODALITIES,
     TEXT,
+    VARIANTS,
     VISUAL,
     ModelParams,
     Recommender,
@@ -77,7 +78,7 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     its seeded initial parameters."""
     if cfg.interactions is None:
         raise ConfigError("no interactions path given")
-    modalities = Recommender.modalities_for(cfg.variant)
+    modalities = VARIANTS[cfg.variant][0]
     # The config's and the dataset's feature fields are named after the
     # modalities.
     paths = {m: getattr(cfg, m) for m in modalities}
@@ -108,12 +109,10 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     own = features[modalities[0]]
     dv, dt = (features.get(m, own).shape[1] for m in MODALITIES)
     rng = np.random.default_rng(cfg.seed)
-    params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, cfg, rng,
-                                modalities=modalities)
+    params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, cfg, rng)
     operator = build_propagation_operator(split.train, ds.n_users, ds.n_items)
     model = Recommender(params, cfg, *(Tensor(features[m]) if m in features
-                                       else None for m in MODALITIES),
-                        operator, cfg.variant)
+                                       else None for m in MODALITIES), operator)
 
     total_params = sum(p.data.size for p in params.named().values())
     projection = sum(b.reduce.data.size for b in params.branches.values())

@@ -6,11 +6,13 @@ import io
 import json
 import os
 import platform
+import shlex
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -75,6 +77,8 @@ def test_config_file_parse_and_unknown_key(tmp_path):
     path.write_text("no_such_option = 1\n")
     with pytest.raises(ConfigError, match="no_such_option"):
         parse_config_file(path)
+    path.write_text("\ufeffseed = 5\n", encoding="utf-8")  # a byte-order mark
+    assert parse_config_file(path) == {"seed": 5}
 
 
 def test_precedence_flag_over_file_over_default(tmp_path):
@@ -127,13 +131,12 @@ def subcommand_flags(command: str) -> dict[str, list[str]]:
 
 def test_every_field_has_exactly_one_flag():
     """Spelled `--<field-name-with-dashes>`, but `--ks` for `eval_ks`.
-    `train` takes every field but `checkpoint` and `variant`, `ablate` adds
-    `--variant`, and the restore commands take only the restore fields."""
+    `train` takes every field but `checkpoint`, and the restore commands
+    take only the restore fields."""
     restore = set(train.RESTORE_FIELDS)
     run_fields = {f.name for f in fields(RunConfig)}
     for cls, command, names, extra in [
-            (RunConfig, "train", run_fields - {"checkpoint", "variant"}, {"config"}),
-            (RunConfig, "ablate", run_fields - {"checkpoint"}, {"config"}),
+            (RunConfig, "train", run_fields - {"checkpoint"}, {"config"}),
             (RunConfig, "evaluate", restore, set()),
             (RunConfig, "align-stats", restore - {"eval_ks"}, {"export"}),
             (SynthSpec, "synth", {f.name for f in fields(SynthSpec)}, {"out"})]:
@@ -143,6 +146,35 @@ def test_every_field_has_exactly_one_flag():
             spelling = "--ks" if name == "eval_ks" else "--" + name.replace("_", "-")
             assert flags[name] == [spelling]
     assert restore == {"interactions", "visual", "text", "eval_ks", "checkpoint"}
+
+
+def readme_commands() -> list[list[str]]:
+    """Each `alignrec ...` line of README's fenced blocks as argv, its `\\`
+    continuations joined, its `#` comment and its `...` tokens dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands, fenced, joined = [], False, ""
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced:
+            joined += line
+            if joined.endswith("\\"):
+                joined = joined[:-1]
+                continue
+            if joined.startswith("alignrec "):
+                tokens = shlex.split(joined, comments=True)
+                commands.append([t for t in tokens[1:] if t != "..."])
+            joined = ""
+    return commands
+
+
+def test_readme_commands_parse():
+    """A command the docs name, `ablate` once, must still be in the CLI."""
+    commands = readme_commands()
+    assert len(commands) >= 8
+    assert ["train", "--variant", "no-ga"] in commands
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_restore_help_names_the_run_as_the_default():
@@ -257,6 +289,21 @@ def test_synth_writes_four_files_and_reports_density(demo, capsys):
                 if k in out]) == 4
 
 
+def test_synth_past_float32_range_exits_4_and_writes_nothing(tmp_path, capsys):
+    """`--noise 1e300` is finite in float64 but not in the float32 of an
+    FMAT file; nothing is written, not even interactions.tsv."""
+    out = tmp_path / "d"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["synth", "--out", str(out), "--noise", "1e300"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == "" and caught == []
+    assert captured.err.count("error:") == 1
+    assert "float32" in captured.err
+    assert not out.exists()
+
+
 def test_train_emits_schema_lines_and_checkpoint(demo, tmp_path, capsys):
     lines, _ = train_lines(capsys, demo,
                            ["--max-epochs", "3", "--out", str(tmp_path / "run")])
@@ -353,7 +400,7 @@ GOLDEN_SEED3_LINES = [
 ]
 
 
-# Recorded with `ablate` before the train and ablate commands were merged.
+# Recorded with `ablate --variant`, the command `train --variant` replaced.
 GOLDEN_SEED3_NO_GA_LINES = [
     '{"epoch": 1, "split": "validation", "variant": "no-ga", "ndcg@10": 0.3176265513315325, "ndcg@20": 0.4150627982408109, "recall@10": 0.6333333333333333, "recall@20": 1.0, "losses": {"bpr": 0.6279932830426809, "mmd": 0.0, "infonce": 0.0, "reg": 166.62516336288527}}',
     '{"epoch": 2, "split": "validation", "variant": "no-ga", "ndcg@10": 0.37375796956158047, "ndcg@20": 0.4253511543104722, "recall@10": 0.8, "recall@20": 1.0, "losses": {"bpr": 0.6289009594649597, "mmd": 0.0, "infonce": 0.0, "reg": 165.67194670657648}}',
@@ -370,9 +417,9 @@ GOLDEN_SEED3_TEXT_ONLY_LINES = [
 
 @pytest.mark.parametrize("command, golden", [
     (["train"], GOLDEN_SEED3_LINES),
-    (["ablate", "--variant", "full"], GOLDEN_SEED3_LINES),
-    (["ablate", "--variant", "no-ga"], GOLDEN_SEED3_NO_GA_LINES),
-    (["ablate", "--variant", "text-only"], GOLDEN_SEED3_TEXT_ONLY_LINES),
+    (["train", "--variant", "full"], GOLDEN_SEED3_LINES),
+    (["train", "--variant", "no-ga"], GOLDEN_SEED3_NO_GA_LINES),
+    (["train", "--variant", "text-only"], GOLDEN_SEED3_TEXT_ONLY_LINES),
 ], ids=["train", "ablate-full", "ablate-no-ga", "ablate-text-only"])
 def test_train_stream_matches_golden_record(demo, capsys, command, golden):
     rc = main([*command, *data_flags(demo), "--batch-size", "64",
@@ -501,7 +548,7 @@ def test_evaluate_restores_the_run_from_its_checkpoint_alone(demo, tmp_path, cap
     the data moves, the three path flags say where it went."""
     data, run = tmp_path / "data", tmp_path / "run"
     shutil.copytree(demo, data)
-    rc = main(["ablate", "--variant", variant, *data_flags(data), "--batch-size", "64",
+    rc = main(["train", "--variant", variant, *data_flags(data), "--batch-size", "64",
                "--max-epochs", "3", "--seed", "2", "--graph-layers", "1",
                "--ks", "5,10", "--out", str(run)])
     test_line = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -520,6 +567,25 @@ def test_evaluate_restores_the_run_from_its_checkpoint_alone(demo, tmp_path, cap
     assert captured.out == json.dumps(expected) + "\n"
     assert f"interactions = {moved / 'interactions.tsv'}\n" in captured.err
     assert f"checkpoint = {run / 'checkpoint.mrec'}\n" in captured.err
+
+
+def test_evaluate_restores_a_run_config_in_the_old_line_order(demo, tmp_path, capsys):
+    """Runs from before `variant` became a model setting list it last in
+    resolved_config.txt; the file is read by key, so such a run restores."""
+    run = tmp_path / "run"
+    rc = main(["train", "--variant", "no-la", *data_flags(demo), "--batch-size", "64",
+               "--max-epochs", "2", "--seed", "2", "--out", str(run)])
+    test_line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert rc == 0
+    resolved = run / "resolved_config.txt"
+    lines = resolved.read_text().splitlines()
+    assert lines[[f.name for f in fields(RunConfig)].index("variant")] == "variant = no-la"
+    lines.remove("variant = no-la")
+    resolved.write_text("\n".join([*lines, "variant = no-la"]) + "\n")
+    assert main(["evaluate", "--checkpoint", str(run / "checkpoint.mrec")]) == 0
+    expected = {"split": "test", **{k: test_line[k] for k in
+                                    ("ndcg@10", "ndcg@20", "recall@10", "recall@20")}}
+    assert capsys.readouterr().out == json.dumps(expected) + "\n"
 
 
 @pytest.mark.parametrize("command", ["evaluate", "align-stats"])
@@ -781,7 +847,7 @@ def test_missing_feature_path_exits_2_before_any_file_is_read(
         demo, tmp_path, capsys, variant, given, missing):
     """The interactions path does not exist, so reading it would exit 3."""
     features = {"--visual": "visual.fmat", "--text": "text.fmat"}
-    rc = main(["ablate", "--variant", variant,
+    rc = main(["train", "--variant", variant,
                "--interactions", str(tmp_path / "absent.tsv"),
                given, str(demo / features[given])])
     err = capsys.readouterr().err
@@ -903,14 +969,20 @@ def test_missing_interactions_exits_usage(demo, capsys):
 
 
 def test_ablate_rejects_unknown_variant(demo, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ablate", "--variant", "bogus", *data_flags(demo)])
+    rc = main(["train", "--variant", "bogus", *data_flags(demo)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: unknown variant 'bogus'; valid: full, no-la, no-ga, " \
+        "text-only, visual-only\n" in err
+    assert "dataset:" not in err
+    with pytest.raises(SystemExit) as exc:  # the `ablate` subcommand is gone
+        main(["ablate", "--variant", "no-ga"])
     capsys.readouterr()
     assert exc.value.code == 2
 
 
 def test_ablate_no_ga_zeroes_alignment_losses(demo, capsys):
-    rc = main(["ablate", "--variant", "no-ga", *data_flags(demo),
+    rc = main(["train", "--variant", "no-ga", *data_flags(demo),
                "--max-epochs", "2", "--batch-size", "64"])
     captured = capsys.readouterr()
     assert rc == 0
@@ -921,7 +993,7 @@ def test_ablate_no_ga_zeroes_alignment_losses(demo, capsys):
 
 
 def test_ablate_text_only_runs_without_visual_losses(demo, capsys):
-    rc = main(["ablate", "--variant", "text-only", *data_flags(demo),
+    rc = main(["train", "--variant", "text-only", *data_flags(demo),
                "--max-epochs", "2", "--batch-size", "64"])
     captured = capsys.readouterr()
     assert rc == 0
@@ -938,7 +1010,7 @@ def test_params_line_counts_the_present_projections(demo, capsys, variant,
     """On the demo's 16-wide visual and 12-wide text features at reduction 4,
     a single-modality variant sizes d from its own features: 3 for text, 4
     for visual, and 3 = min(16, 12) // 4 for both."""
-    rc = main(["ablate", "--variant", variant, *data_flags(demo),
+    rc = main(["train", "--variant", variant, *data_flags(demo),
                "--max-epochs", "0", "--reduction", "4"])
     err = capsys.readouterr().err
     assert rc == 0
@@ -1144,15 +1216,14 @@ def test_align_stats_identical_modalities_mmd_zero():
         build_propagation_operator
     from alignrec.tensor import Tensor
 
-    hp = HyperParams(reduction=2, id_dim=4, branch_channels=4)
+    hp = HyperParams(reduction=2, id_dim=4, branch_channels=4, variant="no-la")
     rng = np.random.default_rng(0)
     params = ModelParams.create(3, 5, 8, 8, hp, rng)
     params.branches["text"].reduce.data = params.branches["visual"].reduce.data.copy()
     pairs = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64)
     operator = build_propagation_operator(pairs, 3, 5)
     features = Tensor(rng.standard_normal((5, 8)))
-    model = Recommender(params, hp, features, Tensor(features.data.copy()),
-                        operator, "no-la")
+    model = Recommender(params, hp, features, Tensor(features.data.copy()), operator)
     stats = align_stats(model)
     assert abs(stats["mmd_mean"]) <= 1e-12
     assert stats["mean_cosine"] == pytest.approx(1.0)

@@ -20,7 +20,7 @@ from alignrec.data import (
     save_mapping,
     synth_generate,
 )
-from alignrec.errors import DataFormatError
+from alignrec.errors import DataFormatError, NumericalError
 from alignrec.evaluation import evaluate, split_811
 from alignrec.tensor import ParameterError
 
@@ -37,6 +37,9 @@ def test_load_interactions_basic(tmp_path):
     pairs, users, items = remap(raw)
     assert users == ["alice", "bob"]
     assert len(users) == 2 and sorted(set(pairs[:, 0])) == [0, 1]
+    # A byte-order mark is not part of the first user's token.
+    path.write_text("\ufeffu0\t0\nu0\t1\nu1\t0\n", encoding="utf-8")
+    assert remap(load_interactions(path))[1] == ["u0", "u1"]
 
 
 def test_load_interactions_malformed_line_names_lineno(tmp_path):
@@ -178,6 +181,16 @@ def test_fmat_non_finite_value_names_first_row(tmp_path):
     save_fmat(path, values)
     with pytest.raises(DataFormatError, match=r"m\.fmat: row 2 "):
         load_fmat(path)
+
+
+def test_fmat_value_past_float32_range_names_row_and_writes_nothing(tmp_path):
+    values = np.zeros((4, 3))
+    values[2, 1] = 1e39  # finite in float64, inf in float32
+    values[3, 0] = 1e300
+    path = tmp_path / "m.fmat"
+    with pytest.raises(NumericalError, match=r"m\.fmat: row 2 .*float32"):
+        save_fmat(path, values)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fmat_bad_magic_and_version(tmp_path):

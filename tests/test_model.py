@@ -42,10 +42,9 @@ from test_align import _taped
 def tiny_model(seed=0, variant="full", **hp_kwargs):
     defaults = dict(reduction=2, id_dim=8, branch_channels=4, graph_layers=2)
     defaults.update(hp_kwargs)
-    hp = HyperParams(**defaults)
+    hp = HyperParams(variant=variant, **defaults)
     rng = np.random.default_rng(seed)
-    params = ModelParams.create(5, 8, 32, 32, hp, rng,
-                                modalities=Recommender.modalities_for(variant))
+    params = ModelParams.create(5, 8, 32, 32, hp, rng)
     pairs = []
     for u in range(5):
         items = rng.choice(8, size=3, replace=False)
@@ -58,7 +57,7 @@ def tiny_model(seed=0, variant="full", **hp_kwargs):
         x_visual = None
     if variant == "visual-only":
         x_text = None
-    model = Recommender(params, hp, x_visual, x_text, operator, variant)
+    model = Recommender(params, hp, x_visual, x_text, operator)
     negs = []
     rng2 = np.random.default_rng(seed + 99)
     pos_sets = {}
@@ -351,10 +350,10 @@ def test_reduces_to_matrix_factorization_bpr():
 
 
 def test_unknown_variant_rejected():
-    model, _, _ = tiny_model()
-    with pytest.raises(ConfigError, match="no-la"):
-        Recommender(model.params, model.hp, model.x_visual, model.x_text,
-                    model.operator, "bogus")
+    with pytest.raises(ConfigError) as err:
+        HyperParams(variant="bogus")
+    assert str(err.value) == ("unknown variant 'bogus'; valid: full, no-la, "
+                              "no-ga, text-only, visual-only")
 
 
 # ---------------------------------------------------------------------------
