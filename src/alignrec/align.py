@@ -19,10 +19,18 @@ NORM_EPS = 1e-12
 MIN_TEMPERATURE = 2 / np.log(np.finfo(np.float64).max)
 
 
+# The smallest Gaussian bandwidth whose kernel coefficient -1 / (2 sigma^2)
+# is finite: below it, 2 sigma^2 is 0 or so small that its reciprocal
+# overflows.
+MIN_BANDWIDTH = float(np.nextafter(np.sqrt(0.5 / np.finfo(np.float64).max), np.inf))
+
+
 def check_bandwidths(bandwidths: tuple[float, ...]) -> None:
-    """Reject an empty tuple or one holding a value that is not finite and > 0."""
-    if not bandwidths or not all(0 < s < np.inf for s in bandwidths):
-        raise ParameterError(f"bandwidths must be finite and > 0, got {bandwidths}")
+    """Reject an empty tuple or one holding a value that is not finite or is
+    below `MIN_BANDWIDTH`."""
+    if not bandwidths or not all(MIN_BANDWIDTH <= s < np.inf for s in bandwidths):
+        raise ParameterError(f"bandwidths must be finite and >= {MIN_BANDWIDTH:.4g}, "
+                             f"got {bandwidths}")
 
 
 def check_temperature(temperature: float) -> None:

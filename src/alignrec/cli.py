@@ -19,13 +19,16 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, format_value, parse_value, resolve_config
 from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
 from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import evaluate
+from .model import VARIANTS
 from .tensor import DimensionError, ParameterError, UsageError
-from .train import RESTORE_FIELDS, log, restore_model, run_training
+from .train import RESTORE_FIELDS, check_finite, log, restore_model, run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,6 +61,8 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls, read, names=None) -> 
     for f in fields(cls):
         if names is None or f.name in names:
             listed = ", comma-separated" if f.type.startswith("tuple[") else ""
+            if f.name == "variant":
+                listed = f", one of {', '.join(VARIANTS)}"
             default = ("required" if f.name == "checkpoint"
                        else "default: the run's own value" if restore
                        else f"default {format_value(f.default)}")
@@ -92,7 +97,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, split, cfg = restore_model(args.checkpoint, _given(args, RunConfig))
-    user_repr, item_repr, _, _ = model.representations()
+    with np.errstate(all="ignore"):  # a non-finite result is named below
+        representations = model.representations()
+    check_finite(representations)
+    user_repr, item_repr, _, _ = representations
     metrics = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
     print(json.dumps({"split": "test", **{k: metrics[k] for k in sorted(metrics)}}))
     return EXIT_OK

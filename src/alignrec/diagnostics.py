@@ -53,7 +53,7 @@ def build_suite(seed: int) -> list[tuple[str, object, dict]]:
     dream_params = {"input": x, **dream.named("dream")}
 
     def dream_loss():
-        return inner(dream_forward(x, dream), probe)
+        return inner(dream_forward([x], [dream])[0], probe)
 
     suite.append(("dream_forward", dream_loss, dream_params))
 

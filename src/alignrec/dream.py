@@ -6,19 +6,29 @@ context) are concatenated, recalibrated by channel and spatial attention,
 fused by elementwise max, and projected back to a d-vector that is added to
 the input as a residual refinement.
 
-The stages below are plain numpy on maps of shape (..., channels, length).
-`dream_forward` chains them and records the whole block as one tape node.
+The stages below are plain numpy on maps of shape (..., channels, length),
+reading a block's weights as arrays (`DreamWeights`). `dream_forward`
+refines every modality's rows, each with its own block, as one tape node.
+When the process may use two CPUs, the second modality's forward and
+backward run on a one-worker thread, the lane, while the first runs on the
+calling thread. The lane only computes arrays and records nothing.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
-from typing import TYPE_CHECKING
+from functools import partial, reduce
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, _make_out, stable_sigmoid
+from .tensor import DimensionError, Tensor, UsageError, _make_out, row_views, \
+    stable_sigmoid
 
 if TYPE_CHECKING:
     from .model import HyperParams
@@ -85,11 +95,37 @@ class DreamParams:
             out[f"{prefix}.dilated_kernel_{i}"] = k
         return out
 
+    def tensors(self) -> tuple[Tensor, ...]:
+        """Every weight, in the order the block's gradients come in."""
+        return (self.point_kernel, *self.dilated_kernels, self.pool_kernel,
+                self.squeeze_weight, self.restore_weight, self.spatial_kernel,
+                self.spatial_bias, self.out_kernel)
+
     def regularized(self) -> list[Tensor]:
         """Weights that enter the l2 penalty; the spatial bias is excluded."""
-        return [self.point_kernel, *self.dilated_kernels, self.pool_kernel,
-                self.squeeze_weight, self.restore_weight, self.spatial_kernel,
-                self.out_kernel]
+        return [t for t in self.tensors() if t is not self.spatial_bias]
+
+    def weights(self) -> "DreamWeights":
+        """The weights' arrays, which the numpy stages read."""
+        return DreamWeights(
+            self.point_kernel.data, tuple(k.data for k in self.dilated_kernels),
+            self.pool_kernel.data, self.squeeze_weight.data,
+            self.restore_weight.data, self.spatial_kernel.data,
+            self.spatial_bias.data, self.out_kernel.data, self.dilations)
+
+
+class DreamWeights(NamedTuple):
+    """The arrays of one block's weights, named as in `DreamParams`."""
+
+    point_kernel: np.ndarray
+    dilated_kernels: tuple[np.ndarray, ...]
+    pool_kernel: np.ndarray
+    squeeze_weight: np.ndarray
+    restore_weight: np.ndarray
+    spatial_kernel: np.ndarray
+    spatial_bias: np.ndarray
+    out_kernel: np.ndarray
+    dilations: tuple[int, ...]
 
 
 def pointwise_conv(kernel: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
@@ -181,48 +217,48 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def multi_scale(x: np.ndarray, params: DreamParams):
+def multi_scale(x: np.ndarray, w: DreamWeights):
     """Concatenate the five branch outputs, each ReLU-activated.
 
     `x` is a single-channel map (1, d), or (N, 1, d) for a batch of rows.
     Returns the (..., 5C_b, d) map, then the taps of each dilated branch and
     the pooled input, which the backward pass reads.
     """
-    cb = params.point_kernel.shape[0]
+    cb = w.point_kernel.shape[0]
     fused = np.empty(x.shape[:-2] + (BRANCHES * cb, x.shape[-1]))
     branch = [fused[..., i * cb:(i + 1) * cb, :] for i in range(BRANCHES)]
-    pointwise_conv(params.point_kernel.data, x, out=branch[0])
+    pointwise_conv(w.point_kernel, x, out=branch[0])
     taps = []
-    for j, (kernel, dilation) in enumerate(zip(params.dilated_kernels, params.dilations)):
-        taps.append(dilated_conv(kernel.data, x, dilation, out=branch[1 + j])[1])
+    for j, (kernel, dilation) in enumerate(zip(w.dilated_kernels, w.dilations)):
+        taps.append(dilated_conv(kernel, x, dilation, out=branch[1 + j])[1])
     pooled = x.mean(axis=-1, keepdims=True)
-    branch[-1][...] = pointwise_conv(params.pool_kernel.data, pooled)
+    branch[-1][...] = pointwise_conv(w.pool_kernel, pooled)
     # Every branch is an einsum, whose sums start from +0.0, so the map holds
     # no -0.0 and `fmax` alone is the ReLU (see `_relu`).
     return np.fmax(fused, 0.0, out=fused), taps, pooled
 
 
-def channel_attention(fused: np.ndarray, params: DreamParams):
+def channel_attention(fused: np.ndarray, w: DreamWeights):
     """Gate channels by a squeeze-and-restore MLP on the pooled channel vector.
 
     Returns the gate (..., C', 1) and the gated map, then the pooled vector
     and the hidden layer, which the backward pass reads.
     """
     pooled = fused.mean(axis=-1)
-    hidden = _relu(pooled @ params.squeeze_weight.data)
-    gate = stable_sigmoid(hidden @ params.restore_weight.data)[..., None]
+    hidden = _relu(pooled @ w.squeeze_weight)
+    gate = stable_sigmoid(hidden @ w.restore_weight)[..., None]
     return gate, fused * gate, pooled, hidden
 
 
-def spatial_attention(fused: np.ndarray, params: DreamParams):
+def spatial_attention(fused: np.ndarray, w: DreamWeights):
     """Gate positions by a 1x1 conv over the channel-averaged response.
 
     Returns the gate (..., 1, d) and the gated map, then the channel mean,
     which the backward pass reads.
     """
     pooled = (_channel_sum(fused) / fused.shape[-2])[..., None, :]
-    gate = stable_sigmoid(pointwise_conv(params.spatial_kernel.data, pooled)
-                          + params.spatial_bias.data)
+    gate = stable_sigmoid(pointwise_conv(w.spatial_kernel, pooled)
+                          + w.spatial_bias)
     return gate, fused * gate, pooled
 
 
@@ -240,80 +276,170 @@ def attention_fuse(channel_out: np.ndarray, spatial_out: np.ndarray, out=None):
     return np.maximum(channel_out, spatial_out, out=out), take_channel
 
 
-def dream_forward(rows: Tensor, params: DreamParams) -> Tensor:
-    """Refine (N, d) rows in place of their maps; output is input + projection.
-
-    The block is one tape node. Its backward replays each stage's rule in
-    reverse and sums into the two maps with several consumers (`x`, `fused`)
-    in the order a tape of the separate operations would, so its gradients
-    equal that tape's bit for bit.
-    """
+def _refine(rows: np.ndarray, w: DreamWeights, out: np.ndarray) -> list:
+    """Write (N, d) `rows` plus their projection into `out`, and return the
+    maps `_refine_grads` reads. Arrays in, arrays out: no tensor, no tape."""
     n, d = rows.shape
-    x = rows.data.reshape(n, 1, d)
-    fused, taps, pooled_x = multi_scale(x, params)
-    channel_gate, channel_out, pooled_channels, hidden = channel_attention(fused, params)
-    spatial_gate, spatial_out, pooled_positions = spatial_attention(fused, params)
+    x = rows.reshape(n, 1, d)
+    fused, taps, pooled_x = multi_scale(x, w)
+    channel_gate, channel_out, pooled_channels, hidden = channel_attention(fused, w)
+    spatial_gate, spatial_out, pooled_positions = spatial_attention(fused, w)
     refined, take_channel = attention_fuse(channel_out, spatial_out, out=channel_out)
     del channel_out, spatial_out
-    projected = pointwise_conv(params.out_kernel.data, refined).reshape(n, d)
+    projected = pointwise_conv(w.out_kernel, refined).reshape(n, d)
+    np.add(rows, projected, out=out)
+    return [x, fused, taps, pooled_x, channel_gate, pooled_channels, hidden,
+            spatial_gate, pooled_positions, refined, take_channel]
+
+
+def _refine_grads(g: np.ndarray, saved: list, w: DreamWeights) -> tuple:
+    """Gradients of `_refine` for the upstream (N, d) `g`: the rows', then
+    each weight's in `DreamParams.tensors()` order.
+
+    It replays each stage's rule in reverse and sums into the two maps with
+    several consumers (`x`, `fused`) in the order a tape of the separate
+    operations would, so its gradients equal that tape's bit for bit. It
+    empties `saved` and drops each map at its last reader. The maps it reads
+    are overwritten, so it runs once.
+    """
+    (x, fused, taps, pooled_x, channel_gate, pooled_channels, hidden,
+     spatial_gate, pooled_positions, refined, take_channel) = saved
+    saved.clear()
+    n, _, d = x.shape
+    g_refined, g_out_kernel = _pointwise_grads(w.out_kernel, refined,
+                                               g.reshape(n, 1, d))
+    del refined
+    # np.where(take, g, 0.0) and its complement, by masking. Off the mask
+    # this leaves a zero of g's sign; each one only enters numpy sums and
+    # einsums, which start from +0.0, or `g_fused` after an einsum term,
+    # so every result keeps its bits while g is finite.
+    # The channel gate's gradient is summed first, from a product made in
+    # place, so that at most three maps are live at once.
+    gated = g_refined * take_channel
+    gated *= fused
+    g_channel_gate = _unbroadcast(gated, channel_gate.shape)
+    del gated
+    g_spatial = g_refined * ~take_channel
+    g_channel = np.multiply(g_refined, take_channel, out=g_refined)
+    del g_refined, take_channel
+
+    # spatial attention: the gated product, then the channel mean
+    g_gate = _channel_sum(g_spatial, fused)[:, None, :]
+    g_fused = np.multiply(g_spatial, spatial_gate, out=g_spatial)
+    del g_spatial
+    g_logit = g_gate * spatial_gate * (1.0 - spatial_gate)
+    g_spatial_bias = _unbroadcast(g_logit, w.spatial_bias.shape)
+    g_pooled, g_spatial_kernel = _pointwise_grads(w.spatial_kernel,
+                                                  pooled_positions, g_logit)
+    g_fused += g_pooled / fused.shape[-2]
+
+    # channel attention: the gated product, then the pooled vector
+    g_channel *= channel_gate
+    g_fused += g_channel
+    del g_channel
+    g_logit = (g_channel_gate * channel_gate * (1.0 - channel_gate)).reshape(
+        pooled_channels.shape)
+    g_restore = hidden.T @ g_logit
+    g_hidden = (g_logit @ w.restore_weight.T) * (hidden > 0.0)
+    g_squeeze = pooled_channels.T @ g_hidden
+    g_pooled = g_hidden @ w.squeeze_weight.T
+    g_fused += g_pooled[..., None] / d
+
+    # branches, last first: pool, dilated (widest first), point. A ReLU
+    # output is > 0 exactly where its input was, so `fused` gives the masks.
+    # Each branch's gradient is its own contiguous array: einsum may sum
+    # in another order over a strided view.
+    cb = w.point_kernel.shape[0]
+    g_branches = [g_fused[..., i * cb:(i + 1) * cb, :]
+                  * (fused[..., i * cb:(i + 1) * cb, :] > 0.0)
+                  for i in range(BRANCHES)]
+    del fused, g_fused
+    g_pooled, g_pool_kernel = _pointwise_grads(
+        w.pool_kernel, pooled_x, g_branches[-1].sum(axis=-1, keepdims=True))
+    g_x = np.broadcast_to(g_pooled / d, x.shape)
+    g_dilated = [None] * len(w.dilations)
+    for j in reversed(range(len(w.dilations))):
+        g_in, g_dilated[j] = _dilated_grads(
+            w.dilated_kernels[j], taps[j], g_branches[1 + j], w.dilations[j])
+        g_x = g_x + g_in
+    g_in, g_point_kernel = _pointwise_grads(w.point_kernel, x, g_branches[0])
+    g_x = g_x + g_in
+    return (g + g_x.reshape(n, d), g_point_kernel, *g_dilated, g_pool_kernel,
+            g_squeeze, g_restore, g_spatial_kernel, g_spatial_bias, g_out_kernel)
+
+
+# The lane: one worker thread, started on first use.
+_LANE: ThreadPoolExecutor | None = None
+
+
+def _forget_lane() -> None:
+    global _LANE
+    _LANE = None
+
+
+# A forked child inherits the lane's executor but not its thread.
+os.register_at_fork(after_in_child=_forget_lane)
+
+
+def _side_by_side(tasks: list) -> list:
+    """The results of one or two zero-argument tasks, in order.
+
+    Two tasks run side by side when the process may use at least two CPUs:
+    the first on the calling thread, the second on the lane, in a copy of
+    the caller's context and so under its `np.errstate`. Otherwise, and
+    where the platform cannot say which CPUs the process may use, they run
+    in order on the calling thread. An error of either is raised in the
+    caller, the first task's before the second's, and only once both have
+    ended. A task computes arrays only: the tape stack is the caller's.
+    """
+    if len(tasks) < 2 or not hasattr(os, "sched_getaffinity") \
+            or len(os.sched_getaffinity(0)) < 2:
+        return [task() for task in tasks]
+    global _LANE
+    if _LANE is None:
+        _LANE = ThreadPoolExecutor(max_workers=1, thread_name_prefix="alignrec-lane")
+    second = _LANE.submit(contextvars.copy_context().run, tasks[1])
+    try:
+        first = tasks[0]()
+    except BaseException:
+        second.exception()  # waits for the lane
+        raise
+    return [first, second.result()]
+
+
+def dream_forward(rows: Sequence[Tensor],
+                  params: Sequence[DreamParams]) -> tuple[Tensor, ...]:
+    """Refine each modality's (N, d) rows with its own block; each output is
+    its input plus its projection.
+
+    One or two modalities, each with its `DreamParams`, all of one width d.
+    The blocks are one tape node whose output stacks the modalities' rows;
+    with two, the outputs are its `row_views`. Its forward and backward run
+    the first modality on the calling thread and the second on the lane
+    (`_side_by_side`). Each modality's arithmetic is the same on either
+    thread, so the bits do not depend on the lane.
+    """
+    if not 1 <= len(rows) <= 2 or len(params) != len(rows):
+        raise UsageError(f"dream_forward takes one or two modalities, each with "
+                         f"its params; got {len(rows)} rows and {len(params)} params")
+    if len({r.shape[1:] for r in rows}) != 1:
+        raise DimensionError(f"dream_forward: row widths differ: "
+                             f"{[r.shape for r in rows]}")
+    spans, start = [], 0
+    for r in rows:
+        spans.append(slice(start, start + r.shape[0]))
+        start += r.shape[0]
+    stacked = np.empty((start, rows[0].shape[1]))
+    weights = [p.weights() for p in params]
+    saved = _side_by_side([partial(_refine, r.data, w, stacked[s])
+                           for r, w, s in zip(rows, weights, spans)])
 
     def backward(g):
-        # The maps this reads are overwritten, so the tape replays once.
-        g_refined, g_out_kernel = _pointwise_grads(
-            params.out_kernel.data, refined, g.reshape(n, 1, d))
-        # np.where(take, g, 0.0) and its complement, by masking. Off the mask
-        # this leaves a zero of g's sign; each one only enters numpy sums and
-        # einsums, which start from +0.0, or `g_fused` after an einsum term,
-        # so every result keeps its bits while g is finite.
-        g_spatial = g_refined * ~take_channel
-        g_channel = np.multiply(g_refined, take_channel, out=g_refined)
+        grads = _side_by_side([partial(_refine_grads, g[s], m, w)
+                               for s, m, w in zip(spans, saved, weights)])
+        return tuple(chain.from_iterable(grads))
 
-        # spatial attention: the gated product, then the channel mean
-        g_gate = _channel_sum(g_spatial, fused)[:, None, :]
-        g_fused = np.multiply(g_spatial, spatial_gate, out=g_spatial)
-        g_logit = g_gate * spatial_gate * (1.0 - spatial_gate)
-        g_spatial_bias = _unbroadcast(g_logit, params.spatial_bias.shape)
-        g_pooled, g_spatial_kernel = _pointwise_grads(
-            params.spatial_kernel.data, pooled_positions, g_logit)
-        g_fused += g_pooled / fused.shape[-2]
-
-        # channel attention: the gated product, then the pooled vector
-        g_gate = _unbroadcast(g_channel * fused, channel_gate.shape)
-        g_channel *= channel_gate
-        g_fused += g_channel
-        g_logit = (g_gate * channel_gate * (1.0 - channel_gate)).reshape(
-            pooled_channels.shape)
-        g_restore = hidden.T @ g_logit
-        g_hidden = (g_logit @ params.restore_weight.data.T) * (hidden > 0.0)
-        g_squeeze = pooled_channels.T @ g_hidden
-        g_pooled = g_hidden @ params.squeeze_weight.data.T
-        g_fused += g_pooled[..., None] / d
-
-        # branches, last first: pool, dilated (widest first), point. A ReLU
-        # output is > 0 exactly where its input was, so `fused` gives the masks.
-        # Each branch's gradient is its own contiguous array: einsum may sum
-        # in another order over a strided view.
-        cb = params.point_kernel.shape[0]
-        g_branches = [g_fused[..., i * cb:(i + 1) * cb, :]
-                      * (fused[..., i * cb:(i + 1) * cb, :] > 0.0)
-                      for i in range(BRANCHES)]
-        g_pooled, g_pool_kernel = _pointwise_grads(
-            params.pool_kernel.data, pooled_x,
-            g_branches[-1].sum(axis=-1, keepdims=True))
-        g_x = np.broadcast_to(g_pooled / d, x.shape)
-        g_dilated = [None] * len(params.dilations)
-        for j in reversed(range(len(params.dilations))):
-            g_in, g_dilated[j] = _dilated_grads(
-                params.dilated_kernels[j].data, taps[j], g_branches[1 + j],
-                params.dilations[j])
-            g_x = g_x + g_in
-        g_in, g_point_kernel = _pointwise_grads(params.point_kernel.data, x,
-                                                g_branches[0])
-        g_x = g_x + g_in
-        return (g + g_x.reshape(n, d), g_point_kernel, *g_dilated, g_pool_kernel,
-                g_squeeze, g_restore, g_spatial_kernel, g_spatial_bias, g_out_kernel)
-
-    inputs = (rows, params.point_kernel, *params.dilated_kernels, params.pool_kernel,
-              params.squeeze_weight, params.restore_weight, params.spatial_kernel,
-              params.spatial_bias, params.out_kernel)
-    return _make_out(rows.data + projected, inputs, backward)
+    inputs = tuple(chain.from_iterable((r, *p.tensors())
+                                       for r, p in zip(rows, params)))
+    out = _make_out(stacked, inputs, backward)
+    return (out,) if len(rows) == 1 else row_views(out, spans[0].stop)

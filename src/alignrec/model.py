@@ -223,12 +223,14 @@ def encode_items(x_visual: Tensor | None, x_text: Tensor | None,
 
     With refine=False the refinement stage is bypassed entirely and the
     outputs are exactly the reduced features (the local-alignment ablation).
+    Otherwise every present modality is refined in one `dream_forward`.
     """
     reduced = reduce_modalities(x_visual, x_text, params)
     if not refine:
         return reduced
-    return tuple(None if h is None else dream_forward(h, params.branches[m].dream)
-                 for m, h in zip(MODALITIES, reduced))
+    refined = iter(dream_forward([h for h in reduced if h is not None],
+                                 [b.dream for b in params.branches.values()]))
+    return tuple(None if h is None else next(refined) for h in reduced)
 
 
 def build_propagation_operator(train_pairs: np.ndarray, n_users: int,

@@ -18,11 +18,14 @@ Conventions:
     and with zeros when neither did: its gradient is never missing.
   - A composite block may record itself as one node through `_make_out`,
     with a backward closure that returns one gradient per input.
-  - Tapes are eager, single-use and thread-confined. A tape may be entered
-    more than once before its one replay, which replays every node it
-    recorded as if they were recorded in one `with` block. Tensors
-    themselves are value-semantic and safe to share once no tape references
-    them.
+  - Tapes are eager, single-use and thread-confined: the tape stack is one
+    module global, so only the calling thread records and replays. A
+    node may hand array work to another thread, as DREAM's node does with
+    its second modality (the lane, `dream._side_by_side`); that thread only
+    computes arrays and never records. A tape may be entered more than once
+    before its one replay, which replays every node it recorded as if they
+    were recorded in one `with` block. Tensors themselves are
+    value-semantic and safe to share once no tape references them.
   - The OpenBLAS that numpy bundles runs on one thread (`_pin_blas_threads`).
 """
 

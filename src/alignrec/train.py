@@ -51,6 +51,7 @@ def emit(record: dict, stream, copy_to=None) -> None:
 # glibc's mallopt parameters (malloc.h).
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_memory(libc=None) -> None:
@@ -61,8 +62,12 @@ def _keep_freed_memory(libc=None) -> None:
     the same pages in again. Arrays up to 64 MiB come from the heap and up to
     512 MiB of free heap top is kept. The trim threshold is raised only once
     the mmap threshold is accepted: set alone, it freezes glibc's adaptive
-    mmap threshold at 128 KiB. A libc without `mallopt` is left as it is.
-    `libc` is the C library to call, the running process's by default."""
+    mmap threshold at 128 KiB. Every thread allocates from one arena, so
+    that DREAM's lane (`dream._side_by_side`) and the calling thread reuse
+    what the other freed; an arena of the lane's own kept its own
+    high-water mark, ~8 MB more resident on planted-large. A libc without
+    `mallopt` is left as it is. `libc` is the C library to call, the
+    running process's by default."""
     try:
         mallopt = (libc if libc is not None else ctypes.CDLL(None)).mallopt
     except (AttributeError, OSError, TypeError):
@@ -71,6 +76,7 @@ def _keep_freed_memory(libc=None) -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, 64 << 20) == 1:
         mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
@@ -138,13 +144,17 @@ _CHECKED = ("visual encoding", "text encoding", "user representation",
             "item representation")
 
 
-def check_finite(representations: tuple, epoch: int) -> None:
+def check_finite(representations: tuple, epoch: int | None = None) -> None:
     """Raise NumericalError naming the first of `_CHECKED` in a
-    `Recommender.representations()` result that holds a NaN or inf."""
+    `Recommender.representations()` result that holds a NaN or inf, and
+    the training epoch that made it; without one, it came from a restored
+    checkpoint."""
     user_repr, item_repr, h_v, h_t = representations
     for name, t in zip(_CHECKED, (h_v, h_t, user_repr, item_repr)):
         if t is not None and not np.isfinite(t.data).all():
-            raise NumericalError(f"non-finite {name} at epoch {epoch}")
+            where = (f"at epoch {epoch}" if epoch is not None
+                     else "from the restored checkpoint")
+            raise NumericalError(f"non-finite {name} {where}")
 
 
 def run_training(cfg: RunConfig, stdout=None) -> dict:

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import alignrec.align
 from alignrec.align import (
+    MIN_BANDWIDTH,
     MIN_TEMPERATURE,
+    check_bandwidths,
     gaussian_kernel,
     infonce,
     logsumexp_rows,
@@ -167,6 +169,18 @@ def test_infonce_orthonormal_pairs_closed_form():
     expected = -math.log(math.e / (math.e + 1.0))
     assert abs(infonce(v, t, 1.0).item() - expected) <= 1e-9
     assert abs(expected - 0.313262) <= 1e-6
+
+
+def test_bandwidth_floor_is_the_smallest_with_a_finite_coefficient():
+    assert math.isfinite(-1.0 / (2.0 * MIN_BANDWIDTH * MIN_BANDWIDTH))
+    below = float(np.nextafter(MIN_BANDWIDTH, 0.0))
+    assert -1.0 / (2.0 * below * below) == -math.inf
+    for sigma in (0.0, 5e-324, 1e-300, 1e-160, below, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="bandwidths"):
+            check_bandwidths((1.0, sigma))
+    check_bandwidths((MIN_BANDWIDTH,))  # the floor itself is accepted
+    v = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
+    assert math.isfinite(mmd_squared(v, Tensor(v.data + 1.0), (MIN_BANDWIDTH,)).item())
 
 
 def test_infonce_rejects_bad_temperature():

@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alignrec import evaluation, train
+from alignrec import dream, evaluation, model, train
 from alignrec.cli import build_parser, main
 from alignrec.config import RunConfig, parse_config_file, parse_value, resolve_config
 from alignrec.data import SynthSpec, load_fmat, save_fmat, synth_generate
 from alignrec.errors import ConfigError, NumericalError
-from alignrec.model import HyperParams, Recommender
+from alignrec.model import HyperParams, Recommender, load_checkpoint, save_checkpoint
 from alignrec.tensor import Tensor, UsageError
 
 METRIC_KEYS = {"epoch", "split", "recall@10", "recall@20", "ndcg@10", "ndcg@20",
@@ -188,6 +188,16 @@ def test_restore_help_names_the_run_as_the_default():
                              for h in helps.values()), command
     train_helps = {a.dest: a.help for a in subcommand_actions("train")}
     assert train_helps["eval_ks"] == "tuple[int, ...], comma-separated, default [10, 20]"
+
+
+def test_train_help_lists_the_variants_of_the_table(monkeypatch):
+    def variant_help():
+        return {a.dest: a.help for a in subcommand_actions("train")}["variant"]
+
+    assert variant_help() == ("str, one of full, no-la, no-ga, text-only, "
+                              "visual-only, default full")
+    monkeypatch.setitem(model.VARIANTS, "extra", model.VARIANTS["full"])
+    assert ", extra, default full" in variant_help()
 
 
 def test_flags_and_config_file_resolve_alike(demo, tmp_path, capsys):
@@ -488,8 +498,8 @@ def test_keep_freed_memory_without_mallopt_is_a_no_op():
 
 
 @pytest.mark.parametrize("accepts, expected", [
-    (1, [(-3, 64 << 20), (-1, 512 << 20)]),
-    (0, [(-3, 64 << 20)]),
+    (1, [(-3, 64 << 20), (-1, 512 << 20), (-8, 1)]),
+    (0, [(-3, 64 << 20), (-8, 1)]),
 ], ids=["accepted", "refused"])
 def test_trim_threshold_is_raised_only_after_the_mmap_threshold(accepts, expected):
     libc = FakeLibc(accepts)
@@ -503,7 +513,7 @@ def test_refused_mmap_threshold_keeps_the_golden_stream(demo, capsys, monkeypatc
     monkeypatch.setattr(train, "_keep_freed_memory", lambda: keep(libc=libc))
     test_train_stream_matches_golden_record(demo, capsys, ["train"],
                                             GOLDEN_SEED3_LINES)
-    assert libc.calls == [(-3, 64 << 20)]
+    assert libc.calls == [(-3, 64 << 20), (-8, 1)]
 
 
 def test_train_stream_does_not_depend_on_blas_threads(tmp_path, capsys):
@@ -1058,6 +1068,101 @@ def test_gradcheck_overflow_prints_only_the_error_line():
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert "non-finite" in lines[0]
+
+
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-160"])
+def test_bandwidth_below_the_floor_exits_2_before_data_loads(demo, capsys, sigma):
+    """2 sigma^2 underflowed to 0 at 1e-300 (a ZeroDivisionError traceback
+    in MMD), and at 1e-160 the kernel coefficient overflowed (exit 4 after
+    set-up)."""
+    rc = main(["train", *data_flags(demo), "--max-epochs", "1", "--bandwidths", sigma])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (f"error: bandwidths must be finite and >= 5.274e-155, "
+                            f"got ({float(sigma)!r},)\n")
+
+
+def test_evaluate_stops_on_a_non_finite_restored_forward(demo, tmp_path, capsys):
+    """The restored forward is checked as training checks its own: one
+    `error:` line naming the first non-finite array, no metrics line and
+    no numpy warning, instead of exit 0 with every metric 0.0."""
+    run = tmp_path / "run"
+    train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(run)])
+    checkpoint = run / "checkpoint.mrec"
+    arrays = load_checkpoint(checkpoint)
+    arrays["item_emb"] = arrays["item_emb"] * 1e300 * 1e300  # +-inf
+    save_checkpoint(checkpoint, {name: Tensor(a) for name, a in arrays.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: non-finite user representation from the restored checkpoint"]
+    assert captured.err.splitlines()[-1] == errors[0]
+
+
+def test_train_stream_does_not_depend_on_the_lane(demo, tmp_path, capsys, monkeypatch):
+    """With one CPU the modalities are refined in order on the calling
+    thread, and with two the text modality is refined on the lane. The
+    stream and the checkpoint are the same bytes."""
+    monkeypatch.setattr(dream, "_LANE", None)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        run = tmp_path / f"cpus{cpus}"
+        train_lines(capsys, demo, ["--max-epochs", "3", "--seed", "3", "--out", str(run)])
+        assert (dream._LANE is not None) == (cpus == 2)
+        records = [json.loads(line) for line in
+                   (run / "metrics.jsonl").read_text().splitlines()]
+        for record in records:
+            del record["wall_ms"]
+        outputs.append((records, (run / "checkpoint.mrec").read_bytes()))
+    dream._LANE.shutdown()
+    assert outputs[0] == outputs[1]
+
+
+def test_importing_the_package_starts_no_thread():
+    """The lane starts on its first use, never at import."""
+    result = subprocess.run(
+        [sys.executable, "-c", "import threading, alignrec, alignrec.cli; "
+                               "print([t.name for t in threading.enumerate()])"],
+        capture_output=True, text=True, env=fresh_interpreter_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['MainThread']\n"
+
+
+# Two modalities refined once in a process with a lane, then again in a
+# forked child, which inherits the lane's executor but not its thread.
+FORK_AFTER_LANE = """
+import os
+import signal
+import numpy as np
+os.sched_getaffinity = lambda pid: {0, 1}
+from alignrec.dream import DreamParams, dream_forward
+from alignrec.model import HyperParams
+from alignrec.tensor import Tensor
+rng = np.random.default_rng(0)
+params = [DreamParams.create(HyperParams(), rng) for _ in range(2)]
+rows = [Tensor(rng.standard_normal((4, 12))) for _ in range(2)]
+expected = [out.data.copy() for out in dream_forward(rows, params)]
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child waiting on a lane thread it lacks dies
+    same = all(np.array_equal(out.data, e)
+               for out, e in zip(dream_forward(rows, params), expected))
+    os._exit(0 if same else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_a_lane_of_its_own():
+    result = subprocess.run([sys.executable, "-c", FORK_AFTER_LANE],
+                            capture_output=True, text=True,
+                            env=fresh_interpreter_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 def test_adam_overflow_stops_train_with_one_error_line(demo):

@@ -1,10 +1,14 @@
 """Refinement module: branch structure, attention gates, fusion, residual."""
 
 import hashlib
+import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from alignrec import dream
 from alignrec.diagnostics import inner
 from alignrec.dream import (
     BRANCHES,
@@ -19,9 +23,11 @@ from alignrec.errors import ConfigError
 from alignrec.gradcheck import grad_check
 from alignrec.model import HyperParams
 from alignrec.tensor import (
+    DimensionError,
     Tape,
     Tensor,
     UsageError,
+    add,
     backward,
 )
 
@@ -61,20 +67,20 @@ def test_config_invariants():
 
 def test_multi_scale_zero_input_gives_zero_map():
     hp, params = make()
-    out, _, _ = multi_scale(np.zeros((1, D)), params)
+    out, _, _ = multi_scale(np.zeros((1, D)), params.weights())
     assert out.shape == (BRANCHES * hp.branch_channels, D)
     assert np.array_equal(out, np.zeros_like(out))
 
 
 def test_multi_scale_channel_count():
     _, params = make(cb=8)
-    out, _, _ = multi_scale(np.ones((1, D)), params)
+    out, _, _ = multi_scale(np.ones((1, D)), params.weights())
     assert out.shape[0] == 5 * 8
 
 
 def test_multi_scale_pool_branch_constant_for_constant_input():
     hp, params = make()
-    out, _, _ = multi_scale(np.full((1, D), 0.7), params)
+    out, _, _ = multi_scale(np.full((1, D), 0.7), params.weights())
     pooled_rows = out[4 * hp.branch_channels:]
     assert np.allclose(pooled_rows, pooled_rows[:, :1])
 
@@ -83,7 +89,7 @@ def test_multi_scale_matches_per_branch_oracles():
     hp, params = make(seed=3)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, D))
-    out, _, _ = multi_scale(x, params)
+    out, _, _ = multi_scale(x, params.weights())
     cb = hp.branch_channels
 
     point = np.maximum(params.point_kernel.data @ x, 0.0)
@@ -111,7 +117,7 @@ def test_channel_attention_zero_weights_halve_map():
     params.squeeze_weight.data[:] = 0.0
     params.restore_weight.data[:] = 0.0
     fused = np.random.default_rng(1).standard_normal((FUSED, D))
-    gate, recalibrated, _, _ = channel_attention(fused, params)
+    gate, recalibrated, _, _ = channel_attention(fused, params.weights())
     assert np.allclose(gate, 0.5)
     assert np.allclose(recalibrated, 0.5 * fused)
 
@@ -120,7 +126,7 @@ def test_channel_attention_matches_formula_oracle():
     _, params = make(seed=5)
     rng = np.random.default_rng(2)
     fused = rng.standard_normal((FUSED, D))
-    gate, recalibrated, _, _ = channel_attention(fused, params)
+    gate, recalibrated, _, _ = channel_attention(fused, params.weights())
 
     pooled = fused.mean(axis=1)
     hidden = np.maximum(pooled @ params.squeeze_weight.data, 0.0)
@@ -135,7 +141,7 @@ def test_spatial_attention_zero_weights_halve_map():
     params.spatial_kernel.data[:] = 0.0
     params.spatial_bias.data[:] = 0.0
     fused = np.random.default_rng(3).standard_normal((FUSED, D))
-    gate, highlighted, _ = spatial_attention(fused, params)
+    gate, highlighted, _ = spatial_attention(fused, params.weights())
     assert np.allclose(gate, 0.5)
     assert np.allclose(highlighted, 0.5 * fused)
 
@@ -144,7 +150,7 @@ def test_spatial_attention_matches_formula_oracle():
     _, params = make(seed=6)
     rng = np.random.default_rng(4)
     fused = rng.standard_normal((FUSED, D))
-    gate, highlighted, _ = spatial_attention(fused, params)
+    gate, highlighted, _ = spatial_attention(fused, params.weights())
 
     pooled = fused.mean(axis=0, keepdims=True)
     expected_gate = sigmoid(params.spatial_kernel.data[0, 0] * pooled
@@ -156,7 +162,7 @@ def test_spatial_attention_matches_formula_oracle():
 def test_spatial_pool_of_constant_map_is_constant():
     _, params = make()
     fused = np.full((FUSED, D), 1.3)
-    gate, _, _ = spatial_attention(fused, params)
+    gate, _, _ = spatial_attention(fused, params.weights())
     assert np.allclose(gate, gate[0, 0])
 
 
@@ -178,13 +184,13 @@ def test_dream_forward_zero_projection_is_identity():
     _, params = make(seed=7)
     params.out_kernel.data[:] = 0.0
     rows = np.random.default_rng(6).standard_normal((5, D))
-    out = dream_forward(Tensor(rows), params)
+    out = dream_forward([Tensor(rows)], [params])[0]
     assert np.array_equal(out.data, rows)
 
 
 def test_dream_forward_zero_input_fixpoint():
     _, params = make(seed=8)  # biases are zero-initialized
-    out = dream_forward(Tensor(np.zeros((4, D))), params)
+    out = dream_forward([Tensor(np.zeros((4, D)))], [params])[0]
     assert np.array_equal(out.data, np.zeros((4, D)))
 
 
@@ -192,8 +198,8 @@ def test_dream_forward_zero_input_fixpoint():
 def test_dream_forward_shape_contract(n, d, cb):
     params = create(9, branch_channels=cb, attention_reduction=4,
                     dilations=(6, 12, 18))
-    out = dream_forward(Tensor(np.random.default_rng(10).standard_normal((n, d))),
-                        params)
+    out = dream_forward([Tensor(np.random.default_rng(10).standard_normal((n, d)))],
+                        [params])[0]
     assert out.shape == (n, d)
 
 
@@ -205,7 +211,7 @@ def test_dream_forward_gradient_check():
     probe = np.random.default_rng(13).standard_normal((3, 16))
 
     def f():
-        return inner(dream_forward(rows, params), probe)
+        return inner(dream_forward([rows], [params])[0], probe)
 
     report = grad_check(f, {"rows": rows, **params.named("p")}, tol=1e-5)
     assert report.passed, report.max_rel_error
@@ -270,7 +276,7 @@ def test_dream_forward_matches_loop_oracle(n, d, cb, reduction, dilations):
     params = DreamParams.create(hp, np.random.default_rng(14))
     params.spatial_bias.data[:] = 0.3
     rows = np.random.default_rng(15).standard_normal((n, d))
-    out = dream_forward(Tensor(rows), params)
+    out = dream_forward([Tensor(rows)], [params])[0]
     assert np.max(np.abs(out.data - dream_oracle(rows, params, hp))) <= 1e-12
 
 
@@ -282,7 +288,7 @@ def test_dream_forward_ties_route_gradient_to_channel_attention():
     rows = Tensor(np.random.default_rng(17).standard_normal((3, D)))
     probe = np.random.default_rng(18).standard_normal((3, D))
     with Tape() as tape:
-        loss = inner(dream_forward(rows, params), probe)
+        loss = inner(dream_forward([rows], [params])[0], probe)
     backward(loss, tape)
     # every entry ties, so the spatial branch receives no gradient at all
     assert np.array_equal(params.spatial_kernel.grad, np.zeros((1, 1)))
@@ -295,7 +301,7 @@ def test_dream_forward_records_one_tape_node():
     rows = Tensor(np.random.default_rng(20).standard_normal((4, D)),
                   requires_grad=True)
     with Tape() as tape:
-        dream_forward(rows, params)
+        dream_forward([rows], [params])[0]
     assert len(tape) == 1
 
 
@@ -321,7 +327,7 @@ def taped_digest(n, d, param_seed, data_seed, unread=None):
     if unread is not None:
         probe[unread] = 0.0
     with Tape() as tape:
-        out = dream_forward(rows, params)
+        out = dream_forward([rows], [params])[0]
         loss = inner(out, probe)
     backward(loss, tape)
     digest = hashlib.sha256(out.data.tobytes() + rows.grad.tobytes())
@@ -342,7 +348,119 @@ def test_dream_backward_replays_once():
     _, params = make(seed=25)
     rows = Tensor(np.random.default_rng(26).standard_normal((4, D)), requires_grad=True)
     with Tape() as tape:
-        loss = inner(dream_forward(rows, params), np.ones((4, D)))
+        loss = inner(dream_forward([rows], [params])[0], np.ones((4, D)))
     backward(loss, tape)
     with pytest.raises(UsageError, match="already replayed"):
         backward(loss, tape)
+
+
+# ---------------------------------------------------------------------------
+# two modalities in one node, the second on the lane
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the process may use to `n`, with no lane started yet;
+    the lane a test starts is shut down after it."""
+    monkeypatch.setattr(dream, "_LANE", None)
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    yield set_cpus
+    if dream._LANE is not None:
+        dream._LANE.shutdown()
+
+
+def two_modalities(n=30, d=16):
+    params = [create(seed, branch_channels=8, attention_reduction=4,
+                     dilations=(6, 12, 18)) for seed in (31, 32)]
+    rng = np.random.default_rng(33)
+    rows = [rng.standard_normal((n, d)) for _ in params]
+    probes = [rng.standard_normal((n, d)) for _ in params]
+    return params, rows, probes
+
+
+def taped_bytes(params, rows, probes, together):
+    """Each modality's output, input gradient and weight gradients, from one
+    `dream_forward` over both or from one call each."""
+    inputs = [Tensor(r, requires_grad=True) for r in rows]
+    with Tape() as tape:
+        outs = (dream_forward(inputs, params) if together
+                else [dream_forward([x], [p])[0] for x, p in zip(inputs, params)])
+        loss = add(inner(outs[0], probes[0]), inner(outs[1], probes[1]))
+    backward(loss, tape)
+    return [out.data.tobytes() + x.grad.tobytes()
+            + b"".join(w.grad.tobytes() for w in p.tensors())
+            for out, x, p in zip(outs, inputs, params)]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["in-order", "lane"])
+def test_two_modalities_equal_one_call_each(cpus, n_cpus):
+    """One node over both modalities gives each one's output and gradients
+    bit for bit as its own call does, with the lane or without it."""
+    cpus(n_cpus)
+    params, rows, probes = two_modalities()
+    together = taped_bytes(params, rows, probes, together=True)
+    assert (dream._LANE is not None) == (n_cpus == 2)
+    for p in params:
+        for w in p.tensors():
+            w.zero_grad()
+    assert together == taped_bytes(params, rows, probes, together=False)
+
+
+def test_lane_bits_hold_under_frequent_thread_switches(cpus):
+    """The lane and the calling thread write disjoint rows of one output and
+    read shared weights; with the interpreter switching threads as often as
+    it can, every repeat still gives one call's bits per modality."""
+    cpus(2)
+    params, rows, probes = two_modalities(n=12)
+    expected = taped_bytes(params, rows, probes, together=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            for p in params:
+                for w in p.tensors():
+                    w.zero_grad()
+            assert taped_bytes(params, rows, probes, together=True) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_two_modalities_record_one_node_with_row_views(cpus):
+    cpus(2)
+    params, rows, _ = two_modalities(n=5)
+    inputs = [Tensor(r, requires_grad=True) for r in rows]
+    with Tape() as tape:
+        first, second = dream_forward(inputs, params)
+    (out, recorded_inputs, _), = tape._nodes
+    assert first.data.base is out.data and second.data.base is out.data
+    assert first.grad.base is out.grad and second.grad.base is out.grad
+    assert recorded_inputs == (inputs[0], *params[0].tensors(),
+                               inputs[1], *params[1].tensors())
+
+
+def test_dream_forward_rejects_unpaired_or_unequal_modalities():
+    params, rows, _ = two_modalities(n=4)
+    with pytest.raises(UsageError, match="one or two modalities"):
+        dream_forward([Tensor(rows[0])], params)
+    with pytest.raises(UsageError, match="one or two modalities"):
+        dream_forward([Tensor(r) for r in rows * 2], params * 2)
+    with pytest.raises(DimensionError, match="widths differ"):
+        dream_forward([Tensor(rows[0]), Tensor(rows[1][:, :8])], params)
+
+
+def test_lane_runs_under_the_callers_errstate(cpus):
+    """Only the second modality, the lane's, overflows. Its error reaches
+    the caller under `raise`, and under `ignore` it warns of nothing: the
+    lane runs in a copy of the caller's context."""
+    cpus(2)
+    params, rows, _ = two_modalities(n=4)
+    inputs = [Tensor(rows[0]), Tensor(rows[1] * 1e308)]
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        dream_forward(inputs, params)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        dream_forward(inputs, params)
+    assert dream._LANE is not None

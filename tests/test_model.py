@@ -487,11 +487,12 @@ def test_propagate_records_one_node_and_two_slices():
     assert _recorded(lambda: propagate(user_emb, item_emb, operator, 3)) == ["propagate"]
 
 
-def test_training_step_records_23_tape_nodes():
-    """Propagation 1, encoding 4, fusion 5, BPR 2, alignment rows 2, MMD 3,
-    InfoNCE 3 and l2 3."""
+def test_training_step_records_22_tape_nodes():
+    """Propagation 1, encoding 3 (two reductions, one refinement of both
+    modalities), fusion 5, BPR 2, alignment rows 2, MMD 3, InfoNCE 3 and
+    l2 3."""
     model, batch, _ = tiny_model()
-    assert len(_recorded(lambda: model.total_loss(batch))) == 23
+    assert len(_recorded(lambda: model.total_loss(batch))) == 22
 
 
 # ---------------------------------------------------------------------------
