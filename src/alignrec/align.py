@@ -90,7 +90,10 @@ def logsumexp_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _gaussian_kernels(dist: np.ndarray, coefs: list[float]) -> list[np.ndarray]:
     """exp(coef * dist) for each exponent coefficient."""
-    kernels = [coef * dist for coef in coefs]
+    # A product past the float range is -inf, whose exp, 0, is the kernel's
+    # limit at a bandwidth near `MIN_BANDWIDTH`.
+    with np.errstate(over="ignore"):
+        kernels = [coef * dist for coef in coefs]
     for k in kernels:
         np.exp(k, out=k)
     return kernels

@@ -25,10 +25,11 @@ from .config import RunConfig, format_value, parse_value, resolve_config
 from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
 from .errors import ConfigError, DataFormatError, NumericalError
-from .evaluation import evaluate
+from .evaluation import Ranking, evaluate
 from .model import VARIANTS
 from .tensor import DimensionError, ParameterError, UsageError
-from .train import RESTORE_FIELDS, check_finite, log, restore_model, run_training
+from .train import RESTORE_FIELDS, check_finite, check_ranked, log, restore_model, \
+    run_training
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,7 +102,10 @@ def cmd_evaluate(args) -> int:
         representations = model.representations()
     check_finite(representations)
     user_repr, item_repr, _, _ = representations
-    metrics = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
+    ranking = Ranking()
+    metrics = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks,
+                       ranking=ranking)
+    check_ranked(ranking)
     print(json.dumps({"split": "test", **{k: metrics[k] for k in sorted(metrics)}}))
     return EXIT_OK
 

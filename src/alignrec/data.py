@@ -32,17 +32,9 @@ FMAT_VERSION = 1
 FMAT_MAX_EXTENT = 2 ** 32 - 1  # the header holds rows and cols as u32
 
 
-@dataclass
-class RawInteractions:
-    """De-duplicated (user token, item token) pairs in first-appearance order."""
-
-    pairs: list[tuple[str, str]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def load_interactions(path) -> RawInteractions:
+def load_interactions(path) -> list[tuple[str, str]]:
+    """The file's de-duplicated (user token, item token) pairs, in
+    first-appearance order."""
     seen: dict[tuple[str, str], None] = {}
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -60,7 +52,7 @@ def load_interactions(path) -> RawInteractions:
             f"{path}:{_first_undecodable_line(path)}: not UTF-8 text") from None
     if not seen:
         raise DataFormatError(f"{path}: no interactions")
-    return RawInteractions(pairs=list(seen))
+    return list(seen)
 
 
 def _first_undecodable_line(path) -> int:
@@ -75,11 +67,10 @@ def _first_undecodable_line(path) -> int:
     return 0
 
 
-def kcore_filter(raw: RawInteractions, k: int = 5) -> RawInteractions:
+def kcore_filter(pairs: list[tuple[str, str]], k: int = 5) -> list[tuple[str, str]]:
     """Iteratively drop users and items with fewer than k interactions."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    pairs = list(raw.pairs)
     while True:
         user_deg = Counter(u for u, _ in pairs)
         item_deg = Counter(i for _, i in pairs)
@@ -89,18 +80,18 @@ def kcore_filter(raw: RawInteractions, k: int = 5) -> RawInteractions:
         pairs = kept
     if not pairs:
         raise DataFormatError(f"{k}-core filtering removed every interaction")
-    return RawInteractions(pairs=pairs)
+    return pairs
 
 
-def remap(raw: RawInteractions) -> tuple[np.ndarray, list[str], list[str]]:
+def remap(pairs: list[tuple[str, str]]) -> tuple[np.ndarray, list[str], list[str]]:
     """Assign dense 0-based ids in first-appearance order.
 
     Returns (pairs array (n, 2), user tokens by id, item tokens by id).
     """
     user_ids: dict[str, int] = {}
     item_ids: dict[str, int] = {}
-    dense = np.empty((len(raw.pairs), 2), dtype=np.int64)
-    for row, (u, i) in enumerate(raw.pairs):
+    dense = np.empty((len(pairs), 2), dtype=np.int64)
+    for row, (u, i) in enumerate(pairs):
         dense[row, 0] = user_ids.setdefault(u, len(user_ids))
         dense[row, 1] = item_ids.setdefault(i, len(item_ids))
     return dense, list(user_ids), list(item_ids)
@@ -188,13 +179,13 @@ def load_fmat(path) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Remapped interactions plus per-item feature rows aligned to dense ids."""
+    """Remapped interactions plus, per loaded modality, feature rows aligned
+    to dense item ids."""
 
     pairs: np.ndarray
     user_tokens: list[str]
     item_tokens: list[str]
-    visual: np.ndarray | None = None
-    text: np.ndarray | None = None
+    features: dict[str, np.ndarray]
 
     @property
     def n_users(self) -> int:
@@ -223,19 +214,16 @@ def _gather_feature_rows(matrix: np.ndarray, item_tokens: list[str],
     return matrix[rows]
 
 
-def load_dataset(interactions_path, visual_path=None, text_path=None,
-                 kcore: int = 0) -> Dataset:
-    raw = load_interactions(interactions_path)
+def load_dataset(interactions_path, feature_paths: dict, kcore: int = 0) -> Dataset:
+    """The interactions, k-core filtered when `kcore` > 0, with the FMAT
+    rows of each `{modality: path}` in `feature_paths`."""
+    pairs = load_interactions(interactions_path)
     if kcore > 0:
-        raw = kcore_filter(raw, kcore)
-    pairs, user_tokens, item_tokens = remap(raw)
-    ds = Dataset(pairs=pairs, user_tokens=user_tokens, item_tokens=item_tokens)
-    if visual_path is not None:
-        ds.visual = _gather_feature_rows(load_fmat(visual_path), item_tokens,
-                                         visual_path)
-    if text_path is not None:
-        ds.text = _gather_feature_rows(load_fmat(text_path), item_tokens, text_path)
-    return ds
+        pairs = kcore_filter(pairs, kcore)
+    dense, user_tokens, item_tokens = remap(pairs)
+    features = {m: _gather_feature_rows(load_fmat(path), item_tokens, path)
+                for m, path in feature_paths.items()}
+    return Dataset(dense, user_tokens, item_tokens, features)
 
 
 @dataclass(frozen=True)
@@ -300,7 +288,13 @@ def synth_generate(spec: SynthSpec, out_dir) -> dict:
         source = item_latents[:, span]
         mix = rng.standard_normal((source.shape[1], dim))
         mix /= np.sqrt(source.shape[1] * dim)
-        noise = (spec.noise / np.sqrt(dim)) * rng.standard_normal((spec.items, dim))
+        # An infinity would pass `fmat_values`, which refuses only finite
+        # values past float32's range.
+        try:
+            with np.errstate(over="raise"):
+                noise = (spec.noise / np.sqrt(dim)) * rng.standard_normal((spec.items, dim))
+        except FloatingPointError:
+            raise NumericalError(f"noise {spec.noise} overflows a feature value") from None
         return source @ mix + noise
 
     ell = spec.latent_dim

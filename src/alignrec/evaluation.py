@@ -59,17 +59,25 @@ def pair_mask(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
     return mask
 
 
+# Most draws in one block of `sample_negatives`: a training batch of the
+# default size is one block, and a 100-rejection fallback discards at most
+# the rest of one.
+_DRAW_BLOCK = 2048
+
+
 def sample_negatives(users: np.ndarray, positive: np.ndarray,
                      rng: np.random.Generator) -> np.ndarray:
     """Per user, a uniform draw over the items not marked in its row of the
     `pair_mask` `positive`, equal draw for draw to the loop where each user
     in turn calls `rng.integers(0, n_items)` until the item is not a
     positive, or after 100 rejections picks from its complement. A block
-    holds one draw per user still without a negative, so the loop would
-    draw all of them, and hands them out in order: a rejected draw leaves
-    the same user to take the next one, in this block or the next. At the
-    100th rejection the generator is rewound to the draws used, and a new
-    block follows the user's pick from its complement.
+    holds one draw per user still without a negative, up to `_DRAW_BLOCK`,
+    so the loop would draw all of them, and hands them out in order: a
+    rejected draw leaves the same user to take the next one, in this block
+    or the next. At the 100th rejection the generator is rewound to the
+    draws used, and a new block follows the user's pick from its
+    complement. PCG64 keeps the spare half of a 64-bit output in its state,
+    so blocks of any size draw the same values.
 
     Training builds the mask once per run from its training pairs: one byte
     per (user, item) pair, about 6 MB for 3000 users and 2000 items."""
@@ -80,7 +88,8 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
     done = tries = 0  # users with a negative, and the next one's rejections
     while done < len(users):
         saved = rng.bit_generator.state
-        block = rng.integers(0, n_items, size=len(users) - done).tolist()
+        block = rng.integers(0, n_items,
+                             size=min(len(users) - done, _DRAW_BLOCK)).tolist()
         for used, item in enumerate(block, 1):
             if not flat[rows[done] + item]:
                 out[done] = item

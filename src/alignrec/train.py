@@ -20,9 +20,7 @@ from .evaluation import EarlyStopState, Ranking, SplitDataset, early_stop_update
 from .model import (
     LOSS_TERMS,
     MODALITIES,
-    TEXT,
     VARIANTS,
-    VISUAL,
     ModelParams,
     Recommender,
     TripletBatch,
@@ -84,15 +82,12 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
     its seeded initial parameters."""
     if cfg.interactions is None:
         raise ConfigError("no interactions path given")
-    modalities = VARIANTS[cfg.variant][0]
-    # The config's and the dataset's feature fields are named after the
-    # modalities.
-    paths = {m: getattr(cfg, m) for m in modalities}
+    # The config's feature fields are named after the modalities.
+    paths = {m: getattr(cfg, m) for m in VARIANTS[cfg.variant][0]}
     for m, path in paths.items():
         if path is None:
             raise ConfigError(f"variant requires --{m} features")
-    ds = load_dataset(cfg.interactions, visual_path=paths.get(VISUAL),
-                      text_path=paths.get(TEXT), kcore=cfg.kcore)
+    ds = load_dataset(cfg.interactions, paths, cfg.kcore)
     split = split_811(ds.pairs, ds.n_users, ds.n_items, cfg.seed)
     log(f"dataset: {ds.n_users} users, {ds.n_items} items, "
         f"{len(ds.pairs)} interactions "
@@ -109,15 +104,14 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
         raise DataFormatError("no user has the three interactions a held-out "
                               "pair needs, so nothing can be validated or tested")
 
-    features = {m: getattr(ds, m) for m in modalities}
     # The shared width takes both modalities' dims; a single-modality
     # variant passes its own for the absent one.
-    own = features[modalities[0]]
-    dv, dt = (features.get(m, own).shape[1] for m in MODALITIES)
+    own = next(iter(ds.features.values()))
+    dv, dt = (ds.features.get(m, own).shape[1] for m in MODALITIES)
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, cfg, rng)
     operator = build_propagation_operator(split.train, ds.n_users, ds.n_items)
-    model = Recommender(params, cfg, *(Tensor(features[m]) if m in features
+    model = Recommender(params, cfg, *(Tensor(ds.features[m]) if m in ds.features
                                        else None for m in MODALITIES), operator)
 
     total_params = sum(p.data.size for p in params.named().values())
@@ -144,6 +138,10 @@ _CHECKED = ("visual encoding", "text encoding", "user representation",
             "item representation")
 
 
+def _source(epoch: int | None) -> str:
+    return f"at epoch {epoch}" if epoch is not None else "from the restored checkpoint"
+
+
 def check_finite(representations: tuple, epoch: int | None = None) -> None:
     """Raise NumericalError naming the first of `_CHECKED` in a
     `Recommender.representations()` result that holds a NaN or inf, and
@@ -152,9 +150,18 @@ def check_finite(representations: tuple, epoch: int | None = None) -> None:
     user_repr, item_repr, h_v, h_t = representations
     for name, t in zip(_CHECKED, (h_v, h_t, user_repr, item_repr)):
         if t is not None and not np.isfinite(t.data).all():
-            where = (f"at epoch {epoch}" if epoch is not None
-                     else "from the restored checkpoint")
-            raise NumericalError(f"non-finite {name} {where}")
+            raise NumericalError(f"non-finite {name} {_source(epoch)}")
+
+
+def check_ranked(ranking: Ranking, epoch: int | None = None) -> None:
+    """Raise NumericalError naming the first user of a filled `ranking`
+    whose top list starts with -1: no unmasked item has a finite score for
+    it. `prepare_run` refuses a user who holds every item, so a list is
+    empty only when each of the user's scores left the float range."""
+    empty = np.flatnonzero(ranking.ranked[:, 0] < 0)
+    if len(empty):
+        raise NumericalError(f"no finite score for user {ranking.users[empty[0]]} "
+                             f"{_source(epoch)}")
 
 
 def run_training(cfg: RunConfig, stdout=None) -> dict:
@@ -239,6 +246,7 @@ def run_training(cfg: RunConfig, stdout=None) -> dict:
                 ranking = Ranking()
                 val = evaluate(representations[0].data, representations[1].data,
                                split, "validation", cfg.eval_ks, ranking=ranking)
+                check_ranked(ranking, epoch)
             wall_ms = int(round((time.perf_counter() - started) * 1000))
             record = {"epoch": epoch, "split": "validation", **tag,
                       **{k: val[k] for k in sorted(val)},

@@ -4,8 +4,6 @@ from pathlib import Path
 import hypothesis
 import numpy as np
 
-np.seterr(over="ignore")  # sigmoid/exp branch guards handle extremes
-
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])

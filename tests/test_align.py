@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,24 @@ def test_bandwidth_floor_is_the_smallest_with_a_finite_coefficient():
     check_bandwidths((MIN_BANDWIDTH,))  # the floor itself is accepted
     v = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
     assert math.isfinite(mmd_squared(v, Tensor(v.data + 1.0), (MIN_BANDWIDTH,)).item())
+
+
+def test_kernels_near_the_bandwidth_floor_warn_of_nothing():
+    """Just above the floor, `coef * dist` passes the float range. Its -inf
+    gives exp = 0, the kernel's limit, so numpy has nothing to warn of, on
+    the untaped path `align-stats` takes or the taped one training takes."""
+    v = Tensor(np.random.default_rng(0).standard_normal((4, 3)), requires_grad=True)
+    t = Tensor(v.data + 1.0, requires_grad=True)
+    for sigma in (MIN_BANDWIDTH, float(np.nextafter(MIN_BANDWIDTH, np.inf)), 1e-154):
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.simplefilter("error")
+            untaped = mmd_squared(v, t, (sigma,)).item()
+            with Tape() as tape:
+                loss = mmd_squared(v, t, (sigma,))
+            backward(loss, tape)
+        assert math.isfinite(untaped) and loss.item() == untaped
+        assert np.isfinite(v.grad).all() and np.isfinite(t.grad).all()
+        v.grad = t.grad = None
 
 
 def test_infonce_rejects_bad_temperature():

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alignrec import dream, evaluation, model, train
@@ -1090,7 +1090,8 @@ def test_evaluate_stops_on_a_non_finite_restored_forward(demo, tmp_path, capsys)
     train_lines(capsys, demo, ["--max-epochs", "1", "--out", str(run)])
     checkpoint = run / "checkpoint.mrec"
     arrays = load_checkpoint(checkpoint)
-    arrays["item_emb"] = arrays["item_emb"] * 1e300 * 1e300  # +-inf
+    with np.errstate(over="ignore"):
+        arrays["item_emb"] = arrays["item_emb"] * 1e300 * 1e300  # +-inf
     save_checkpoint(checkpoint, {name: Tensor(a) for name, a in arrays.items()})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1100,6 +1101,52 @@ def test_evaluate_stops_on_a_non_finite_restored_forward(demo, tmp_path, capsys)
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert errors == ["error: non-finite user representation from the restored checkpoint"]
     assert captured.err.splitlines()[-1] == errors[0]
+
+
+@pytest.fixture(scope="module")
+def synth_40x30(tmp_path_factory):
+    return synth_generate(SynthSpec(users=40, items=30, latent_dim=4,
+                                    interactions_per_user=8, visual_dim=16, text_dim=12),
+                          tmp_path_factory.mktemp("synth_40x30"))
+
+
+def test_evaluate_stops_when_a_user_has_no_finite_score(synth_40x30, tmp_path, capsys):
+    """Item embeddings x 1e200 leave the representations finite (~1e199),
+    but every score overflows, and `evaluate` never ranks a non-finite
+    score: this printed every metric 0.0 and exited 0."""
+    paths = synth_40x30
+    run = tmp_path / "run"
+    assert main(["train", "--interactions", paths["interactions"], "--visual",
+                 paths["visual"], "--text", paths["text"], "--max-epochs", "1",
+                 "--out", str(run)]) == 0
+    checkpoint = run / "checkpoint.mrec"
+    arrays = load_checkpoint(checkpoint)
+    arrays["item_emb"] = arrays["item_emb"] * 1e200
+    save_checkpoint(checkpoint, {name: Tensor(a) for name, a in arrays.items()})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["evaluate", "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no finite score for user 0 from the restored checkpoint"]
+    assert captured.err.splitlines()[-1] == errors[0]
+
+
+def test_validation_stops_when_a_user_has_no_finite_score(synth_40x30, tmp_path, capsys):
+    """One Adam step at `--base-lr 1e120` leaves the no-la variant's
+    representations finite and its every score past the float range. This
+    exited 0 with every validation and test metric 0.0."""
+    paths = synth_40x30
+    rc = main(["train", "--interactions", paths["interactions"], "--visual",
+               paths["visual"], "--text", paths["text"], "--variant", "no-la",
+               "--base-lr", "1e120", "--max-epochs", "1", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no finite score for user 0 at epoch 1"]
+    assert not (tmp_path / "checkpoint.mrec").exists()
 
 
 def test_train_stream_does_not_depend_on_the_lane(demo, tmp_path, capsys, monkeypatch):
@@ -1332,3 +1379,89 @@ def test_align_stats_identical_modalities_mmd_zero():
     stats = align_stats(model)
     assert abs(stats["mmd_mean"]) <= 1e-12
     assert stats["mean_cosine"] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# exit codes over every flag
+# ---------------------------------------------------------------------------
+
+# Extreme values, one of which a flag takes at a time.
+EXTREMES = ("0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1", "-1",
+            "1e300", "-1e300", "1e-300", "-1e-300", "1.7976931348623157e+308",
+            "inf", "-inf", "nan", str(2 ** 31), str(2 ** 63), str(10 ** 20))
+# The most a field may draw: the widths that size the model's arrays, the
+# hops run per forward, the synth counts and the epochs run. A value above
+# its cap is an `@example` that is refused before anything is allocated.
+DRAW_CAPS = {**dict.fromkeys(("reduction", "id_dim", "branch_channels", "graph_layers",
+                              "users", "items", "latent_dim", "interactions_per_user",
+                              "visual_dim", "text_dim"), 1024),
+             "max_epochs": 2}
+
+
+@st.composite
+def cli_inputs(draw):
+    """A subcommand, one of its flags and a value for it from `EXTREMES`."""
+    command = draw(st.sampled_from(("train", "evaluate", "align-stats", "synth",
+                                    "gradcheck")))
+    flag, dest = draw(st.sampled_from(
+        [(a.option_strings[0], a.dest) for a in subcommand_actions(command)
+         if a.option_strings and a.dest not in ("help", "config")]))
+    cap = DRAW_CAPS.get(dest)
+    values = [v for v in EXTREMES
+              if cap is None or not v.lstrip("-").isdigit() or int(v) <= cap]
+    return command, flag, draw(st.sampled_from(values))
+
+
+@pytest.fixture(scope="module")
+def exit_code_base(demo, tmp_path_factory):
+    """Each subcommand's arguments on the demo data and a trained run, and
+    a working directory for the relative paths a drawn value names."""
+    root = tmp_path_factory.mktemp("exit_codes")
+    assert main(["train", *data_flags(demo), "--max-epochs", "1",
+                 "--out", str(root / "base")]) == 0
+    checkpoint = str(root / "base" / "checkpoint.mrec")
+    return root, {
+        "train": ["train", *data_flags(demo), "--max-epochs", "1", "--batch-size", "64",
+                  "--out", "run"],
+        "evaluate": ["evaluate", "--checkpoint", checkpoint],
+        "align-stats": ["align-stats", "--checkpoint", checkpoint],
+        "synth": ["synth", "--out", "synth", "--users", "20", "--items", "15",
+                  "--latent-dim", "4", "--interactions-per-user", "5",
+                  "--visual-dim", "16", "--text-dim", "12"],
+        "gradcheck": ["gradcheck"],
+    }
+
+
+@given(cli_inputs())
+@settings(max_examples=60, deadline=None)
+@example(("train", "--id-dim", str(2 ** 31)))
+@example(("train", "--graph-layers", str(2 ** 63)))
+@example(("train", "--branch-channels", str(10 ** 20)))
+@example(("synth", "--users", str(2 ** 63)))
+@example(("synth", "--visual-dim", str(10 ** 20)))
+@example(("synth", "--noise", "1.7976931348623157e+308"))  # its features overflowed
+def test_every_flag_value_exits_with_a_documented_code(exit_code_base, case):
+    """One flag of one subcommand takes one extreme value, given after the
+    subcommand's own arguments so that it overrides them: `cli.main` exits
+    0, 2, 3 or 4, a failure prints exactly one `error:` line, and no
+    exception or warning escapes."""
+    root, base = exit_code_base
+    command, flag, value = case
+    stderr = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main([*base[command], flag, value])
+            except SystemExit as stop:  # argparse refuses a value's type
+                code = stop.code
+    finally:
+        os.chdir(cwd)
+    err = stderr.getvalue()
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err

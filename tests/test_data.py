@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alignrec.data import (
-    RawInteractions,
     SynthSpec,
     atomic_open,
     kcore_filter,
@@ -33,7 +32,7 @@ def test_load_interactions_basic(tmp_path):
     path = tmp_path / "inter.tsv"
     path.write_text("alice\t0\n# comment line\n\nbob\t1\nalice\t1\nalice\t0\n")
     raw = load_interactions(path)
-    assert raw.pairs == [("alice", "0"), ("bob", "1"), ("alice", "1")]
+    assert raw == [("alice", "0"), ("bob", "1"), ("alice", "1")]
     pairs, users, items = remap(raw)
     assert users == ["alice", "bob"]
     assert len(users) == 2 and sorted(set(pairs[:, 0])) == [0, 1]
@@ -53,10 +52,10 @@ def test_load_interactions_malformed_line_names_lineno(tmp_path):
                           st.text(alphabet="0123", min_size=1, max_size=2)),
                 min_size=1, max_size=30))
 def test_remap_round_trips_tokens(pair_list):
-    raw = RawInteractions(pairs=list(dict.fromkeys(pair_list)))
+    raw = list(dict.fromkeys(pair_list))
     pairs, users, items = remap(raw)
     rebuilt = [(users[u], items[i]) for u, i in pairs]
-    assert rebuilt == raw.pairs
+    assert rebuilt == raw
 
 
 def test_save_mapping(tmp_path):
@@ -107,38 +106,35 @@ def test_atomic_open_unusable_path_leaves_no_temp_file(tmp_path):
 
 def test_kcore_fixpoint_on_already_filtered_input():
     pairs = [(f"u{u}", f"i{i}") for u in range(5) for i in range(5)]
-    raw = RawInteractions(pairs=pairs)
-    filtered = kcore_filter(raw, 5)
-    assert filtered.pairs == pairs
-    assert kcore_filter(filtered, 5).pairs == filtered.pairs
+    filtered = kcore_filter(pairs, 5)
+    assert filtered == pairs
+    assert kcore_filter(filtered, 5) == filtered
 
 
 def test_kcore_star_graph_empties_out():
-    raw = RawInteractions(pairs=[("hub", f"i{i}") for i in range(10)])
     with pytest.raises(DataFormatError, match="removed every"):
-        kcore_filter(raw, 5)
+        kcore_filter([("hub", f"i{i}") for i in range(10)], 5)
 
 
 def test_kcore_k_validation():
     with pytest.raises(ParameterError):
-        kcore_filter(RawInteractions(pairs=[("a", "b")]), 0)
+        kcore_filter([("a", "b")], 0)
 
 
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
                 min_size=1, max_size=60), st.integers(1, 4))
 def test_kcore_output_degrees_at_least_k(edges, k):
     pairs = list(dict.fromkeys((f"u{u}", f"i{i}") for u, i in edges))
-    raw = RawInteractions(pairs=pairs)
     try:
-        filtered = kcore_filter(raw, k)
+        filtered = kcore_filter(pairs, k)
     except DataFormatError:
         return
     from collections import Counter
-    user_deg = Counter(u for u, _ in filtered.pairs)
-    item_deg = Counter(i for _, i in filtered.pairs)
+    user_deg = Counter(u for u, _ in filtered)
+    item_deg = Counter(i for _, i in filtered)
     assert all(d >= k for d in user_deg.values())
     assert all(d >= k for d in item_deg.values())
-    assert kcore_filter(filtered, k).pairs == filtered.pairs
+    assert kcore_filter(filtered, k) == filtered
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def test_feature_rows_must_cover_item_tokens(tmp_path):
     inter.write_text("u0\t0\nu0\t7\nu1\t0\nu1\t7\n")
     save_fmat(tmp_path / "v.fmat", np.zeros((3, 4)))
     with pytest.raises(DataFormatError, match="row 7.*3 rows"):
-        load_dataset(inter, visual_path=tmp_path / "v.fmat")
+        load_dataset(inter, {"visual": tmp_path / "v.fmat"})
 
 
 def test_non_integer_item_tokens_rejected_for_features(tmp_path):
@@ -217,7 +213,7 @@ def test_non_integer_item_tokens_rejected_for_features(tmp_path):
     inter.write_text("u0\titemA\n")
     save_fmat(tmp_path / "v.fmat", np.zeros((3, 4)))
     with pytest.raises(DataFormatError, match="itemA"):
-        load_dataset(inter, visual_path=tmp_path / "v.fmat")
+        load_dataset(inter, {"visual": tmp_path / "v.fmat"})
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +299,11 @@ def test_synth_is_learnable_by_latent_oracle(tmp_path):
     spec = SynthSpec(users=60, items=50, latent_dim=6, interactions_per_user=10,
                      visual_dim=24, text_dim=20, noise=0.1, seed=0)
     result = synth_generate(spec, tmp_path)
-    ds = load_dataset(result["interactions"], visual_path=result["visual"],
-                      text_path=result["text"])
+    ds = load_dataset(result["interactions"],
+                      {m: result[m] for m in ("visual", "text")})
+    assert list(ds.features) == ["visual", "text"]
+    assert list(load_dataset(result["interactions"], {"text": result["text"]})
+                .features) == ["text"]
     split = split_811(ds.pairs, ds.n_users, ds.n_items, seed=0)
 
     latents = load_fmat(result["latents"])

@@ -209,10 +209,13 @@ def sampling_cases(draw):
     return n_items, positives, np.array(users, dtype=np.int64)
 
 
-def assert_matches_scalar_loop(n_items, positives, users, seed):
+def assert_matches_scalar_loop(n_items, positives, users, seed, rng=None):
+    """`sample_negatives` on `rng`, by default a generator of `seed`, draws
+    what the scalar loop draws on a generator of `seed`."""
     pairs = np.array([(u, i) for u, items in enumerate(positives) for i in items],
                      dtype=np.int64).reshape(-1, 2)
-    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng = rng if rng is not None else np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
     got = sample_negatives(users, pair_mask(pairs, len(positives), n_items), rng)
     want = [sample_negative_reference(int(u), positives[u], n_items, reference_rng)
             for u in users]
@@ -226,27 +229,70 @@ def test_sample_negatives_matches_scalar_loop(case, seed):
     assert_matches_scalar_loop(*case, seed)
 
 
-def test_sample_negatives_fallback_mid_batch_matches_scalar_loop():
+def test_sample_negatives_fallback_mid_batch_matches_scalar_loop(monkeypatch):
     # User 1 has one free item in 500, so most of its triples reach the
     # 100-rejection fallback: in the 400-user batch the rewind lands in the
     # middle of a block and the next block starts after it. The one-user
     # batch draws blocks of one draw, so its rejections carry across 100
-    # blocks and the fallback lands on a block's last draw.
+    # blocks and the fallback lands on a block's last draw. Blocks of 7
+    # split the 400-user batch.
     positives = [set(range(0, 500, 7)), set(range(499)), set()]
-    for users in (np.random.default_rng(5).integers(0, 3, size=400), np.array([1])):
-        for seed in range(3):
-            assert_matches_scalar_loop(500, positives, users, seed)
+    for block in (evaluation._DRAW_BLOCK, 7):
+        monkeypatch.setattr(evaluation, "_DRAW_BLOCK", block)
+        for users in (np.random.default_rng(5).integers(0, 3, size=400), np.array([1])):
+            for seed in range(3):
+                assert_matches_scalar_loop(500, positives, users, seed)
 
 
-def test_sample_negatives_dense_users_match_scalar_loop():
+def test_sample_negatives_dense_users_match_scalar_loop(monkeypatch):
     # Users 1 and 2 have 3 and 1 free items in 60, so most of their draws
     # are rejected and their runs of rejections often cross block ends;
     # user 2's runs often reach the 100-rejection fallback mid-block. User 0
-    # mostly accepts its first draw between them.
+    # mostly accepts its first draw between them. Blocks of 7 split the
+    # batch.
     positives = [set(range(0, 60, 9)), set(range(60)) - {7, 30, 44}, set(range(59))]
     users = np.random.default_rng(7).integers(0, 3, size=600)
-    for seed in range(3):
-        assert_matches_scalar_loop(60, positives, users, seed)
+    for block in (evaluation._DRAW_BLOCK, 7):
+        monkeypatch.setattr(evaluation, "_DRAW_BLOCK", block)
+        for seed in range(3):
+            assert_matches_scalar_loop(60, positives, users, seed)
+
+
+class CountingRng:
+    """A generator's `integers` and `bit_generator`, counting the values
+    `integers` draws."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def integers(self, low, high, size=None):
+        self.drawn += 1 if size is None else size
+        return self.rng.integers(low, high, size=size)
+
+
+def test_sample_negatives_draws_linearly_in_its_fallbacks():
+    """A user holding 59 of 60 items reaches the 100-rejection fallback at
+    ~19% of its negatives. Each fallback discarded the rest of a block as
+    long as the batch's remainder, so the values drawn grew with the square
+    of the batch: 9.7 and 84 million for 10,000 and 30,000 negatives."""
+    positives = [set(range(59))]
+    mask = pair_mask(np.array([(0, i) for i in range(59)]), 1, 60)
+    drawn = {}
+    for n in (3000, 10000, 30000):
+        rng, users = CountingRng(0), np.zeros(n, dtype=np.int64)
+        if n == 3000:  # two blocks
+            assert_matches_scalar_loop(60, positives, users, 0, rng)
+        else:
+            sample_negatives(users, mask, rng)
+        # a negative draws at most 100 items and a pick, a fallback discards
+        # at most the rest of a block
+        assert rng.drawn <= n * (101 + evaluation._DRAW_BLOCK)
+        drawn[n] = rng.drawn
+    assert drawn[30000] < 3.5 * drawn[10000]
 
 
 def test_sample_negatives_exhausted_user_errors_like_scalar_loop():
@@ -623,7 +669,7 @@ def test_evaluate_overflowing_scores_warn_nothing():
     users, items, split = random_case(seed=13, dim=3)
     users[::3] *= 1e200
     items[::2] *= 1e200
-    with warnings.catch_warnings(), np.errstate(all="warn"):  # conftest ignores over
+    with warnings.catch_warnings(), np.errstate(all="warn"):  # underflow too
         warnings.simplefilter("error")
         got = evaluate(users, items, split, "test", (2, 10))
     with np.errstate(all="ignore"):

@@ -102,8 +102,9 @@ def test_first_gradient_write_matches_adding_to_zeros():
             t.accumulate_grad(g)
             assert same_bits(t.grad, np.zeros(length) + g), (length, offset)
             assert t.grad.flags.owndata
-            t.accumulate_grad(g)
-            assert same_bits(t.grad, (np.zeros(length) + g) + g)
+            with np.errstate(over="ignore"):  # 1.7e308 doubled is past the range
+                t.accumulate_grad(g)
+                assert same_bits(t.grad, (np.zeros(length) + g) + g)
     g = np.array([-0.0, 1.0])
     assert not same_bits(g.copy(), np.zeros(2) + g)  # why the write adds 0.0
 
@@ -117,7 +118,8 @@ def test_gather_rows_backward_matches_add_at():
         if case % 3 == 0:
             g[rng.random((m, d)) < 0.2] = rng.choice(SPECIAL)
         expected = np.zeros((rows, d))
-        np.add.at(expected, idx, g)
+        with np.errstate(over="ignore"):  # repeated rows of 1.7e308 sum past it
+            np.add.at(expected, idx, g)
         src = Tensor(np.zeros((rows, d)), requires_grad=True)
         with Tape() as tape, np.errstate(invalid="ignore"):  # 0 * inf
             loss = inner(gather_rows(src, idx), g)
