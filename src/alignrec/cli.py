@@ -19,8 +19,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, format_value, parse_value, resolve_config
 from .data import SynthSpec, synth_generate
 from .diagnostics import align_stats, run_gradcheck
@@ -28,7 +26,7 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .evaluation import Ranking, evaluate
 from .model import VARIANTS
 from .tensor import DimensionError, ParameterError, UsageError
-from .train import RESTORE_FIELDS, check_finite, check_ranked, log, restore_model, \
+from .train import RESTORE_FIELDS, check_ranked, log, restore_model, restored_forward, \
     run_training
 
 EXIT_OK = 0
@@ -98,10 +96,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, split, cfg = restore_model(args.checkpoint, _given(args, RunConfig))
-    with np.errstate(all="ignore"):  # a non-finite result is named below
-        representations = model.representations()
-    check_finite(representations)
-    user_repr, item_repr, _, _ = representations
+    user_repr, item_repr, _ = restored_forward(model)
     ranking = Ranking()
     metrics = evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks,
                        ranking=ranking)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .align import infonce, mmd_squared, normalize_rows
 from .data import save_fmat
 from .dream import DreamParams, dream_forward
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .evaluation import pair_mask, sample_negatives
 from .gradcheck import GradCheckReport, check_settings, grad_check
 from .model import (
+    MODALITIES,
     HyperParams,
     ModelParams,
     Recommender,
@@ -21,6 +24,7 @@ from .model import (
     propagate,
 )
 from .tensor import Tensor, _make_out
+from .train import restored_forward
 
 
 def inner(y: Tensor, probe: np.ndarray) -> Tensor:
@@ -82,12 +86,11 @@ def build_suite(seed: int) -> list[tuple[str, object, dict]]:
 
     # the joint objective over a full model instance
     model_rng = np.random.default_rng(seed + 1)
-    params = ModelParams.create(5, 8, 32, 32, hp, model_rng)
+    params = ModelParams.create(5, 8, dict.fromkeys(MODALITIES, 32), hp, model_rng)
     pairs, batch = _random_triples(model_rng, 5, 8, 3)
     operator = build_propagation_operator(pairs, 5, 8)
-    x_visual = Tensor(model_rng.standard_normal((8, 32)))
-    x_text = Tensor(model_rng.standard_normal((8, 32)))
-    model = Recommender(params, hp, x_visual, x_text, operator)
+    features = {m: Tensor(model_rng.standard_normal((8, 32))) for m in MODALITIES}
+    model = Recommender(params, hp, features, operator)
     suite.append(("total_loss", lambda: model.total_loss(batch)[0], params.named()))
 
     return suite
@@ -113,25 +116,34 @@ def run_gradcheck(seed: int, tol: float, h: float,
 
 
 def align_stats(model: Recommender, export_path=None) -> dict:
-    """Distribution diagnostics between the two item encodings.
+    """Distribution diagnostics between the two item encodings of a restored
+    model.
 
     Reports the kernel-form distribution distance per bandwidth and averaged,
     plus the mean cosine of matched cross-modality pairs; optionally exports
-    the fused item representations for external plotting.
+    the fused item representations for external plotting. The forward is
+    checked as `evaluate` checks it (`restored_forward`), and a statistic
+    that is NaN or inf raises NumericalError naming it, before any export.
     """
-    user_repr, item_repr, h_v, h_t = model.representations()
-    if h_v is None or h_t is None:
+    if len(model.features) != 2:
         raise ConfigError("alignment stats require both modalities")
-    per_bandwidth = {str(sigma): mmd_squared(h_v, h_t, (sigma,)).item()
-                     for sigma in model.hp.bandwidths}
-    combined = mmd_squared(h_v, h_t, model.hp.bandwidths)
-
-    a, _ = normalize_rows(h_v.data)
-    b, _ = normalize_rows(h_t.data)
-    mean_cosine = float((a * b).sum(axis=1).mean())
+    _, item_repr, encodings = restored_forward(model)
+    h_v, h_t = encodings.values()
+    with np.errstate(all="ignore"):  # a non-finite statistic is named below
+        per_bandwidth = {str(sigma): mmd_squared(h_v, h_t, (sigma,)).item()
+                         for sigma in model.hp.bandwidths}
+        combined = mmd_squared(h_v, h_t, model.hp.bandwidths).item()
+        a, _ = normalize_rows(h_v.data)
+        b, _ = normalize_rows(h_t.data)
+        mean_cosine = float((a * b).sum(axis=1).mean())
+    checked = {**{f"mmd at bandwidth {s}": v for s, v in per_bandwidth.items()},
+               "mmd_mean": combined, "mean_cosine": mean_cosine}
+    bad = next((name for name, v in checked.items() if not math.isfinite(v)), None)
+    if bad is not None:
+        raise NumericalError(f"non-finite {bad} from the restored checkpoint")
 
     out = {"items": int(item_repr.shape[0]), "mmd": per_bandwidth,
-           "mmd_mean": combined.item(), "mean_cosine": mean_cosine}
+           "mmd_mean": combined, "mean_cosine": mean_cosine}
     if export_path is not None:
         save_fmat(export_path, item_repr.data)
         out["export"] = str(export_path)

@@ -47,13 +47,19 @@ LOSS_TERMS = ("bpr", "mmd", "infonce", "reg")
 
 def target_dim(visual_dim: int, text_dim: int, reduction: int) -> int:
     """Shared embedding width: floor(min(D_V, D_T) / r)."""
+    return shared_width({VISUAL: visual_dim, TEXT: text_dim}, reduction)
+
+
+def shared_width(dims: dict[str, int], reduction: int) -> int:
+    """Shared embedding width of the modalities in `{modality: width}`:
+    the narrowest width floor-divided by r."""
     if reduction < 1:
         raise ParameterError(f"reduction factor must be >= 1, got {reduction}")
-    d = min(visual_dim, text_dim) // reduction
+    d = min(dims.values()) // reduction
     if d < 1:
+        widths = ", ".join(f"{m} {w}" for m, w in dims.items())
         raise ConfigError(
-            f"reduction factor {reduction} collapses feature dims "
-            f"(visual {visual_dim}, text {text_dim}) below 1")
+            f"reduction factor {reduction} collapses feature dims ({widths}) below 1")
     return d
 
 
@@ -141,9 +147,12 @@ class ModelParams:
     branches: dict[str, Branch] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, n_users: int, n_items: int, visual_dim: int, text_dim: int,
+    def create(cls, n_users: int, n_items: int, dims: dict[str, int],
                hp: HyperParams, rng: np.random.Generator) -> "ModelParams":
-        d = target_dim(visual_dim, text_dim, hp.reduction)
+        """`dims` maps each modality to its feature width; only the
+        variant's modalities are read."""
+        dims = {m: dims[m] for m in VARIANTS[hp.variant][0]}
+        d = shared_width(dims, hp.reduction)
 
         def t(shape):
             return Tensor(xavier_uniform(rng, shape, shape[0], shape[1]),
@@ -151,12 +160,10 @@ class ModelParams:
 
         params = cls(user_emb=t((n_users, hp.id_dim)),
                      item_emb=t((n_items, hp.id_dim)))
-        for modality, dim in zip(MODALITIES, (visual_dim, text_dim)):
-            if modality in VARIANTS[hp.variant][0]:
-                params.branches[modality] = Branch(
-                    reduce=t((dim, d)),
-                    dream=DreamParams.create(hp, rng),
-                    fuse=t((d, hp.id_dim)))
+        for modality, dim in dims.items():
+            params.branches[modality] = Branch(reduce=t((dim, d)),
+                                               dream=DreamParams.create(hp, rng),
+                                               fuse=t((d, hp.id_dim)))
         return params
 
     def named(self) -> dict[str, Tensor]:
@@ -208,29 +215,28 @@ class TripletBatch:
         return len(self.users)
 
 
-def reduce_modalities(x_visual: Tensor | None, x_text: Tensor | None,
-                      params: ModelParams) -> tuple[Tensor | None, Tensor | None]:
-    """Project raw modality features into the shared width d; an absent
-    branch gives None."""
-    return tuple(matmul(x, params.branches[m].reduce) if m in params.branches
-                 else None for m, x in zip(MODALITIES, (x_visual, x_text)))
+def reduce_modalities(features: dict[str, Tensor],
+                      params: ModelParams) -> dict[str, Tensor]:
+    """Project the raw features of each of `params`' modalities into the
+    shared width d."""
+    return {m: matmul(features[m], b.reduce) for m, b in params.branches.items()}
 
 
 def encode_items(x_visual: Tensor | None, x_text: Tensor | None,
-                 params: ModelParams,
-                 refine: bool = True) -> tuple[Tensor | None, Tensor | None]:
-    """Reduced then refined per-modality item encodings.
+                 params: ModelParams, refine: bool = True) -> dict[str, Tensor]:
+    """Reduced then refined item encodings of each present modality.
 
+    The features come by position, None for an absent modality: the
+    benchmark's tracer counts the rows encoded from the first two arguments.
     With refine=False the refinement stage is bypassed entirely and the
     outputs are exactly the reduced features (the local-alignment ablation).
     Otherwise every present modality is refined in one `dream_forward`.
     """
-    reduced = reduce_modalities(x_visual, x_text, params)
+    reduced = reduce_modalities(dict(zip(MODALITIES, (x_visual, x_text))), params)
     if not refine:
         return reduced
-    refined = iter(dream_forward([h for h in reduced if h is not None],
-                                 [b.dream for b in params.branches.values()]))
-    return tuple(None if h is None else next(refined) for h in reduced)
+    return dict(zip(reduced, dream_forward(
+        list(reduced.values()), [b.dream for b in params.branches.values()])))
 
 
 def build_propagation_operator(train_pairs: np.ndarray, n_users: int,
@@ -299,12 +305,11 @@ def propagate(user_emb: Tensor, item_emb: Tensor, operator: sp.csr_matrix,
     return row_views(_make_out(total, (user_emb, item_emb), backward), n_users)
 
 
-def fuse(user_out: Tensor, item_out: Tensor, h_visual: Tensor | None,
-         h_text: Tensor | None, params: ModelParams) -> tuple[Tensor, Tensor]:
+def fuse(user_out: Tensor, item_out: Tensor, encodings: dict[str, Tensor],
+         params: ModelParams) -> tuple[Tensor, Tensor]:
     """Additive fusion: items absorb projected modality encodings, users stay
     collaborative. Both modalities average; a single one enters with weight 1."""
-    terms = [matmul(h, params.branches[m].fuse)
-             for m, h in zip(MODALITIES, (h_visual, h_text)) if h is not None]
+    terms = [matmul(h, params.branches[m].fuse) for m, h in encodings.items()]
     if len(terms) == 2:
         return user_out, add(item_out, scale(add(terms[0], terms[1]), 0.5))
     return user_out, add(item_out, terms[0])
@@ -361,30 +366,30 @@ def l2_penalty(tensors: list[Tensor]) -> Tensor:
 
 
 class Recommender:
-    """Bundles parameters, constant item features and the propagation operator.
+    """Bundles parameters, constant item features (`{modality: features}` of
+    the present modalities) and the propagation operator.
 
     `hp.variant` selects an exact code path through `VARIANTS`."""
 
     def __init__(self, params: ModelParams, hp: HyperParams,
-                 x_visual: Tensor | None, x_text: Tensor | None,
-                 operator: sp.csr_matrix):
+                 features: dict[str, Tensor], operator: sp.csr_matrix):
         self.params = params
         self.hp = hp
-        self.x_visual = x_visual
-        self.x_text = x_text
+        self.features = features
         self.operator = operator
         _, self.refine, aligned = VARIANTS[hp.variant]
         self.lambda_mmd = hp.lambda_mmd if aligned else 0.0
         self.lambda_cl = hp.lambda_cl if aligned else 0.0
 
-    def representations(self) -> tuple[Tensor, Tensor, Tensor | None, Tensor | None]:
-        """Forward pass to fused user/item representations (plus encodings)."""
+    def representations(self) -> tuple[Tensor, Tensor, dict[str, Tensor]]:
+        """Forward pass to fused user/item representations, and the item
+        encodings of each present modality."""
         p_star, q_star = propagate(self.params.user_emb, self.params.item_emb,
                                    self.operator, self.hp.graph_layers)
-        h_v, h_t = encode_items(self.x_visual, self.x_text, self.params,
-                                refine=self.refine)
-        user_repr, item_repr = fuse(p_star, q_star, h_v, h_t, self.params)
-        return user_repr, item_repr, h_v, h_t
+        encodings = encode_items(*map(self.features.get, MODALITIES), self.params,
+                                 refine=self.refine)
+        user_repr, item_repr = fuse(p_star, q_star, encodings, self.params)
+        return user_repr, item_repr, encodings
 
     def total_loss(self, batch: TripletBatch, representations: tuple | None = None
                    ) -> tuple[Tensor, dict[str, float]]:
@@ -398,14 +403,12 @@ class Recommender:
         `representations`, the output of `representations()` at the current
         parameters, is used in place of a new forward; to be differentiated,
         it must be recorded on the tape this loss is recorded on."""
-        user_repr, item_repr, h_v, h_t = representations or self.representations()
+        user_repr, item_repr, encodings = representations or self.representations()
         loss = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
         parts = {**dict.fromkeys(LOSS_TERMS, 0.0), "bpr": loss.item()}
-        if h_v is not None and h_t is not None and (
-                self.lambda_mmd != 0.0 or self.lambda_cl != 0.0):
+        if len(encodings) == 2 and (self.lambda_mmd != 0.0 or self.lambda_cl != 0.0):
             unique_pos = np.unique(batch.pos_items)
-            hv_rows = gather_rows(h_v, unique_pos)
-            ht_rows = gather_rows(h_t, unique_pos)
+            hv_rows, ht_rows = (gather_rows(h, unique_pos) for h in encodings.values())
             if self.lambda_mmd != 0.0:
                 # `scale` sends the MMD node exactly 1.0 * lambda_mmd
                 mmd = mmd_squared(hv_rows, ht_rows, self.hp.bandwidths,

@@ -19,7 +19,6 @@ from .evaluation import EarlyStopState, Ranking, SplitDataset, early_stop_update
     evaluate, lr_schedule, pair_mask, sample_negatives, split_811
 from .model import (
     LOSS_TERMS,
-    MODALITIES,
     VARIANTS,
     ModelParams,
     Recommender,
@@ -104,15 +103,13 @@ def prepare_run(cfg: RunConfig) -> tuple[Dataset, SplitDataset, Recommender]:
         raise DataFormatError("no user has the three interactions a held-out "
                               "pair needs, so nothing can be validated or tested")
 
-    # The shared width takes both modalities' dims; a single-modality
-    # variant passes its own for the absent one.
-    own = next(iter(ds.features.values()))
-    dv, dt = (ds.features.get(m, own).shape[1] for m in MODALITIES)
     rng = np.random.default_rng(cfg.seed)
-    params = ModelParams.create(ds.n_users, ds.n_items, dv, dt, cfg, rng)
+    params = ModelParams.create(ds.n_users, ds.n_items,
+                                {m: x.shape[1] for m, x in ds.features.items()},
+                                cfg, rng)
     operator = build_propagation_operator(split.train, ds.n_users, ds.n_items)
-    model = Recommender(params, cfg, *(Tensor(ds.features[m]) if m in ds.features
-                                       else None for m in MODALITIES), operator)
+    model = Recommender(params, cfg, {m: Tensor(x) for m, x in ds.features.items()},
+                        operator)
 
     total_params = sum(p.data.size for p in params.named().values())
     projection = sum(b.reduce.data.size for b in params.branches.values())
@@ -132,24 +129,21 @@ def iterate_batches(train_pairs: np.ndarray, positive: np.ndarray, batch_size: i
         yield TripletBatch(users=users, pos_items=items, neg_items=negatives)
 
 
-# The forward's arrays that must be finite, in the order they are checked:
-# an encoding before the item representation it feeds.
-_CHECKED = ("visual encoding", "text encoding", "user representation",
-            "item representation")
-
-
 def _source(epoch: int | None) -> str:
     return f"at epoch {epoch}" if epoch is not None else "from the restored checkpoint"
 
 
 def check_finite(representations: tuple, epoch: int | None = None) -> None:
-    """Raise NumericalError naming the first of `_CHECKED` in a
+    """Raise NumericalError naming the first array of a
     `Recommender.representations()` result that holds a NaN or inf, and
     the training epoch that made it; without one, it came from a restored
-    checkpoint."""
-    user_repr, item_repr, h_v, h_t = representations
-    for name, t in zip(_CHECKED, (h_v, h_t, user_repr, item_repr)):
-        if t is not None and not np.isfinite(t.data).all():
+    checkpoint. Each encoding is checked before the item representation it
+    feeds, in `MODALITIES` order, then the user and item representations."""
+    user_repr, item_repr, encodings = representations
+    checked = {**{f"{m} encoding": h for m, h in encodings.items()},
+               "user representation": user_repr, "item representation": item_repr}
+    for name, t in checked.items():
+        if not np.isfinite(t.data).all():
             raise NumericalError(f"non-finite {name} {_source(epoch)}")
 
 
@@ -317,3 +311,12 @@ def restore_model(checkpoint, given=None) -> tuple[Recommender, SplitDataset, Ru
             f"checkpoint does not fit dataset "
             f"({ds.n_users} users, {ds.n_items} items): {err}") from err
     return model, split, cfg
+
+
+def restored_forward(model: Recommender) -> tuple:
+    """A restored model's `representations()`, checked by `check_finite`;
+    numpy warns of no non-finite value, the check names it instead."""
+    with np.errstate(all="ignore"):
+        representations = model.representations()
+    check_finite(representations)
+    return representations

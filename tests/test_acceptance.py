@@ -231,7 +231,7 @@ def test_c09_exact_ablation_code_paths():
     started = time.perf_counter()
     model, batch, _ = tiny_model(variant="no-ga")
     loss, _ = model.total_loss(batch)
-    user_repr, item_repr, _, _ = model.representations()
+    user_repr, item_repr, _ = model.representations()
     expected = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
     reg = None
     for p in model.params.regularized():
@@ -241,10 +241,10 @@ def test_c09_exact_ablation_code_paths():
     assert loss.item() == expected.item()
 
     model2, _, _ = tiny_model(variant="no-la")
-    reduced_v, reduced_t = reduce_modalities(model2.x_visual, model2.x_text,
-                                             model2.params)
-    h_v, h_t = encode_items(model2.x_visual, model2.x_text, model2.params,
-                            refine=model2.refine)
+    reduced_v, reduced_t = reduce_modalities(model2.features,
+                                             model2.params).values()
+    h_v, h_t = encode_items(*model2.features.values(), model2.params,
+                            refine=model2.refine).values()
     assert np.array_equal(h_v.data, reduced_v.data)
     assert np.array_equal(h_t.data, reduced_t.data)
     announce(9, "no-ga loss and no-la encodings are bit-identical to their "

@@ -346,15 +346,16 @@ def _small_model_and_batch():
     hp = HyperParams(reduction=2, id_dim=8, branch_channels=4)
     rng = np.random.default_rng(5)
     n_users, n_items = 12, 40
-    params = ModelParams.create(n_users, n_items, 48, 40, hp, rng)
+    params = ModelParams.create(n_users, n_items, {"visual": 48, "text": 40}, hp, rng)
     users = np.repeat(np.arange(n_users), 4)
     items = np.concatenate([rng.choice(n_items, size=4, replace=False)
                             for _ in range(n_users)])
     pairs = np.stack([users, items], axis=1)
     negs = sample_negatives(users, pair_mask(pairs, n_users, n_items), rng)
     batch = TripletBatch(users=users, pos_items=items, neg_items=negs)
-    model = Recommender(params, hp, Tensor(rng.standard_normal((n_items, 48))),
-                        Tensor(rng.standard_normal((n_items, 40))),
+    features = {"visual": Tensor(rng.standard_normal((n_items, 48))),
+                "text": Tensor(rng.standard_normal((n_items, 40)))}
+    model = Recommender(params, hp, features,
                         build_propagation_operator(pairs, n_users, n_items))
     return model, batch
 

@@ -740,7 +740,7 @@ def test_test_record_equals_a_fresh_forward_of_the_checkpoint(
     assert summary["best_epoch"] == lines[-1]["epoch"] == best
 
     model, split, _ = train.restore_model(summary["checkpoint"])
-    user_repr, item_repr, _, _ = model.representations()
+    user_repr, item_repr, _ = model.representations()
     assert tested == [(user_repr.data.tobytes(), item_repr.data.tobytes())]
     fresh = evaluation.evaluate(user_repr.data, item_repr.data, split, "test", cfg.eval_ks)
     assert summary["test_metrics"] == fresh
@@ -752,13 +752,13 @@ def test_check_finite_names_the_first_non_finite_array_in_order():
     modality's encoding is skipped."""
     finite = Tensor(np.ones((2, 2)))
     bad = Tensor(np.array([[1.0, np.inf], [np.nan, 1.0]]))
-    train.check_finite((finite, finite, None, None), 1)
+    train.check_finite((finite, finite, {"text": finite}), 1)
     arrays = [finite] * 4  # user, item, visual, text
     for index, name in ((1, "item representation"), (0, "user representation"),
                         (3, "text encoding"), (2, "visual encoding")):
         arrays[index] = bad
         with pytest.raises(NumericalError, match=f"non-finite {name} at epoch 7"):
-            train.check_finite(tuple(arrays), 7)
+            train.check_finite((*arrays[:2], dict(zip(model.MODALITIES, arrays[2:]))), 7)
 
 
 @pytest.mark.parametrize("cut", [None, 4, 6],
@@ -1134,6 +1134,50 @@ def test_evaluate_stops_when_a_user_has_no_finite_score(synth_40x30, tmp_path, c
     assert captured.err.splitlines()[-1] == errors[0]
 
 
+@pytest.mark.parametrize("reduce_scale, fuse_scale, name", [
+    (1e160, 1e-160, "mmd at bandwidth 1.0"),
+    (np.nan, 1.0, "text encoding"),
+], ids=["statistic", "forward"])
+def test_align_stats_stops_on_a_non_finite_statistic(synth_40x30, tmp_path, capsys,
+                                                     reduce_scale, fuse_scale, name):
+    """`text_reduce` x 1e160 leaves the encodings (~1e160) and the item
+    representations finite, but the statistics overflow: this printed NaN
+    MMDs and a 0.0 cosine, warned five times and exited 0. The restored
+    forward is checked as `evaluate` checks it."""
+    paths = synth_40x30
+    run = tmp_path / "run"
+    assert main(["train", "--interactions", paths["interactions"], "--visual",
+                 paths["visual"], "--text", paths["text"], "--max-epochs", "2",
+                 "--out", str(run)]) == 0
+    checkpoint = run / "checkpoint.mrec"
+    arrays = load_checkpoint(checkpoint)
+    arrays["text_reduce"] = arrays["text_reduce"] * reduce_scale
+    arrays["text_fuse"] = arrays["text_fuse"] * fuse_scale
+    save_checkpoint(checkpoint, {name: Tensor(a) for name, a in arrays.items()})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["align-stats", "--checkpoint", str(checkpoint)])
+    captured = capsys.readouterr()
+    assert rc == 4 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: non-finite {name} from the restored checkpoint"]
+    assert captured.err.splitlines()[-1] == errors[0]
+    assert not (run / "item_repr.fmat").exists()
+
+
+def test_collapse_names_only_the_loaded_widths(synth_40x30, capsys):
+    """A text-only run reads no visual file, so the message names no visual
+    width: it said `(visual 12, text 12)` of a 12-wide text file."""
+    rc = main(["train", "--interactions", synth_40x30["interactions"],
+               "--text", synth_40x30["text"], "--variant", "text-only",
+               "--reduction", "100"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        "error: reduction factor 100 collapses feature dims (text 12) below 1"
+
+
 def test_validation_stops_when_a_user_has_no_finite_score(synth_40x30, tmp_path, capsys):
     """One Adam step at `--base-lr 1e120` leaves the no-la variant's
     representations finite and its every score past the float range. This
@@ -1364,18 +1408,19 @@ def test_align_stats_exports_beside_the_checkpoint_by_default(demo, tmp_path, ca
 
 def test_align_stats_identical_modalities_mmd_zero():
     from alignrec.diagnostics import align_stats
-    from alignrec.model import HyperParams, ModelParams, Recommender, \
+    from alignrec.model import MODALITIES, HyperParams, ModelParams, Recommender, \
         build_propagation_operator
     from alignrec.tensor import Tensor
 
     hp = HyperParams(reduction=2, id_dim=4, branch_channels=4, variant="no-la")
     rng = np.random.default_rng(0)
-    params = ModelParams.create(3, 5, 8, 8, hp, rng)
+    params = ModelParams.create(3, 5, dict.fromkeys(MODALITIES, 8), hp, rng)
     params.branches["text"].reduce.data = params.branches["visual"].reduce.data.copy()
     pairs = np.array([[0, 0], [1, 1], [2, 2]], dtype=np.int64)
     operator = build_propagation_operator(pairs, 3, 5)
     features = Tensor(rng.standard_normal((5, 8)))
-    model = Recommender(params, hp, features, Tensor(features.data.copy()), operator)
+    model = Recommender(params, hp, {"visual": features,
+                                     "text": Tensor(features.data.copy())}, operator)
     stats = align_stats(model)
     assert abs(stats["mmd_mean"]) <= 1e-12
     assert stats["mean_cosine"] == pytest.approx(1.0)

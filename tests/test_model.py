@@ -10,6 +10,8 @@ from alignrec.diagnostics import inner
 from alignrec.errors import ConfigError, DataFormatError
 from alignrec.gradcheck import grad_check
 from alignrec.model import (
+    MODALITIES,
+    VARIANTS,
     HyperParams,
     ModelParams,
     Recommender,
@@ -44,20 +46,17 @@ def tiny_model(seed=0, variant="full", **hp_kwargs):
     defaults.update(hp_kwargs)
     hp = HyperParams(variant=variant, **defaults)
     rng = np.random.default_rng(seed)
-    params = ModelParams.create(5, 8, 32, 32, hp, rng)
+    params = ModelParams.create(5, 8, dict.fromkeys(MODALITIES, 32), hp, rng)
     pairs = []
     for u in range(5):
         items = rng.choice(8, size=3, replace=False)
         pairs.extend((u, int(i)) for i in items)
     pairs = np.array(pairs, dtype=np.int64)
     operator = build_propagation_operator(pairs, 5, 8)
-    x_visual = Tensor(rng.standard_normal((8, 32)) * 0.3)
-    x_text = Tensor(rng.standard_normal((8, 32)) * 0.3)
-    if variant == "text-only":
-        x_visual = None
-    if variant == "visual-only":
-        x_text = None
-    model = Recommender(params, hp, x_visual, x_text, operator)
+    # both drawn, so that each variant's features hold the same values
+    features = {m: Tensor(rng.standard_normal((8, 32)) * 0.3) for m in MODALITIES}
+    model = Recommender(params, hp, {m: features[m] for m in VARIANTS[variant][0]},
+                        operator)
     negs = []
     rng2 = np.random.default_rng(seed + 99)
     pos_sets = {}
@@ -101,13 +100,14 @@ def test_projection_param_count_scales_with_reduction():
 
 def test_reduce_modalities_zero_and_identity():
     hp = HyperParams(reduction=1, id_dim=4, branch_channels=4)
-    params = ModelParams.create(3, 4, 6, 6, hp, np.random.default_rng(0))
+    params = ModelParams.create(3, 4, dict.fromkeys(MODALITIES, 6), hp,
+                                np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).standard_normal((4, 6)))
     params.branches["visual"].reduce.data = np.eye(6)
-    v, t = reduce_modalities(x, x, params)
+    v, t = reduce_modalities(dict.fromkeys(MODALITIES, x), params).values()
     assert np.array_equal(v.data, x.data)
     params.branches["text"].reduce.data[:] = 0.0
-    _, t = reduce_modalities(x, x, params)
+    _, t = reduce_modalities(dict.fromkeys(MODALITIES, x), params).values()
     assert np.array_equal(t.data, np.zeros((4, 6)))
 
 
@@ -117,10 +117,9 @@ def test_reduce_modalities_zero_and_identity():
 
 def test_encode_items_bypass_is_bit_identical_to_reduction():
     model, _, _ = tiny_model()
-    reduced_v, reduced_t = reduce_modalities(model.x_visual, model.x_text,
-                                             model.params)
-    h_v, h_t = encode_items(model.x_visual, model.x_text, model.params,
-                            refine=False)
+    reduced_v, reduced_t = reduce_modalities(model.features, model.params).values()
+    h_v, h_t = encode_items(*model.features.values(), model.params,
+                            refine=False).values()
     assert np.array_equal(h_v.data, reduced_v.data)
     assert np.array_equal(h_t.data, reduced_t.data)
 
@@ -128,12 +127,33 @@ def test_encode_items_bypass_is_bit_identical_to_reduction():
 def test_encode_items_shapes_and_gradients_flow():
     model, _, _ = tiny_model()
     with Tape() as tape:
-        h_v, h_t = encode_items(model.x_visual, model.x_text, model.params)
+        h_v, h_t = encode_items(*model.features.values(), model.params).values()
         loss = inner(h_v, np.ones(h_v.shape))
     assert h_v.shape == (8, 16) and h_t.shape == (8, 16)
     backward(loss, tape)
     assert np.any(model.params.branches["visual"].reduce.grad != 0.0)
     assert np.any(model.params.branches["visual"].dream.point_kernel.grad != 0.0)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_encodings_hold_the_variant_modalities_in_order(variant):
+    model, _, _ = tiny_model(variant=variant)
+    assert tuple(model.representations()[2]) == VARIANTS[variant][0]
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_create_ignores_the_width_of_a_modality_the_variant_lacks(variant):
+    """A 1-wide modality would collapse the shared width at reduction 4, if
+    it were read."""
+    hp = HyperParams(variant=variant, reduction=4, id_dim=4, branch_channels=4)
+    present = VARIANTS[variant][0]
+    dims = {m: 12 if m in present else 1 for m in MODALITIES}
+    given = ModelParams.create(3, 4, dims, hp, np.random.default_rng(0))
+    own = ModelParams.create(3, 4, dict.fromkeys(present, 12), hp,
+                             np.random.default_rng(0))
+    assert tuple(given.branches) == present
+    assert [(name, t.data.tobytes()) for name, t in given.named().items()] == \
+        [(name, t.data.tobytes()) for name, t in own.named().items()]
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +204,7 @@ def test_fuse_zero_projections_gives_collaborative_items():
     model, _, _ = tiny_model()
     model.params.branches["visual"].fuse.data[:] = 0.0
     model.params.branches["text"].fuse.data[:] = 0.0
-    _, item_repr, _, _ = model.representations()
+    _, item_repr, _ = model.representations()
     p_star, q_star = propagate(model.params.user_emb, model.params.item_emb,
                                model.operator, model.hp.graph_layers)
     assert np.allclose(item_repr.data, q_star.data)
@@ -192,12 +212,12 @@ def test_fuse_zero_projections_gives_collaborative_items():
 
 def test_fuse_full_is_average_of_single_contributions():
     model, _, _ = tiny_model()
-    h_v, h_t = encode_items(model.x_visual, model.x_text, model.params)
+    h_v, h_t = encode_items(*model.features.values(), model.params).values()
     p_star, q_star = propagate(model.params.user_emb, model.params.item_emb,
                                model.operator, 2)
-    _, both = fuse(p_star, q_star, h_v, h_t, model.params)
-    _, only_v = fuse(p_star, q_star, h_v, None, model.params)
-    _, only_t = fuse(p_star, q_star, None, h_t, model.params)
+    _, both = fuse(p_star, q_star, {"visual": h_v, "text": h_t}, model.params)
+    _, only_v = fuse(p_star, q_star, {"visual": h_v}, model.params)
+    _, only_t = fuse(p_star, q_star, {"text": h_t}, model.params)
     lhs = both.data - q_star.data
     rhs = 0.5 * ((only_v.data - q_star.data) + (only_t.data - q_star.data))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -205,10 +225,11 @@ def test_fuse_full_is_average_of_single_contributions():
 
 def test_fuse_text_only_term():
     model, _, _ = tiny_model(variant="text-only")
-    h_v, h_t = encode_items(None, model.x_text, model.params)
+    encodings = encode_items(None, model.features["text"], model.params)
+    h_t = encodings["text"]
     p_star, q_star = propagate(model.params.user_emb, model.params.item_emb,
                                model.operator, 2)
-    _, item_repr = fuse(p_star, q_star, None, h_t, model.params)
+    _, item_repr = fuse(p_star, q_star, encodings, model.params)
     expected = q_star.data + h_t.data @ model.params.branches["text"].fuse.data
     assert np.max(np.abs(item_repr.data - expected)) <= 1e-12
 
@@ -272,7 +293,7 @@ def test_bpr_extreme_margins_stay_finite():
 def test_total_loss_all_zero_weights_equals_bpr():
     model, batch, _ = tiny_model(lambda_cl=0.0, lambda_mmd=0.0, lambda_reg=0.0)
     loss, parts = model.total_loss(batch)
-    user_repr, item_repr, _, _ = model.representations()
+    user_repr, item_repr, _ = model.representations()
     expected = bpr_loss(batch, user_repr, item_repr).item() / len(batch)
     assert loss.item() == expected
     assert parts["mmd"] == 0.0 and parts["infonce"] == 0.0 and parts["reg"] == 0.0
@@ -294,7 +315,8 @@ def test_total_loss_is_weighted_sum_of_independent_terms():
         hp = model.hp
         loss, parts = model.total_loss(batch)
 
-        user_repr, item_repr, h_v, h_t = model.representations()
+        user_repr, item_repr, encodings = model.representations()
+        h_v, h_t = encodings.values()
         expected = bpr_loss(batch, user_repr, item_repr).item() / len(batch)
         unique_pos = np.unique(batch.pos_items)
         hv = Tensor(h_v.data[unique_pos])
@@ -311,7 +333,7 @@ def test_no_ga_variant_is_bit_identical_to_bpr_plus_reg():
     model, batch, _ = tiny_model(variant="no-ga")
     loss, _ = model.total_loss(batch)
 
-    user_repr, item_repr, _, _ = model.representations()
+    user_repr, item_repr, _ = model.representations()
     expected = scale(bpr_loss(batch, user_repr, item_repr), 1.0 / len(batch))
     reg = None
     for p in model.params.regularized():
@@ -330,7 +352,7 @@ def test_total_loss_gradient_matches_finite_differences():
 
 def test_item_scaling_preserves_rankings():
     model, _, _ = tiny_model()
-    user_repr, item_repr, _, _ = model.representations()
+    user_repr, item_repr, _ = model.representations()
     scores = user_repr.data @ item_repr.data.T
     scaled = user_repr.data @ (4.2 * item_repr.data).T
     for u in range(scores.shape[0]):
