@@ -60,9 +60,11 @@ def pair_mask(pairs: np.ndarray, n_users: int, n_items: int) -> np.ndarray:
 
 
 # Most draws in one block of `sample_negatives`: a training batch of the
-# default size is one block, and a 100-rejection fallback discards at most
-# the rest of one.
+# default size is one block. A 100-rejection fallback discards the rest of
+# its block, so the block after one holds `_REFILL_BLOCK` draws and each
+# later one twice its predecessor's, up to `_DRAW_BLOCK`.
 _DRAW_BLOCK = 2048
+_REFILL_BLOCK = 128
 
 
 def sample_negatives(users: np.ndarray, positive: np.ndarray,
@@ -75,9 +77,10 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
     so the loop would draw all of them, and hands them out in order: a
     rejected draw leaves the same user to take the next one, in this block
     or the next. At the 100th rejection the generator is rewound to the
-    draws used, and a new block follows the user's pick from its
-    complement. PCG64 keeps the spare half of a 64-bit output in its state,
-    so blocks of any size draw the same values.
+    draws used, and a new block of `_REFILL_BLOCK` draws, doubling block by
+    block, follows the user's pick from its complement. PCG64 keeps the
+    spare half of a 64-bit output in its state, so blocks of any size draw
+    the same values.
 
     Training builds the mask once per run from its training pairs: one byte
     per (user, item) pair, about 6 MB for 3000 users and 2000 items."""
@@ -86,10 +89,11 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
     rows = (users * n_items).tolist()  # each user's offset into the flat mask
     out = np.empty(len(users), dtype=np.int64)
     done = tries = 0  # users with a negative, and the next one's rejections
+    size = _DRAW_BLOCK
     while done < len(users):
         saved = rng.bit_generator.state
-        block = rng.integers(0, n_items,
-                             size=min(len(users) - done, _DRAW_BLOCK)).tolist()
+        block = rng.integers(0, n_items, size=min(len(users) - done, size)).tolist()
+        size = min(2 * size, _DRAW_BLOCK)
         for used, item in enumerate(block, 1):
             if not flat[rows[done] + item]:
                 out[done] = item
@@ -103,7 +107,7 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
                 if len(complement) == 0:
                     raise UsageError(f"user {users[done]} interacted with every item")
                 out[done] = complement[rng.integers(0, len(complement))]
-                done, tries = done + 1, 0
+                done, tries, size = done + 1, 0, min(_REFILL_BLOCK, _DRAW_BLOCK)
                 break
     return out
 
@@ -112,7 +116,8 @@ def sample_negatives(users: np.ndarray, positive: np.ndarray,
 _SCORE_BLOCK_ENTRIES = 1 << 19
 
 
-def top_k(score_rows, n_rows: int, n_cols: int, cut: int) -> np.ndarray:
+def top_k(score_rows, n_rows: int, n_cols: int, cut: int,
+          rescore=None) -> np.ndarray:
     """Each row's `cut` best columns, best first, of an (n_rows, n_cols)
     float64 score matrix: the first `cut` finite entries of
     `np.argsort(-row, kind="stable")`, so ties go to the lower column.
@@ -122,30 +127,48 @@ def top_k(score_rows, n_rows: int, n_cols: int, cut: int) -> np.ndarray:
     The matrix is never held whole. It is made and ranked in blocks of at
     most `_SCORE_BLOCK_ENTRIES` scores: `score_rows(rows, out)` writes the
     scores of the rows in the slice `rows` into `out`, one block buffer that
-    the ranking then overwrites. In a block, one partition finds each row's
-    cut-th best score. Rows with exactly `cut` finite scores at or above it
-    are ranked by one stable sort over their candidate matrix; a row with a
-    tie at the cut or fewer finite scores than the cut is ranked on its own."""
+    the ranking then overwrites. Without `rescore` those scores are the
+    exact ones. With it, `score_rows` may write approximate scores and
+    returns, per row, a bound E on their distance from the exact ones, which
+    `rescore(row, line)` writes into one row's `line` of the buffer.
+
+    In a block, one partition finds each row's cut + 1 best scores (all of
+    them when `cut == n_cols`); NaN and +inf sort above every number. A row
+    is certain when those are finite and each one, sorted, is more than 2E
+    above the next (E = 0 for exact scores). Every exact score is within E
+    of its approximation, so the exact scores then rank the same `cut`
+    columns in the same order, with no tie to break. Certain rows are
+    ranked by one sort over their candidate matrix. Any other row, with a
+    near or exact tie among those scores or fewer than cut + 1 finite ones,
+    takes its exact scores from `rescore`, if given, and is ranked on its
+    own by the stable argsort."""
     if not 1 <= cut <= n_cols:
         raise ParameterError(f"cut must be in 1..{n_cols}, got {cut}")
     block = max(1, _SCORE_BLOCK_ENTRIES // n_cols)
     buffer = np.empty((min(block, n_rows), n_cols))
     ranked = np.full((n_rows, cut), -1, dtype=np.int64)
+    span = min(cut + 1, n_cols)  # the cut best and the next one, if any
     for start in range(0, n_rows, block):
         rows = slice(start, min(start + block, n_rows))
         scores, out = buffer[:rows.stop - start], ranked[rows]
-        score_rows(rows, scores)
-        scores[~(scores < np.inf)] = -np.inf  # NaN and +inf are never ranked
-        threshold = np.partition(scores, n_cols - cut, axis=1)[:, n_cols - cut]
-        above = scores >= threshold[:, None]
-        full = (np.count_nonzero(above, axis=1) == cut) & (threshold > -np.inf)
-        candidates = np.flatnonzero(above[full]).reshape(-1, cut) % n_cols
-        order = np.argsort(-scores[np.flatnonzero(full)[:, None], candidates],
-                           axis=1, kind="stable")
-        out[full] = np.take_along_axis(candidates, order, axis=1)
-        for row in np.flatnonzero(~full):
+        error = score_rows(rows, scores)
+        if rescore is None:  # exact scores; what `score_rows` returns is no bound
+            error = 0.0
+        # NaN and +inf sort after every number, -inf (and masked) scores first.
+        best = np.sort(np.partition(scores, n_cols - span, axis=1)[:, n_cols - span:],
+                       axis=1)
+        with np.errstate(invalid="ignore"):  # inf - inf: a row not certain anyway
+            gap = np.diff(best, axis=1).min(axis=1, initial=np.inf)
+        certain = (best[:, 0] > -np.inf) & (best[:, -1] < np.inf) & (gap > 2 * error)
+        above = scores >= best[:, span - cut, None]
+        candidates = np.flatnonzero(above[certain]).reshape(-1, cut) % n_cols
+        order = np.argsort(-scores[np.flatnonzero(certain)[:, None], candidates], axis=1)
+        out[certain] = np.take_along_axis(candidates, order, axis=1)
+        for row in np.flatnonzero(~certain):
             line = scores[row]
-            candidates = np.flatnonzero(above[row] & (line > -np.inf))
+            if rescore is not None:
+                rescore(start + row, line)
+            candidates = np.flatnonzero(np.isfinite(line))
             top = candidates[np.argsort(-line[candidates], kind="stable")[:cut]]
             out[row, :len(top)] = top
     return ranked
@@ -184,7 +207,15 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     Each user's scores are the mat-vec `item_repr @ user_repr[user]`, the
     user's training pairs in `split.train` are masked, items with a
     non-finite score are never ranked, and ties go to the lower item index.
-    `top_k` asks for the scores one block of users at a time. A `ranking`
+    `top_k` asks for the scores one block of users at a time, and gets them
+    from one product `user_repr[block] @ item_repr.T`. That product sums
+    the same d terms as each mat-vec, in another order, so for user u the
+    two differ by at most E_u = 2 gamma_d sum_k |u_k| max_i |i_k|, where
+    gamma_d = d 2^-53 / (1 - d 2^-53), widened for the bound's own rounding
+    and for products that underflow (each d-term dot product, in any order,
+    with or without FMA, is within gamma_d sum_k |u_k i_k| of exact). A
+    user whose best cut + 1 scores are not each more than 2 E_u apart is
+    scored again by its own mat-vec and ranked on those scores. A `ranking`
     holder that holds this call's ranking (see `Ranking`) is read instead;
     any other holder is filled with this call's.
 
@@ -210,11 +241,24 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
     train_users, train_items = split.train[:, 0], split.train[:, 1]
     row_of = np.full(split.n_users, -1, dtype=np.int64)
 
-    def score_rows(rows: slice, out: np.ndarray) -> None:
+    # E_u is 2 sum_k |u_k| max_i |i_k| times gamma_d / (1 - gamma_d), raised
+    # by 2^-40 for its own rounding, plus 4 d 2^-1074 for products that
+    # underflow. Per-dimension maxima square no entry, as norms would:
+    # squares underflow and overflow where the products do not.
+    dim = item_repr.shape[1]
+    gamma = dim * 2.0 ** -53 / (1 - dim * 2.0 ** -53)
+    slope = gamma / (1 - gamma) * (1 + 2.0 ** -40)
+    floor = 4 * dim * 2.0 ** -1074
+    reach = np.abs(item_repr).max(axis=0, initial=0.0)  # NaN if any entry is
+
+    def score_rows(rows: slice, out: np.ndarray) -> np.ndarray:
         chunk = users[rows]
-        # One gemv per user, as `item_repr @ user_repr[user]` runs it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(item_repr, user_repr[chunk][:, :, None], out=out[:, :, None])
+        block = user_repr[chunk]
+        with np.errstate(all="ignore"):
+            np.matmul(block, item_repr.T, out=out)
+            # The sum is doubled, so one within a factor 2 of overflow, where a
+            # product's running sums might overflow, reads inf: never certain.
+            error = (2 * np.abs(block)) @ reach * slope + floor
         # Blocks cover ascending user ranges, so the pairs between lo and hi
         # belong to this block's users or to users without held-out items.
         row_of[chunk] = np.arange(len(chunk))
@@ -222,6 +266,14 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
         train_rows = row_of[train_users[lo:hi]]
         listed = train_rows >= 0
         out[train_rows[listed], train_items[lo:hi][listed]] = -np.inf
+        return error
+
+    def rescore(row: int, line: np.ndarray) -> None:
+        user = users[row]
+        with np.errstate(all="ignore"):
+            np.matmul(item_repr, user_repr[user], out=line)  # item_repr @ user_repr[user]
+        lo, hi = np.searchsorted(train_users, [user, user + 1])
+        line[train_items[lo:hi]] = -np.inf
 
     if (ranking is not None and ranking.user_repr is user_repr
             and ranking.item_repr is item_repr and ranking.train is split.train
@@ -229,7 +281,7 @@ def evaluate(user_repr: np.ndarray, item_repr: np.ndarray, split: SplitDataset,
             and np.array_equal(ranking.users, users)):
         ranked = ranking.ranked
     else:
-        ranked = top_k(score_rows, len(users), n_items, cut)
+        ranked = top_k(score_rows, len(users), n_items, cut, rescore)
         if ranking is not None:
             ranking.user_repr, ranking.item_repr, ranking.train = \
                 user_repr, item_repr, split.train

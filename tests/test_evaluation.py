@@ -276,9 +276,11 @@ class CountingRng:
 
 def test_sample_negatives_draws_linearly_in_its_fallbacks():
     """A user holding 59 of 60 items reaches the 100-rejection fallback at
-    ~19% of its negatives. Each fallback discarded the rest of a block as
-    long as the batch's remainder, so the values drawn grew with the square
-    of the batch: 9.7 and 84 million for 10,000 and 30,000 negatives."""
+    ~19% of its negatives, and each fallback discards the rest of its block.
+    Blocks as long as the batch's remainder made the values drawn grow with
+    the square of the batch: 9.7 and 84 million for 10,000 and 30,000
+    negatives. Blocks of 2048 drew ~409 values a negative; a block of 128
+    after each fallback, doubling up to 2048, draws ~99."""
     positives = [set(range(59))]
     mask = pair_mask(np.array([(0, i) for i in range(59)]), 1, 60)
     drawn = {}
@@ -288,9 +290,10 @@ def test_sample_negatives_draws_linearly_in_its_fallbacks():
             assert_matches_scalar_loop(60, positives, users, 0, rng)
         else:
             sample_negatives(users, mask, rng)
-        # a negative draws at most 100 items and a pick, a fallback discards
-        # at most the rest of a block
-        assert rng.drawn <= n * (101 + evaluation._DRAW_BLOCK)
+        # A negative uses at most 100 items and a pick, U <= 101 n. A fallback
+        # discards its block: the first at most `_DRAW_BLOCK`, each later one
+        # `_REFILL_BLOCK` more than the blocks used since the previous one.
+        assert rng.drawn <= n * (2 * 101 + evaluation._REFILL_BLOCK) + evaluation._DRAW_BLOCK
         drawn[n] = rng.drawn
     assert drawn[30000] < 3.5 * drawn[10000]
 
@@ -420,6 +423,49 @@ def test_top_k_cut_validation():
     for cut in (0, 4):
         with pytest.raises(ParameterError):
             top_k(lambda rows, out: out.fill(0.0), 2, 3, cut)
+
+
+@st.composite
+def approximate_score_rows(draw):
+    """Exact scores on a grid of 2^-4, with near ties, and approximations
+    that move each score by -E, 0 or +E, E a power of two: every sum is
+    exact, and the approximations reach the bound E."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    exact = rng.integers(-6, 7, size=(n_rows, n_cols)) / 16.0
+    exact[rng.random((n_rows, n_cols)) < 0.1] = -np.inf  # masked
+    error = 2.0 ** rng.integers(-8, -3, size=n_rows)  # gaps of 2E are ties or not
+    moved = exact + error[:, None] * rng.integers(-1, 2, size=(n_rows, n_cols))
+    cut = draw(st.sampled_from([1, n_cols]) | st.integers(1, n_cols))
+    return exact, moved, error, cut
+
+
+@given(approximate_score_rows(), st.integers(1, 24))
+@settings(max_examples=100)
+def test_top_k_ranks_approximate_scores_as_the_exact_ones(case, block_entries):
+    """Rows whose best cut + 1 approximations are each more than 2E apart
+    are ranked on them; all others are scored again, exactly."""
+    exact, moved, error, cut = case
+    rescored = []
+
+    def approximate(block, out):
+        out[:] = moved[block]
+        return error[block]
+
+    def rescore(row, line):
+        rescored.append(row)
+        line[:] = exact[row]
+
+    with mock.patch.object(evaluation, "_SCORE_BLOCK_ENTRIES", block_entries):
+        ranked = top_k(approximate, *exact.shape, cut, rescore)
+    for row, got in enumerate(ranked.tolist()):
+        line = exact[row]
+        want = [int(i) for i in np.argsort(-line, kind="stable") if np.isfinite(line[i])]
+        assert got == want[:cut] + [-1] * max(0, cut - len(want))
+        best = np.sort(moved[row])[::-1][:cut + 1]
+        separated = (np.isfinite(best).all() and len(best) == min(cut + 1, len(line))
+                     and (-np.diff(best) > 2 * error[row]).all())
+        assert (row in rescored) == (not separated)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +720,98 @@ def test_evaluate_overflowing_scores_warn_nothing():
         got = evaluate(users, items, split, "test", (2, 10))
     with np.errstate(all="ignore"):
         assert got == evaluate_reference(users, items, split, "test", (2, 10))
+
+
+@st.composite
+def adversarial_cases(draw):
+    """Continuous representations, where one product of a block of users
+    rounds otherwise than each user's mat-vec, with the inputs at which the
+    two may disagree on a ranking."""
+    n_items, dim = draw(st.integers(3, 24)), draw(st.sampled_from([1, 3, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_users = draw(st.integers(1, 10))
+    # up to every item for a user, which leaves it fewer unmasked items than
+    # a cut near the catalog's size
+    pairs = np.array([(u, int(i)) for u in range(n_users)
+                      for i in rng.choice(n_items, draw(st.integers(3, n_items)),
+                                          replace=False)])
+    split = split_811(pairs, n_users, n_items, seed=0)
+    users, items = rng.standard_normal((n_users, dim)), rng.standard_normal((n_items, dim))
+    pick = st.integers(0, n_items - 1)
+    for kind in draw(st.lists(st.sampled_from(
+            ["duplicate", "ulp", "zero-user", "huge", "tiny", "non-finite"]), unique=True)):
+        if kind == "duplicate":
+            items[draw(pick)] = items[draw(pick)]
+        elif kind == "ulp":
+            items[draw(pick)] = np.nextafter(items[draw(pick)], np.inf)
+        elif kind == "zero-user":
+            users[draw(st.integers(0, n_users - 1))] = 0.0
+        elif kind in ("huge", "tiny"):  # products overflow, or underflow
+            for scaled in (users, items):
+                with np.errstate(over="ignore"):  # the float max next to an -inf
+                    scaled[rng.random(len(scaled)) < 0.5] *= 1e160 if kind == "huge" else 1e-160
+        else:
+            items.flat[rng.integers(0, items.size, size=2)] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+    ks = tuple(draw(st.lists(st.sampled_from([1, n_items - 1, n_items]) | st.integers(1, 30),
+                             min_size=1, max_size=3, unique=True)))
+    return users, items, split, ks, draw(st.integers(1, 80))
+
+
+@given(adversarial_cases())
+@settings(max_examples=100)
+def test_evaluate_ranks_adversarial_representations_as_the_reference(case):
+    """Every ranking and metric equals the reference bit for bit, and
+    `evaluate` warns of nothing, underflow included."""
+    users, items, split, ks, block_entries = case
+    holder = Ranking()
+    with mock.patch.object(evaluation, "_SCORE_BLOCK_ENTRIES", block_entries), \
+            warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        got = evaluate(users, items, split, "test", ks, ranking=holder)
+    train_sets = positives_by_user(split.train, split.n_users)
+    cut = min(max(ks), split.n_items)
+    with np.errstate(all="ignore"):
+        assert got == evaluate_reference(users, items, split, "test", ks)
+        for user, ranked in zip(holder.users.tolist(), holder.ranked.tolist()):
+            want = rank_topk(users, items, user, train_sets[user], cut)
+            assert ranked == want + [-1] * (cut - len(want))
+
+
+def test_evaluate_scores_again_exactly_the_users_with_a_near_tie():
+    """Item 1 is item 0 reversed. A user symmetric under reversal who points
+    along both scores them first, tied exactly, but each product sums the
+    two in another order: the block product and the mat-vec may round them
+    apart, each its own way. Only those users are scored again by their own
+    mat-vec, and every ranking equals the reference."""
+    rng = np.random.default_rng(15)
+    n_users, n_items, ks = 60, 300, (10, 20)
+    pairs = np.array([(u, int(i)) for u in range(n_users)
+                      for i in 2 + rng.choice(n_items - 2, 10, replace=False)])
+    split = split_811(pairs, n_users, n_items, seed=15)
+    train_sets = positives_by_user(split.train, n_users)
+    users, items = rng.standard_normal((n_users, 64)), rng.standard_normal((n_items, 64))
+    items[1] = items[0, ::-1]
+    rescored = []
+
+    def counting_top_k(score_rows, n_rows, n_cols, cut, rescore):
+        def counted(row, line):
+            rescored.append(row)
+            rescore(row, line)
+        return top_k(score_rows, n_rows, n_cols, cut, counted)
+
+    for planted in ([], [4, 17, 18, 25, 33, 40, 41, 52, 59]):
+        for user in planted:
+            noise = rng.standard_normal(64)
+            users[user] = 10.0 * (items[0] + items[1]) + noise + noise[::-1]
+        holder, rescored[:] = Ranking(), []
+        with mock.patch.object(evaluation, "top_k", counting_top_k):
+            got = evaluate(users, items, split, "test", ks, ranking=holder)
+        assert holder.users[rescored].tolist() == planted
+        assert got == evaluate_reference(users, items, split, "test", ks)
+        for user, ranked in zip(holder.users.tolist(), holder.ranked.tolist()):
+            assert ranked == rank_topk(users, items, user, train_sets[user], 20)
+            assert (sorted(ranked[:2]) == [0, 1]) == (user in planted)
 
 
 def test_evaluate_reads_only_a_ranking_of_the_same_call():
